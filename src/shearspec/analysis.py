@@ -7,7 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpectralMode, TemporalMode, WignerMap, mode_overlap, normalize, to_time_domain
+from .core import (
+    SpectralMode,
+    TemporalMode,
+    WignerMap,
+    mode_overlap,
+    normalize,
+    to_time_domain,
+    write_columns,
+)
 from .reconstruction import _weighted_lstsq
 
 
@@ -125,9 +133,13 @@ def v_phase_slope(
 
 
 def save_wigner_csv(wmap: WignerMap, path) -> None:
-    """Long-format CSV: t_fs,omega_rad_per_fs,w_value (one row per cell)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t_fs,omega_rad_per_fs,w_value\n")
-        for i, t in enumerate(wmap.t_axis):
-            for j, w in enumerate(wmap.omega_axis):
-                fh.write(f"{float(t)!r},{float(w)!r},{float(wmap.values[i, j])!r}\n")
+    """Long-format CSV: t_fs,omega_rad_per_fs,w_value (one row per cell, t slowest)."""
+    n_t, n_omega = wmap.values.shape
+    write_columns(
+        path,
+        "t_fs,omega_rad_per_fs,w_value",
+        "{!r},{!r},{!r}\n",
+        np.repeat(wmap.t_axis, n_omega),
+        np.tile(wmap.omega_axis, n_t),
+        wmap.values.ravel(),
+    )

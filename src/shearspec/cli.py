@@ -8,7 +8,6 @@ validation, 3 reconstruction quality, 4 file format / I/O.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -30,6 +29,7 @@ from .config import (
     config_to_dict,
     derive_seed,
     ftsi_settings,
+    grid_center_nm,
     load_config,
     preset,
     require_seed,
@@ -45,6 +45,8 @@ from .core import (
     shear_nm_to_omega,
     to_time_domain,
     wigner,
+    write_columns,
+    write_json,
 )
 from .errors import ConfigError, DataFormatError, ReconstructionError
 from .interferometer import (
@@ -70,12 +72,6 @@ from .synthesis import PulseSpec, synthesize
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
-
-
-def _write_json(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _ensure_dir(path: str) -> str:
@@ -179,7 +175,7 @@ def cmd_reconstruct(args) -> int:
     if args.shear_nm is not None and args.shear_rad_per_fs is not None:
         raise ConfigError("give one shear unit, not both")
     if args.shear_nm is not None:
-        center = base.pulse.center_wavelength if base else args.center_nm
+        center = grid_center_nm(base) if base else args.center_nm
         if center is None:
             raise ConfigError("--shear-nm needs --center-nm (or --config) for conversion")
         shear = shear_nm_to_omega(args.shear_nm, center)
@@ -287,7 +283,7 @@ def cmd_analyze(args) -> int:
         t_axis, om_axis = _wigner_axes(result.grid)
         save_wigner_csv(wigner(result.mode(), t_axis, om_axis), os.path.join(outdir, "wigner.csv"))
         files.append("wigner.csv")
-    _write_json(report, os.path.join(outdir, "report.json"))
+    write_json(report, os.path.join(outdir, "report.json"))
     overlap = report.get("overlap_with_truth")
     tail = f", overlap {overlap:.4f}" if overlap is not None else ""
     _say(args, f"fwhm {report['fwhm_fs']:.1f} fs, {report['peak_count']} peak(s){tail} -> {outdir}")
@@ -302,26 +298,26 @@ def _compensated_pulse(pulse: PulseSpec, fitted_phi2: float) -> PulseSpec:
     return replace(pulse, poly_coeffs=tuple(coeffs))
 
 
-def _run_single(cfg: RunConfig, outdir: str, trial: int, trials: int):
-    """One simulate+reconstruct pass; compensated runs do it twice."""
-    grid = build_grid(cfg)
-    mode = synthesize(cfg.pulse, grid)
-    sc = shear_config(cfg)
-    settings = ftsi_settings(cfg)
+def _run_single(cfg: RunConfig, mode, ideal, settings, outdir: str, trial: int, trials: int):
+    """One detect+reconstruct pass on the shared ideal record of `mode`.
+
+    Compensated runs do it twice: stage 2 re-synthesizes the pulse with
+    this trial's fitted phi2 removed, so only that stage is per trial.
+    """
+    sc = ideal.config
     stage1_phi2 = None
 
     if cfg.compensate_phi2:
-        ideal1 = ideal_interferogram(mode, sc)
-        rec1 = _detect(cfg, ideal1, "counts", trial)
+        rec1 = _detect(cfg, ideal, "counts", trial)
         stage1 = reconstruct(rec1, sc, settings)
         stage1_phi2 = stage1.coefficients.coefficient(2)
         if trial == 0:
             sdir = _ensure_dir(os.path.join(outdir, "stage1"))
             save_interferogram_csv(rec1, os.path.join(sdir, "interferogram.csv"))
             save_result(stage1, os.path.join(sdir, "result.json"))
-        mode = synthesize(_compensated_pulse(cfg.pulse, stage1_phi2), grid)
+        mode = synthesize(_compensated_pulse(cfg.pulse, stage1_phi2), mode.grid)
+        ideal = ideal_interferogram(mode, sc)
 
-    ideal = ideal_interferogram(mode, sc)
     rec = _detect(cfg, ideal, "counts-stage2" if cfg.compensate_phi2 else "counts", trial)
     result = reconstruct(rec, sc, settings)
 
@@ -336,29 +332,28 @@ def _export_artifacts(cfg: RunConfig, outdir: str, truth, result) -> list:
     grid = result.grid
     rec_mode = result.mode()
     if cfg.outputs.spectrum:
-        path = os.path.join(outdir, "spectrum.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("omega_rad_per_fs,truth,recovered\n")
-            for w, a, b in zip(grid.omegas, truth.intensity(), rec_mode.intensity()):
-                fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r}\n")
+        write_columns(
+            os.path.join(outdir, "spectrum.csv"),
+            "omega_rad_per_fs,truth,recovered",
+            "{!r},{!r},{!r}\n",
+            grid.omegas, truth.intensity(), rec_mode.intensity(),
+        )
         files.append("spectrum.csv")
     if cfg.outputs.phase:
-        path = os.path.join(outdir, "phase.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("omega_rad_per_fs,truth_rad,recovered_rad,valid\n")
-            for w, a, b, v in zip(
-                grid.omegas, truth.phase(), result.phase_rad, result.valid_mask
-            ):
-                fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r},{int(v)}\n")
+        write_columns(
+            os.path.join(outdir, "phase.csv"),
+            "omega_rad_per_fs,truth_rad,recovered_rad,valid",
+            "{!r},{!r},{!r},{:d}\n",
+            grid.omegas, truth.phase(), result.phase_rad, result.valid_mask,
+        )
         files.append("phase.csv")
     if cfg.outputs.temporal:
-        path = os.path.join(outdir, "temporal.csv")
-        tm_truth = to_time_domain(truth)
-        tm_rec = to_time_domain(rec_mode)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t_fs,truth,recovered\n")
-            for t, a, b in zip(grid.times, tm_truth.intensity(), tm_rec.intensity()):
-                fh.write(f"{float(t)!r},{float(a)!r},{float(b)!r}\n")
+        write_columns(
+            os.path.join(outdir, "temporal.csv"),
+            "t_fs,truth,recovered",
+            "{!r},{!r},{!r}\n",
+            grid.times, to_time_domain(truth).intensity(), to_time_domain(rec_mode).intensity(),
+        )
         files.append("temporal.csv")
     if cfg.outputs.wigner:
         t_axis, om_axis = _wigner_axes(grid)
@@ -371,13 +366,18 @@ def _run_pipeline(cfg: RunConfig, trials: int):
     outdir = _ensure_dir(cfg.outputs.directory)
     save_config(cfg, os.path.join(outdir, "config_echo.json"))
 
+    mode = synthesize(cfg.pulse, build_grid(cfg))
+    ideal = ideal_interferogram(mode, shear_config(cfg))
+    settings = ftsi_settings(cfg)
     results, stage1_values = [], []
     truth = None
     for trial in range(trials):
-        mode, result, stage1_phi2 = _run_single(cfg, outdir, trial, trials)
+        trial_mode, result, stage1_phi2 = _run_single(
+            cfg, mode, ideal, settings, outdir, trial, trials
+        )
         if trial == 0:
-            truth = mode
-            save_mode(mode, os.path.join(outdir, "truth_mode.json"))
+            truth = trial_mode
+            save_mode(truth, os.path.join(outdir, "truth_mode.json"))
         results.append(result)
         if stage1_phi2 is not None:
             stage1_values.append(stage1_phi2)
@@ -442,7 +442,7 @@ def cmd_pipeline(args) -> int:
             "v_slope_fs": other_summary["v_slope_fs"],
         }
 
-    _write_json(summary, os.path.join(outdir, "summary.json"))
+    write_json(summary, os.path.join(outdir, "summary.json"))
 
     fit = first.coefficients
     rows = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpectralGrid, make_grid, shear_nm_to_omega, wavelength_to_omega
+from .core import SpectralGrid, make_grid, shear_nm_to_omega, wavelength_to_omega, write_json
 from .errors import ConfigError
 from .interferometer import ShearConfig
 from .reconstruction import FtsiSettings
@@ -297,9 +297,7 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(config_to_dict(cfg), path)
 
 
 # ---- resolution helpers ------------------------------------------------------
@@ -309,14 +307,20 @@ def resolved_shear(cfg: RunConfig) -> float:
     det = cfg.interferometer
     if det.shear_rad_per_fs is not None:
         return float(det.shear_rad_per_fs)
-    center = cfg.grid.center_nm or cfg.pulse.center_wavelength
-    return shear_nm_to_omega(det.shear_nm, center)
+    return shear_nm_to_omega(det.shear_nm, grid_center_nm(cfg))
+
+
+def grid_center_nm(cfg: RunConfig) -> float:
+    """Grid centre [nm]: the grid block's, else the pulse carrier.
+
+    Every nm-to-rad/fs shear conversion for a config uses this wavelength.
+    """
+    return cfg.grid.center_nm or cfg.pulse.center_wavelength
 
 
 def build_grid(cfg: RunConfig) -> SpectralGrid:
-    center_nm = cfg.grid.center_nm or cfg.pulse.center_wavelength
     span = cfg.grid.span_factor * cfg.pulse.fwhm_omega
-    return make_grid(wavelength_to_omega(center_nm), span, cfg.grid.n_points)
+    return make_grid(wavelength_to_omega(grid_center_nm(cfg)), span, cfg.grid.n_points)
 
 
 def shear_config(cfg: RunConfig) -> ShearConfig:

@@ -316,15 +316,49 @@ class WignerMap:
         return float(np.trapezoid(self.time_marginal(), self.t_axis))
 
 
+# ---- writers -------------------------------------------------------------------
+
+def write_json(data: dict, path) -> None:
+    """Write a JSON object with one sorted top-level key per line.
+
+    Each value is encoded by json.dumps without indent so CPython's C
+    encoder runs; any indent forces the pure-Python one, which is several
+    times slower on long float arrays.  Floats keep float.__repr__, so
+    they round-trip exactly.
+    """
+    lines = ",\n".join(
+        f"{json.dumps(key)}: {json.dumps(data[key], sort_keys=True)}" for key in sorted(data)
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + lines + "\n}\n")
+
+
+def write_columns(path, header: str, fmt: str, *columns) -> None:
+    """Write equal-length arrays as text rows, `fmt.format(*row)` per row.
+
+    `fmt` carries the row's separators and its newline; `{!r}` writes a
+    float round-trip exactly.  Each column becomes Python scalars through
+    one tolist() call rather than a conversion per cell; what remains is
+    the cost of float.__repr__ itself.
+    """
+    rows = map(fmt.format, *(c.tolist() for c in columns))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n" + "".join(rows))
+
+
 # ---- mode serialization -----------------------------------------------------
+
+def grid_to_dict(grid: SpectralGrid) -> dict:
+    return {
+        "omega_start": grid.omega_start,
+        "omega_step": grid.omega_step,
+        "n_points": grid.n_points,
+    }
+
 
 def mode_to_dict(mode: SpectralMode) -> dict:
     return {
-        "grid": {
-            "omega_start": mode.grid.omega_start,
-            "omega_step": mode.grid.omega_step,
-            "n_points": mode.grid.n_points,
-        },
+        "grid": grid_to_dict(mode.grid),
         "amplitude_abs": np.abs(mode.amplitude).tolist(),
         "phase_rad": np.angle(mode.amplitude).tolist(),
     }
@@ -350,9 +384,7 @@ def mode_from_dict(data: dict) -> SpectralMode:
 
 
 def save_mode(mode: SpectralMode, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mode_to_dict(mode), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(mode_to_dict(mode), path)
 
 
 def load_mode(path) -> SpectralMode:

@@ -23,6 +23,7 @@ from .core import (
     SpectralMode,
     spectral_to_temporal_array,
     temporal_to_spectral_array,
+    write_columns,
 )
 from .errors import DataFormatError
 
@@ -166,14 +167,10 @@ def detect_counts(interf: Interferogram, total_counts: int, seed: int) -> Interf
 
 def save_interferogram_csv(interf: Interferogram, path) -> None:
     """Write one row per grid point: omega_rad_per_fs,plus,minus."""
-    counts = interf.kind == "counts"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for w, p, m in zip(interf.grid.omegas, interf.plus, interf.minus):
-            if counts:
-                fh.write(f"{float(w)!r},{int(p)},{int(m)}\n")
-            else:
-                fh.write(f"{float(w)!r},{float(p)!r},{float(m)!r}\n")
+    plus, minus = interf.plus, interf.minus
+    if interf.kind == "counts":
+        plus, minus = plus.astype(np.int64), minus.astype(np.int64)
+    write_columns(path, ",".join(CSV_HEADER), "{!r},{!r},{!r}\n", interf.grid.omegas, plus, minus)
 
 
 def load_interferogram_csv(path, config: ShearConfig) -> Interferogram:

@@ -14,6 +14,7 @@ The recovered spectrum is the fringe-free sum of both outputs.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -22,8 +23,10 @@ import numpy as np
 from .core import (
     SpectralGrid,
     SpectralMode,
+    grid_to_dict,
     spectral_to_temporal_array,
     temporal_to_spectral_array,
+    write_json,
 )
 from .errors import (
     CalibrationError,
@@ -480,16 +483,11 @@ def reconstruct(
 def result_to_dict(result: ReconstructionResult) -> dict:
     fit = result.coefficients
     return {
-        "grid": {
-            "omega_start": result.grid.omega_start,
-            "omega_step": result.grid.omega_step,
-            "n_points": result.grid.n_points,
-        },
-        "omega_rad_per_fs": result.grid.omegas.tolist(),
+        "grid": grid_to_dict(result.grid),
         "amplitude_abs": result.amplitude_abs.tolist(),
         "phase_rad": result.phase_rad.tolist(),
         "phase_difference": result.phase_difference.tolist(),
-        "valid_mask": [bool(v) for v in result.valid_mask],
+        "valid_mask": result.valid_mask.tolist(),
         "coefficients": {
             "phi1_fs": fit.coefficient(1),
             "phi1_fs_stderr": fit.stderr(1),
@@ -534,16 +532,10 @@ def result_from_dict(data: dict) -> ReconstructionResult:
 
 
 def save_result(result: ReconstructionResult, path) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_dict(result), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(result_to_dict(result), path)
 
 
 def load_result(path) -> ReconstructionResult:
-    import json
-
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

@@ -140,6 +140,22 @@ def test_reconstruct_explicit_units(tmp_path):
     assert result.coefficients.coefficient(2) == pytest.approx(8.7e4, abs=100.0)
 
 
+def test_reconstruct_shear_nm_uses_grid_center(tmp_path):
+    # with grid.center_nm off the pulse carrier, --shear-nm must convert at
+    # the same wavelength as the config's own shear_nm
+    cfg = write_config(tmp_path, **{"grid.center_nm": 835.0})
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--noiseless", "--out", str(sim), "--quiet"]) == 0
+    rec = tmp_path / "rec"
+    assert main(
+        ["reconstruct", str(sim / "interferogram.csv"), "--config", cfg, "--shear-nm", "0.58",
+         "--out", str(rec), "--quiet"]
+    ) == 0
+    used = ss.load_result(rec / "result.json").diagnostics["shear_rad_per_fs_used"]
+    assert used == ss.resolved_shear(ss.load_config(cfg))
+    assert used != ss.shear_nm_to_omega(0.58, 830.0)
+
+
 def test_reconstruct_with_calibration(tmp_path):
     cal_cfg = write_config(tmp_path, "cal.json", **{"interferometer.shear_nm": None,
                                                     "interferometer.shear_rad_per_fs": 0.0})

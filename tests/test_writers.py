@@ -1,0 +1,158 @@
+"""The column and JSON writers against the per-row writers they replaced.
+
+The reference writers below are the package's earlier implementations, kept
+verbatim in behaviour: every CSV must match them byte for byte, and every
+JSON file must parse to the same values.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import shearspec as ss
+from shearspec.cli import _export_artifacts
+from shearspec.core import mode_to_dict
+from shearspec.reconstruction import result_to_dict
+
+
+# ---- reference writers ---------------------------------------------------------
+
+def ref_interferogram_csv(interf, path):
+    counts = interf.kind == "counts"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("omega_rad_per_fs,plus,minus\n")
+        for w, p, m in zip(interf.grid.omegas, interf.plus, interf.minus):
+            if counts:
+                fh.write(f"{float(w)!r},{int(p)},{int(m)}\n")
+            else:
+                fh.write(f"{float(w)!r},{float(p)!r},{float(m)!r}\n")
+
+
+def ref_wigner_csv(wmap, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("t_fs,omega_rad_per_fs,w_value\n")
+        for i, t in enumerate(wmap.t_axis):
+            for j, w in enumerate(wmap.omega_axis):
+                fh.write(f"{float(t)!r},{float(w)!r},{float(wmap.values[i, j])!r}\n")
+
+
+def ref_artifacts(outdir, truth, result):
+    grid = result.grid
+    rec_mode = result.mode()
+    with open(outdir / "spectrum.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("omega_rad_per_fs,truth,recovered\n")
+        for w, a, b in zip(grid.omegas, truth.intensity(), rec_mode.intensity()):
+            fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r}\n")
+    with open(outdir / "phase.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("omega_rad_per_fs,truth_rad,recovered_rad,valid\n")
+        for w, a, b, v in zip(grid.omegas, truth.phase(), result.phase_rad, result.valid_mask):
+            fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r},{int(v)}\n")
+    tm_truth = ss.to_time_domain(truth)
+    tm_rec = ss.to_time_domain(rec_mode)
+    with open(outdir / "temporal.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("t_fs,truth,recovered\n")
+        for t, a, b in zip(grid.times, tm_truth.intensity(), tm_rec.intensity()):
+            fh.write(f"{float(t)!r},{float(a)!r},{float(b)!r}\n")
+
+
+def ref_json(data, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def ref_result_dict(result):
+    """The earlier result.json layout, which also carried the omega axis."""
+    data = result_to_dict(result)
+    data["omega_rad_per_fs"] = result.grid.omegas.tolist()
+    return data
+
+
+# ---- fixtures ------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def counts_record(quad_record):
+    return ss.detect_counts(quad_record, 1_000_000, 5)
+
+
+@pytest.fixture(scope="module")
+def counts_result(counts_record, shear_cfg, settings):
+    return ss.reconstruct(counts_record, shear_cfg, settings)
+
+
+# ---- CSV: byte equality ------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["ideal", "counts"])
+def test_interferogram_csv_matches_row_loop(tmp_path, kind, quad_record, counts_record):
+    rec = quad_record if kind == "ideal" else counts_record
+    ss.save_interferogram_csv(rec, tmp_path / "new.csv")
+    ref_interferogram_csv(rec, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_wigner_csv_matches_row_loop(tmp_path, quad_mode, grid):
+    n = grid.n_points
+    wmap = ss.wigner(quad_mode, grid.times[n // 4 : 3 * n // 4 : 128], grid.omegas[::64])
+    assert wmap.values.shape[0] != wmap.values.shape[1]  # catches a transposed layout
+    ss.save_wigner_csv(wmap, tmp_path / "new.csv")
+    ref_wigner_csv(wmap, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_artifact_csvs_match_row_loop(tmp_path, quad_mode, counts_result):
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    new.mkdir()
+    ref.mkdir()
+    files = _export_artifacts(ss.preset("quadratic"), str(new), quad_mode, counts_result)
+    ref_artifacts(ref, quad_mode, counts_result)
+    assert files == ["spectrum.csv", "phase.csv", "temporal.csv"]
+    assert not counts_result.valid_mask.all() and counts_result.valid_mask.any()
+    for name in files:
+        assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+# ---- JSON: exact round trips -------------------------------------------------------
+
+def assert_results_equal(a, b):
+    assert a.grid == b.grid
+    for name in ("amplitude_abs", "phase_rad", "valid_mask", "phase_difference"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.coefficients == b.coefficients
+    assert a.diagnostics == b.diagnostics
+
+
+def test_result_json_roundtrip(tmp_path, counts_result):
+    path = tmp_path / "result.json"
+    ss.save_result(counts_result, path)
+    assert_results_equal(ss.load_result(path), counts_result)
+
+    ref_json(result_to_dict(counts_result), tmp_path / "ref.json")
+    assert json.loads(path.read_text()) == json.loads((tmp_path / "ref.json").read_text())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    keys = sorted(result_to_dict(counts_result))
+    assert lines[0] == "{" and lines[-1] == "}"
+    assert [json.loads("{" + line.rstrip(",") + "}").popitem()[0] for line in lines[1:-1]] == keys
+
+
+def test_truth_mode_json_roundtrip(tmp_path, quad_mode):
+    path = tmp_path / "truth_mode.json"
+    ss.save_mode(quad_mode, path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    assert np.array_equal(raw["amplitude_abs"], np.abs(quad_mode.amplitude))
+    assert np.array_equal(raw["phase_rad"], np.angle(quad_mode.amplitude))
+    back = ss.load_mode(path)
+    assert back.grid == quad_mode.grid
+    expected = np.abs(quad_mode.amplitude) * np.exp(1j * np.angle(quad_mode.amplitude))
+    assert np.array_equal(back.amplitude, expected)
+
+    ref_json(mode_to_dict(quad_mode), tmp_path / "ref.json")
+    assert raw == json.loads((tmp_path / "ref.json").read_text(encoding="utf-8"))
+
+
+def test_old_layout_result_still_loads(tmp_path, counts_result):
+    path = tmp_path / "old_result.json"
+    ref_json(ref_result_dict(counts_result), path)
+    text = path.read_text(encoding="utf-8")
+    assert '\n  "omega_rad_per_fs": [\n' in text
+    assert_results_equal(ss.load_result(path), counts_result)
