@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .analysis import (
     v_phase_slope,
 )
 from .config import (
-    MAX_SEED,
     PRESETS,
     RunConfig,
     build_grid,
@@ -35,6 +34,7 @@ from .config import (
     require_seed,
     resolved_shear,
     save_config,
+    settings_for_delay,
     shear_config,
     validate_config,
 )
@@ -62,6 +62,7 @@ from .reconstruction import (
     FtsiSettings,
     calibrate_delay,
     coarse_delay_guess,
+    fit_to_dict,
     load_result,
     reconstruct,
     save_result,
@@ -95,8 +96,6 @@ def _resolve_run_config(args) -> RunConfig:
 
     det = cfg.interferometer
     if args.seed is not None:
-        if not 0 <= args.seed <= MAX_SEED:
-            raise ConfigError("--seed must fit in 64 bits")
         det = replace(det, seed=args.seed)
     if getattr(args, "noiseless", False):
         det = replace(det, noiseless=True)
@@ -150,17 +149,9 @@ def cmd_simulate(args) -> int:
 
 def _settings_overrides(args, base: dict) -> dict:
     over = dict(base)
-    for key in (
-        "filter_center",
-        "filter_width",
-        "filter_order",
-        "filter_shape",
-        "amplitude_floor",
-        "integration_method",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            over[key] = val
+    for f in fields(FtsiSettings):
+        if getattr(args, f.name, None) is not None:
+            over[f.name] = getattr(args, f.name)
     if getattr(args, "no_envelope_correction", False):
         over["correct_envelope_bias"] = False
     return over
@@ -195,8 +186,8 @@ def cmd_reconstruct(args) -> int:
     if args.calibrate_from:
         cal_interf = load_interferogram_csv(args.calibrate_from, ShearConfig(0.0, tau or 1.0))
         guess = tau if tau is not None else coarse_delay_guess(cal_interf)
-        cal_settings = FtsiSettings.for_delay(
-            guess, **{k: v for k, v in overrides.items() if not k.startswith("filter_")}
+        cal_settings = settings_for_delay(
+            guess, {k: v for k, v in overrides.items() if not k.startswith("filter_")}
         )
         calibration = calibrate_delay(cal_interf, cal_settings)
         tau = calibration.tau_fs
@@ -205,10 +196,7 @@ def cmd_reconstruct(args) -> int:
 
     sc = ShearConfig(shear=shear, delay=tau)
     interf = load_interferogram_csv(args.interferogram, sc)
-    try:
-        settings = FtsiSettings.for_delay(tau, **overrides)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"reconstruction settings: {exc}") from None
+    settings = settings_for_delay(tau, overrides)
 
     result = reconstruct(interf, sc, settings)
     if calibration is not None:
@@ -240,20 +228,12 @@ def _wigner_axes(grid):
 def _analysis_report(result, truth=None) -> dict:
     mode = result.mode()
     prof = temporal_profile(mode)
-    fit = result.coefficients
     report = {
         "fwhm_fs": prof.fwhm_fs,
         "peak_count": prof.peak_count,
         "peak_times_fs": [float(t) for t in prof.peak_times_fs],
         "transform_limit_ratio": transform_limit_ratio(mode),
-        "coefficients": {
-            "phi1_fs": fit.coefficient(1),
-            "phi2_fs2": fit.coefficient(2),
-            "phi3_fs3": fit.coefficient(3),
-            "phi1_fs_stderr": fit.stderr(1),
-            "phi2_fs2_stderr": fit.stderr(2),
-            "phi3_fs3_stderr": fit.stderr(3),
-        },
+        "coefficients": fit_to_dict(result.coefficients),
         "diagnostics": {k: v for k, v in sorted(result.diagnostics.items())},
     }
     spectrum = result.amplitude_abs**2

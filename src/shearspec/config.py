@@ -9,8 +9,10 @@ validation failures raise ConfigError so the CLI can map them to exit 2.
 from __future__ import annotations
 
 import json
+import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -18,19 +20,9 @@ from .core import SpectralGrid, make_grid, shear_nm_to_omega, wavelength_to_omeg
 from .errors import ConfigError
 from .interferometer import ShearConfig
 from .reconstruction import FtsiSettings
-from .synthesis import PHASE_KINDS, PulseSpec
+from .synthesis import PulseSpec, check_coverage
 
 MAX_SEED = 2**64 - 1
-
-_SETTINGS_KEYS = (
-    "filter_center",
-    "filter_width",
-    "filter_shape",
-    "filter_order",
-    "amplitude_floor",
-    "integration_method",
-    "correct_envelope_bias",
-)
 
 
 @dataclass(frozen=True)
@@ -68,18 +60,29 @@ class RunConfig:
     pulse: PulseSpec
     grid: GridSpec = field(default_factory=GridSpec)
     interferometer: DetectionSpec = field(default_factory=DetectionSpec)
-    reconstruction: dict = field(default_factory=dict)
+    reconstruction: dict = field(default_factory=dict, metadata={"overrides_of": FtsiSettings})
     outputs: OutputSpec = field(default_factory=OutputSpec)
     compensate_phi2: bool = False
 
 
-def _require_block(raw: dict, key: str, where: str) -> dict:
-    block = raw.get(key)
-    if block is None:
-        return {}
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where}: {key!r} must be an object")
-    return dict(block)
+# ---- parsing: keys and types come from the dataclass fields -------------------
+
+_EXPECTED = {
+    bool: "true or false",
+    str: "a string",
+    int: "an integral number",
+    float: "a number",
+    tuple: "an array of numbers",
+}
+
+
+def _is_number(value) -> bool:
+    """A finite int or float, not a bool (int/float comparison is exact)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def _reject_unknown(block: dict, allowed, where: str) -> None:
@@ -88,133 +91,60 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
 
 
-def _num(block: dict, key: str, where: str, required: bool = False):
-    if key not in block or block[key] is None:
-        if required:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return None
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: {key!r} must be a number")
-    return v
+def _typed(value, hint, where: str, name: str):
+    """A non-null JSON value of field `name` as its type hint (X | None is X).
+
+    bool is never a number, int takes integral numbers only, and a tuple
+    takes an array of numbers; numbers become the field's own type.
+    """
+    hint = next((a for a in get_args(hint) if a is not type(None)), hint)
+    if is_dataclass(hint):
+        return _build(hint, value, f"{where}.{name}")
+    if (hint is bool and isinstance(value, bool)) or (hint is str and isinstance(value, str)):
+        return value
+    if hint is float and _is_number(value):
+        return float(value)
+    if hint is int and _is_number(value) and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if hint is tuple and isinstance(value, (list, tuple)) and all(map(_is_number, value)):
+        return tuple(float(x) for x in value)
+    raise ConfigError(f"{where}: {name!r} must be {_EXPECTED[hint]}")
 
 
-def _flag(block: dict, key: str, where: str, default: bool) -> bool:
-    v = block.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{where}: {key!r} must be true or false")
-    return v
+def _checked(cls, block, where: str) -> dict:
+    """The non-null keys of a JSON object, checked against dataclass `cls`'s fields."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}: must be an object")
+    _reject_unknown(block, [f.name for f in fields(cls)], where)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        value = block.get(f.name)
+        if value is None:
+            continue
+        if "overrides_of" in f.metadata:  # keys and types are that dataclass's fields
+            kwargs[f.name] = _checked(f.metadata["overrides_of"], value, f"{where}.{f.name}")
+        else:
+            kwargs[f.name] = _typed(value, hints[f.name], where, f.name)
+    return kwargs
 
 
-def _pulse_from_dict(block: dict, where: str) -> PulseSpec:
-    _reject_unknown(
-        block,
-        (
-            "center_wavelength",
-            "fwhm_wavelength",
-            "phase_kind",
-            "poly_coeffs",
-            "v_slope",
-            "table_omega",
-            "table_phase",
-            "table_amplitude",
-        ),
-        where,
-    )
-    kind = block.get("phase_kind", "polynomial")
-    if kind not in PHASE_KINDS:
-        raise ConfigError(f"{where}: phase_kind must be one of {PHASE_KINDS}, got {kind!r}")
-
-    def seq(key):
-        v = block.get(key, ())
-        if not isinstance(v, (list, tuple)):
-            raise ConfigError(f"{where}: {key!r} must be an array")
-        return tuple(float(x) for x in v)
-
+def _build(cls, block, where: str):
+    """An instance of dataclass `cls`; a null or absent key takes the field default."""
+    kwargs = _checked(cls, block, where)
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            kind = "block" if is_dataclass(get_type_hints(cls)[f.name]) else "key"
+            raise ConfigError(f"{where}: missing required {kind} {f.name!r}")
     try:
-        return PulseSpec(
-            center_wavelength=float(_num(block, "center_wavelength", where, required=True)),
-            fwhm_wavelength=float(_num(block, "fwhm_wavelength", where, required=True)),
-            phase_kind=kind,
-            poly_coeffs=seq("poly_coeffs") or (0.0,),
-            v_slope=float(_num(block, "v_slope", where) or 0.0),
-            table_omega=seq("table_omega"),
-            table_phase=seq("table_phase"),
-            table_amplitude=seq("table_amplitude"),
-        )
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
 def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
-    """Build a RunConfig from parsed JSON, rejecting unknown keys."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: top level must be an object")
-    _reject_unknown(
-        raw,
-        ("pulse", "grid", "interferometer", "reconstruction", "outputs", "compensate_phi2"),
-        where,
-    )
-    if "pulse" not in raw:
-        raise ConfigError(f"{where}: missing required block 'pulse'")
-    pulse = _pulse_from_dict(_require_block(raw, "pulse", where), f"{where}.pulse")
-
-    gb = _require_block(raw, "grid", where)
-    _reject_unknown(gb, ("center_nm", "span_factor", "n_points"), f"{where}.grid")
-    npts = _num(gb, "n_points", f"{where}.grid")
-    grid = GridSpec(
-        center_nm=_num(gb, "center_nm", f"{where}.grid"),
-        span_factor=float(_num(gb, "span_factor", f"{where}.grid") or 10.0),
-        n_points=4096 if npts is None else int(npts),
-    )
-
-    ib = _require_block(raw, "interferometer", where)
-    _reject_unknown(
-        ib,
-        ("shear_nm", "shear_rad_per_fs", "delay_fs", "total_counts", "seed", "noiseless"),
-        f"{where}.interferometer",
-    )
-    seed = _num(ib, "seed", f"{where}.interferometer")
-    if seed is not None:
-        seed = int(seed)
-        if not 0 <= seed <= MAX_SEED:
-            raise ConfigError(f"{where}.interferometer: seed must fit in 64 bits")
-    counts = _num(ib, "total_counts", f"{where}.interferometer")
-    interferometer = DetectionSpec(
-        shear_nm=_num(ib, "shear_nm", f"{where}.interferometer"),
-        shear_rad_per_fs=_num(ib, "shear_rad_per_fs", f"{where}.interferometer"),
-        delay_fs=float(_num(ib, "delay_fs", f"{where}.interferometer") or 10000.0),
-        total_counts=1_000_000 if counts is None else int(counts),
-        seed=seed,
-        noiseless=_flag(ib, "noiseless", f"{where}.interferometer", False),
-    )
-
-    rb = _require_block(raw, "reconstruction", where)
-    _reject_unknown(rb, _SETTINGS_KEYS, f"{where}.reconstruction")
-
-    ob = _require_block(raw, "outputs", where)
-    _reject_unknown(
-        ob, ("directory", "spectrum", "phase", "temporal", "wigner"), f"{where}.outputs"
-    )
-    directory = ob.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError(f"{where}.outputs: 'directory' must be a non-empty string")
-    outputs = OutputSpec(
-        directory=directory,
-        spectrum=_flag(ob, "spectrum", f"{where}.outputs", True),
-        phase=_flag(ob, "phase", f"{where}.outputs", True),
-        temporal=_flag(ob, "temporal", f"{where}.outputs", True),
-        wigner=_flag(ob, "wigner", f"{where}.outputs", False),
-    )
-
-    cfg = RunConfig(
-        pulse=pulse,
-        grid=grid,
-        interferometer=interferometer,
-        reconstruction=rb,
-        outputs=outputs,
-        compensate_phi2=_flag(raw, "compensate_phi2", where, False),
-    )
+    """Build a RunConfig from parsed JSON, rejecting unknown keys and wrong types."""
+    cfg = _build(RunConfig, raw, where)
     validate_config(cfg, where)
     return cfg
 
@@ -227,14 +157,18 @@ def validate_config(cfg: RunConfig, where: str = "config") -> None:
         raise ConfigError(
             f"{where}: exactly one of shear_nm / shear_rad_per_fs must be given"
         )
+    if det.seed is not None and not 0 <= det.seed <= MAX_SEED:
+        raise ConfigError(f"{where}.interferometer: seed must fit in 64 bits")
     if not det.delay_fs > 0:
         raise ConfigError(f"{where}: delay_fs must be positive")
     if det.total_counts <= 0:
         raise ConfigError(f"{where}: total_counts must be positive")
     if cfg.grid.center_nm is not None and not cfg.grid.center_nm > 0:
         raise ConfigError(f"{where}: grid center_nm must be positive")
+    if not cfg.outputs.directory:
+        raise ConfigError(f"{where}.outputs: 'directory' must be a non-empty string")
     try:
-        build_grid(cfg)
+        check_coverage(cfg.pulse, build_grid(cfg))
         ftsi_settings(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -248,41 +182,7 @@ def require_seed(cfg: RunConfig, where: str = "config") -> None:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical echo: every field explicit so the echo alone reproduces the run."""
-    p = cfg.pulse
-    return {
-        "pulse": {
-            "center_wavelength": p.center_wavelength,
-            "fwhm_wavelength": p.fwhm_wavelength,
-            "phase_kind": p.phase_kind,
-            "poly_coeffs": list(p.poly_coeffs),
-            "v_slope": p.v_slope,
-            "table_omega": list(p.table_omega),
-            "table_phase": list(p.table_phase),
-            "table_amplitude": list(p.table_amplitude),
-        },
-        "grid": {
-            "center_nm": cfg.grid.center_nm,
-            "span_factor": cfg.grid.span_factor,
-            "n_points": cfg.grid.n_points,
-        },
-        "interferometer": {
-            "shear_nm": cfg.interferometer.shear_nm,
-            "shear_rad_per_fs": cfg.interferometer.shear_rad_per_fs,
-            "delay_fs": cfg.interferometer.delay_fs,
-            "total_counts": cfg.interferometer.total_counts,
-            "seed": cfg.interferometer.seed,
-            "noiseless": cfg.interferometer.noiseless,
-        },
-        "reconstruction": dict(sorted(cfg.reconstruction.items())),
-        "outputs": {
-            "directory": cfg.outputs.directory,
-            "spectrum": cfg.outputs.spectrum,
-            "phase": cfg.outputs.phase,
-            "temporal": cfg.outputs.temporal,
-            "wigner": cfg.outputs.wigner,
-        },
-        "compensate_phi2": cfg.compensate_phi2,
-    }
+    return asdict(cfg)
 
 
 def load_config(path) -> RunConfig:
@@ -328,8 +228,13 @@ def shear_config(cfg: RunConfig) -> ShearConfig:
 
 
 def ftsi_settings(cfg: RunConfig) -> FtsiSettings:
+    return settings_for_delay(cfg.interferometer.delay_fs, cfg.reconstruction)
+
+
+def settings_for_delay(tau: float, overrides: dict) -> FtsiSettings:
+    """FtsiSettings.for_delay(tau, **overrides), a bad override raising ConfigError."""
     try:
-        return FtsiSettings.for_delay(cfg.interferometer.delay_fs, **cfg.reconstruction)
+        return FtsiSettings.for_delay(tau, **overrides)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"reconstruction settings: {exc}") from None
 

@@ -333,6 +333,15 @@ def write_json(data: dict, path) -> None:
         fh.write("{\n" + lines + "\n}\n")
 
 
+def read_json(path):
+    """Parse a JSON file; text that is not JSON raises DataFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def write_columns(path, header: str, fmt: str, *columns) -> None:
     """Write equal-length arrays as text rows, `fmt.format(*row)` per row.
 
@@ -356,6 +365,13 @@ def grid_to_dict(grid: SpectralGrid) -> dict:
     }
 
 
+def grid_from_dict(data: dict) -> SpectralGrid:
+    """Inverse of grid_to_dict; KeyError, TypeError or ValueError if malformed."""
+    return SpectralGrid(
+        float(data["omega_start"]), float(data["omega_step"]), int(data["n_points"])
+    )
+
+
 def mode_to_dict(mode: SpectralMode) -> dict:
     return {
         "grid": grid_to_dict(mode.grid),
@@ -366,8 +382,7 @@ def mode_to_dict(mode: SpectralMode) -> dict:
 
 def mode_from_dict(data: dict) -> SpectralMode:
     try:
-        g = data["grid"]
-        grid = SpectralGrid(float(g["omega_start"]), float(g["omega_step"]), int(g["n_points"]))
+        grid = grid_from_dict(data["grid"])
         amp = np.asarray(data["amplitude_abs"], dtype=float)
         ph = np.asarray(data["phase_rad"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
@@ -388,11 +403,7 @@ def save_mode(mode: SpectralMode, path) -> None:
 
 
 def load_mode(path) -> SpectralMode:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    data = read_json(path)
     try:
         return mode_from_dict(data)
     except ValueError as exc:

@@ -13,7 +13,6 @@ difference record carries the fringe term the reconstruction works on.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np

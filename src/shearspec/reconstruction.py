@@ -14,7 +14,6 @@ The recovered spectrum is the fringe-free sum of both outputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +22,9 @@ import numpy as np
 from .core import (
     SpectralGrid,
     SpectralMode,
+    grid_from_dict,
     grid_to_dict,
+    read_json,
     spectral_to_temporal_array,
     temporal_to_spectral_array,
     write_json,
@@ -480,42 +481,45 @@ def reconstruct(
 
 # ---- result serialization ---------------------------------------------------
 
+# phi_n key of order n = index + 1; each has a "<key>_stderr" twin
+_FIT_KEYS = ("phi1_fs", "phi2_fs2", "phi3_fs3")
+
+
+def fit_to_dict(fit: PhaseFit) -> dict:
+    out = {}
+    for order, key in enumerate(_FIT_KEYS, start=1):
+        out[key] = fit.coefficient(order)
+        out[key + "_stderr"] = fit.stderr(order)
+    return out
+
+
+def fit_from_dict(data: dict) -> PhaseFit:
+    """Inverse of fit_to_dict; KeyError, TypeError or ValueError if malformed."""
+    return PhaseFit(
+        tuple(float(data[key]) for key in _FIT_KEYS),
+        tuple(float(data[key + "_stderr"]) for key in _FIT_KEYS),
+    )
+
+
 def result_to_dict(result: ReconstructionResult) -> dict:
-    fit = result.coefficients
     return {
         "grid": grid_to_dict(result.grid),
         "amplitude_abs": result.amplitude_abs.tolist(),
         "phase_rad": result.phase_rad.tolist(),
         "phase_difference": result.phase_difference.tolist(),
         "valid_mask": result.valid_mask.tolist(),
-        "coefficients": {
-            "phi1_fs": fit.coefficient(1),
-            "phi1_fs_stderr": fit.stderr(1),
-            "phi2_fs2": fit.coefficient(2),
-            "phi2_fs2_stderr": fit.stderr(2),
-            "phi3_fs3": fit.coefficient(3),
-            "phi3_fs3_stderr": fit.stderr(3),
-        },
+        "coefficients": fit_to_dict(result.coefficients),
         "diagnostics": dict(result.diagnostics),
     }
 
 
 def result_from_dict(data: dict) -> ReconstructionResult:
     try:
-        g = data["grid"]
-        grid = SpectralGrid(float(g["omega_start"]), float(g["omega_step"]), int(g["n_points"]))
+        grid = grid_from_dict(data["grid"])
         amp = np.asarray(data["amplitude_abs"], dtype=float)
         ph = np.asarray(data["phase_rad"], dtype=float)
         mask = np.asarray(data["valid_mask"], dtype=bool)
-        co = data["coefficients"]
-        fit = PhaseFit(
-            (float(co["phi1_fs"]), float(co["phi2_fs2"]), float(co["phi3_fs3"])),
-            (
-                float(co["phi1_fs_stderr"]),
-                float(co["phi2_fs2_stderr"]),
-                float(co["phi3_fs3_stderr"]),
-            ),
-        )
+        fit = fit_from_dict(data["coefficients"])
         diagnostics = dict(data["diagnostics"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed reconstruction result: {exc}") from exc
@@ -536,9 +540,4 @@ def save_result(result: ReconstructionResult, path) -> None:
 
 
 def load_result(path) -> ReconstructionResult:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
-    return result_from_dict(data)
+    return result_from_dict(read_json(path))

@@ -69,6 +69,15 @@ class PulseSpec:
         return fwhm_nm_to_omega(self.fwhm_wavelength, self.center_wavelength)
 
 
+def check_coverage(spec: PulseSpec, grid: SpectralGrid) -> None:
+    """Raise ValueError unless the grid spans +-2 FWHM around the pulse carrier."""
+    omega0, fwhm, omegas = spec.omega_center, spec.fwhm_omega, grid.omegas
+    if omega0 - 2.0 * fwhm < omegas[0] or omega0 + 2.0 * fwhm > omegas[-1]:
+        raise ValueError(
+            "grid does not cover the pulse: need at least +-2 FWHM around the carrier"
+        )
+
+
 def synthesize(spec: PulseSpec, grid: SpectralGrid) -> SpectralMode:
     """Build the normalized mode sqrt(S(omega)) * exp(i*phi(omega)) on grid.
 
@@ -76,14 +85,10 @@ def synthesize(spec: PulseSpec, grid: SpectralGrid) -> SpectralMode:
     unless a tabulated amplitude is supplied.  The grid must span at least
     4x the FWHM around the pulse carrier.
     """
-    omega0 = spec.omega_center
+    check_coverage(spec, grid)
     fwhm = spec.fwhm_omega
     omegas = grid.omegas
-    if omega0 - 2.0 * fwhm < omegas[0] or omega0 + 2.0 * fwhm > omegas[-1]:
-        raise ValueError(
-            "grid does not cover the pulse: need at least +-2 FWHM around the carrier"
-        )
-    detuning = omegas - omega0
+    detuning = omegas - spec.omega_center
 
     if spec.phase_kind == "tabulated" and spec.table_amplitude:
         amp = np.interp(

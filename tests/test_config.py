@@ -1,0 +1,190 @@
+"""Config parsing: every rejection path, the preset echo round trip,
+and the type rules (null is the default, 0 is a value, integer fields take
+integral numbers, bool is never a number)."""
+
+import json
+
+import pytest
+
+import shearspec as ss
+from shearspec.cli import main
+from shearspec.errors import ConfigError
+
+
+BASE = {
+    "pulse": {
+        "center_wavelength": 830.0,
+        "fwhm_wavelength": 8.0,
+        "phase_kind": "polynomial",
+        "poly_coeffs": [0.0, 8.7e4, 5.0e5],
+    },
+    "interferometer": {"shear_nm": 0.58, "delay_fs": 10000.0, "seed": 7},
+}
+
+
+DROP = object()
+
+
+def raw_config(**tweaks):
+    """BASE with `block.key` (or top-level `key`) set; a value of DROP deletes it."""
+    raw = json.loads(json.dumps(BASE))
+    for key, value in tweaks.items():
+        block, _, name = key.partition(".")
+        target, name = (raw.setdefault(block, {}), name) if name else (raw, block)
+        if value is DROP:
+            target.pop(name, None)
+        else:
+            target[name] = value
+    return raw
+
+
+REJECTED = {
+    "unknown top-level key": {"colour": 1},
+    "unknown pulse key": {"pulse.colour": 1},
+    "unknown grid key": {"grid.colour": 1},
+    "unknown interferometer key": {"interferometer.colour": 1},
+    "unknown reconstruction key": {"reconstruction.colour": 1},
+    "unknown outputs key": {"outputs.colour": 1},
+    "missing pulse": {"pulse": DROP},
+    "missing center_wavelength": {"pulse.center_wavelength": DROP},
+    "string for a number": {"pulse.fwhm_wavelength": "8"},
+    "true for a number": {"interferometer.delay_fs": True},
+    "non-array poly_coeffs": {"pulse.poly_coeffs": 8.7e4},
+    "seed of 2**64": {"interferometer.seed": 2**64},
+    "negative seed": {"interferometer.seed": -1},
+    "empty directory": {"outputs.directory": ""},
+    "non-bool flag": {"outputs.wigner": "yes"},
+    "non-bool top-level flag": {"compensate_phi2": 1},
+    "block that is not an object": {"grid": [1, 2]},
+    "unknown phase_kind": {"pulse.phase_kind": "cubic"},
+    "two shear units": {"interferometer.shear_rad_per_fs": 0.001},
+    "negative delay": {"interferometer.delay_fs": -5.0},
+    "bad reconstruction value": {"reconstruction.filter_shape": "triangular"},
+}
+
+
+@pytest.mark.parametrize("tweaks", REJECTED.values(), ids=list(REJECTED))
+def test_rejected(tweaks):
+    with pytest.raises(ConfigError):
+        ss.config_from_dict(raw_config(**tweaks))
+
+
+def test_messages():
+    with pytest.raises(ConfigError, match="unknown key 'colour'"):
+        ss.config_from_dict(raw_config(**{"grid.colour": 1}))
+    with pytest.raises(ConfigError, match="missing required block 'pulse'"):
+        ss.config_from_dict(raw_config(pulse=DROP))
+
+
+def test_top_level_must_be_an_object():
+    with pytest.raises(ConfigError):
+        ss.config_from_dict([BASE])
+
+
+@pytest.mark.parametrize("name", sorted(ss.PRESETS))
+def test_preset_echo_round_trip(name):
+    cfg = ss.preset(name)
+    assert ss.config_from_dict(ss.config_to_dict(cfg)) == cfg
+    echo = json.loads(json.dumps(ss.config_to_dict(cfg)))
+    assert ss.config_from_dict(echo) == cfg
+
+
+def test_echo_lists_every_field():
+    echo = ss.config_to_dict(ss.config_from_dict(raw_config()))
+    assert set(echo) == {
+        "pulse", "grid", "interferometer", "reconstruction", "outputs", "compensate_phi2"
+    }
+    assert echo["grid"] == {"center_nm": None, "span_factor": 10.0, "n_points": 4096}
+    assert echo["outputs"]["directory"] == "out"
+    assert list(echo["pulse"]["poly_coeffs"]) == [0.0, 8.7e4, 5.0e5]
+
+
+def test_null_means_default():
+    cfg = ss.config_from_dict(
+        raw_config(**{"grid.span_factor": None, "grid.n_points": None,
+                      "interferometer.delay_fs": None, "pulse.v_slope": None})
+    )
+    assert cfg.grid == ss.GridSpec()
+    assert cfg.interferometer.delay_fs == 10000.0
+    assert cfg.pulse.v_slope == 0.0
+
+
+def test_integral_floats_are_integers():
+    cfg = ss.config_from_dict(raw_config(**{"grid.n_points": 2048.0, "interferometer.seed": 9.0}))
+    assert cfg.grid.n_points == 2048 and isinstance(cfg.grid.n_points, int)
+    assert cfg.interferometer.seed == 9 and isinstance(cfg.interferometer.seed, int)
+
+
+# ---- inputs that used to be silently misread --------------------------------
+
+def test_zero_delay_is_a_value_not_the_default():
+    # 0 used to fall back to 10000 fs; a zero delay cannot separate the sideband
+    with pytest.raises(ConfigError, match="delay_fs"):
+        ss.config_from_dict(raw_config(**{"interferometer.delay_fs": 0}))
+
+
+def test_zero_span_factor_is_a_value_not_the_default():
+    with pytest.raises(ConfigError):
+        ss.config_from_dict(raw_config(**{"grid.span_factor": 0}))
+
+
+@pytest.mark.parametrize(
+    "tweaks", [{"grid.n_points": 4096.7}, {"interferometer.seed": 7.9}],
+    ids=["n_points", "seed"],
+)
+def test_fractional_integers_rejected(tweaks):
+    with pytest.raises(ConfigError):
+        ss.config_from_dict(raw_config(**tweaks))
+
+
+def test_string_envelope_flag_rejected():
+    with pytest.raises(ConfigError, match="correct_envelope_bias"):
+        ss.config_from_dict(raw_config(**{"reconstruction.correct_envelope_bias": "no"}))
+
+
+def test_bool_filter_width_rejected():
+    with pytest.raises(ConfigError, match="filter_width"):
+        ss.config_from_dict(raw_config(**{"reconstruction.filter_width": True}))
+
+
+@pytest.mark.parametrize(
+    "tweaks",
+    [{"pulse.center_wavelength": 10**400}, {"grid.center_nm": float("inf")},
+     {"interferometer.shear_nm": float("nan")}],
+    ids=["huge-int", "inf", "nan"],
+)
+def test_non_finite_numbers_rejected(tweaks):
+    with pytest.raises(ConfigError, match="must be a number"):
+        ss.config_from_dict(raw_config(**tweaks))
+
+
+def test_reconstruction_overrides_are_typed():
+    cfg = ss.config_from_dict(
+        raw_config(**{"reconstruction.filter_width": 3000, "reconstruction.filter_order": 4.0})
+    )
+    assert cfg.reconstruction == {"filter_width": 3000.0, "filter_order": 4}
+    assert [type(v) for v in cfg.reconstruction.values()] == [float, int]
+    assert ss.ftsi_settings(cfg).filter_width == 3000.0
+
+
+def test_grid_must_cover_the_pulse(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="cover"):
+        ss.config_from_dict(raw_config(**{"grid.span_factor": 3}))
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(raw_config(**{"grid.span_factor": 3})), encoding="utf-8")
+    for command in ("pipeline", "simulate"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+    assert "does not cover the pulse" in capsys.readouterr().err
+
+
+def test_calibration_settings_error_exits_2(tmp_path, capsys):
+    # the calibration pass builds its settings through the same checked path
+    sim = tmp_path / "sim"
+    argv = ["simulate", "--preset", "quadratic", "--noiseless", "--out", str(sim), "--quiet"]
+    assert main(argv) == 0
+    record = str(sim / "interferogram.csv")
+    assert main(
+        ["reconstruct", record, "--shear-nm", "0.58", "--center-nm", "830",
+         "--calibrate-from", record, "--amplitude-floor", "2", "--out", str(tmp_path / "rec")]
+    ) == 2
+    assert "amplitude_floor" in capsys.readouterr().err
