@@ -15,7 +15,7 @@ from .core import (
     to_time_domain,
     write_columns,
 )
-from .reconstruction import _weighted_lstsq
+from .reconstruction import masked_fit
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,7 @@ def orthogonality_report(a: SpectralMode, b: SpectralMode) -> OrthogonalityRepor
 
     Distances lie in [0, 2]; 0 for identical profiles, 2 for disjoint.
     """
-    if a.grid != b.grid:
-        raise ValueError("modes live on different grids")
-    ov = mode_overlap(a, b)
+    ov = mode_overlap(a, b)  # ValueError if the grids differ
     dw = a.grid.omega_step
     l1_spec = float(np.sum(np.abs(a.intensity() - b.intensity())) * dw)
     ta = to_time_domain(a)
@@ -118,16 +116,9 @@ def v_phase_slope(
     {|x|, x, 1}.  Positive for a V profile, negative for a Lambda.
     Returns (slope_fs, stderr_fs).
     """
-    phase = np.asarray(mode_phase, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    use = weights > 0
-    if mask is not None:
-        use &= np.asarray(mask, dtype=bool)
-    if int(use.sum()) < 5:
-        raise ValueError("not enough weighted bins to fit a V slope")
-    x = grid.omegas[use] - grid.omega_center
-    design = np.column_stack([np.abs(x), x, np.ones_like(x)])
-    coef, err = _weighted_lstsq(design, phase[use], weights[use])
+    coef, err = masked_fit(
+        mode_phase, weights, grid, mask, lambda x: [np.abs(x), x, np.ones_like(x)], 5, "a V slope"
+    )
     return float(coef[0]), float(err[0])
 
 

@@ -40,7 +40,6 @@ from .config import (
 )
 from .core import (
     load_mode,
-    mode_overlap,
     save_mode,
     shear_nm_to_omega,
     to_time_domain,
@@ -83,8 +82,17 @@ def _ensure_dir(path: str) -> str:
     return path
 
 
+def _with_overrides(cfg: RunConfig, seed, noiseless: bool, out) -> RunConfig:
+    """cfg with a run's --seed, --noiseless and --out applied (None or false: keep)."""
+    det = cfg.interferometer
+    seed = det.seed if seed is None else seed
+    det = replace(det, seed=seed, noiseless=det.noiseless or noiseless)
+    outputs = replace(cfg.outputs, directory=out or cfg.outputs.directory)
+    return replace(cfg, interferometer=det, outputs=outputs)
+
+
 def _resolve_run_config(args) -> RunConfig:
-    """Merge preset/config file with command-line overrides."""
+    """Merge preset/config file with command-line overrides; a noisy run needs a seed."""
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
     if args.config:
@@ -93,22 +101,20 @@ def _resolve_run_config(args) -> RunConfig:
         cfg = preset(args.preset)
     else:
         raise ConfigError("a run needs --config PATH or --preset NAME")
-
-    det = cfg.interferometer
-    if args.seed is not None:
-        det = replace(det, seed=args.seed)
-    if getattr(args, "noiseless", False):
-        det = replace(det, noiseless=True)
-    outputs = cfg.outputs
-    if args.out:
-        outputs = replace(outputs, directory=args.out)
-    cfg = replace(cfg, interferometer=det, outputs=outputs)
+    cfg = _with_overrides(cfg, args.seed, args.noiseless, args.out)
     validate_config(cfg)
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
-    if cfg.compensate_phi2 and cfg.pulse.phase_kind != "polynomial":
-        raise ConfigError("compensate_phi2 requires a polynomial pulse")
+    require_seed(cfg)
     return cfg
+
+
+def _start_run(cfg: RunConfig):
+    """Output directory with config_echo.json, the truth mode and its ideal record."""
+    outdir = _ensure_dir(cfg.outputs.directory)
+    save_config(cfg, os.path.join(outdir, "config_echo.json"))
+    mode = synthesize(cfg.pulse, build_grid(cfg))
+    return outdir, mode, ideal_interferogram(mode, shear_config(cfg))
 
 
 def _trial_dir(outdir: str, trial: int, trials: int) -> str:
@@ -128,15 +134,8 @@ def _detect(cfg: RunConfig, ideal, purpose: str, trial: int):
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_run_config(args)
-    require_seed(cfg)
-    outdir = _ensure_dir(cfg.outputs.directory)
-
-    grid = build_grid(cfg)
-    mode = synthesize(cfg.pulse, grid)
-    ideal = ideal_interferogram(mode, shear_config(cfg))
-
+    outdir, mode, ideal = _start_run(cfg)
     save_mode(mode, os.path.join(outdir, "truth_mode.json"))
-    save_config(cfg, os.path.join(outdir, "config_echo.json"))
     for trial in range(args.trials):
         rec = _detect(cfg, ideal, "counts", trial)
         tdir = _trial_dir(outdir, trial, args.trials)
@@ -217,12 +216,13 @@ def cmd_reconstruct(args) -> int:
 
 # ---- analyze -----------------------------------------------------------------
 
-def _wigner_axes(grid):
+def _save_wigner(mode, path) -> None:
     # central half of the time span is alias-free for the direct quadrature
+    grid = mode.grid
     n = grid.n_points
     t = grid.times[n // 4 : 3 * n // 4 : max(1, n // 256)]
     om = grid.omegas[:: max(1, n // 256)]
-    return t, om
+    save_wigner_csv(wigner(mode, t, om), path)
 
 
 def _analysis_report(result, truth=None) -> dict:
@@ -244,7 +244,7 @@ def _analysis_report(result, truth=None) -> dict:
         if truth.grid != result.grid:
             raise DataFormatError("truth mode grid differs from the result grid")
         rep = orthogonality_report(mode, truth)
-        report["overlap_with_truth"] = mode_overlap(mode, truth)
+        report["overlap_with_truth"] = rep.overlap
         report["spectral_l1_vs_truth"] = rep.spectral_intensity_distance
         report["temporal_l1_vs_truth"] = rep.temporal_intensity_distance
     return report
@@ -258,11 +258,8 @@ def cmd_analyze(args) -> int:
     report = _analysis_report(result, truth)
 
     outdir = _ensure_dir(args.out or "out")
-    files = ["report.json"]
     if args.wigner:
-        t_axis, om_axis = _wigner_axes(result.grid)
-        save_wigner_csv(wigner(result.mode(), t_axis, om_axis), os.path.join(outdir, "wigner.csv"))
-        files.append("wigner.csv")
+        _save_wigner(result.mode(), os.path.join(outdir, "wigner.csv"))
     write_json(report, os.path.join(outdir, "report.json"))
     overlap = report.get("overlap_with_truth")
     tail = f", overlap {overlap:.4f}" if overlap is not None else ""
@@ -336,18 +333,13 @@ def _export_artifacts(cfg: RunConfig, outdir: str, truth, result) -> list:
         )
         files.append("temporal.csv")
     if cfg.outputs.wigner:
-        t_axis, om_axis = _wigner_axes(grid)
-        save_wigner_csv(wigner(rec_mode, t_axis, om_axis), os.path.join(outdir, "wigner.csv"))
+        _save_wigner(rec_mode, os.path.join(outdir, "wigner.csv"))
         files.append("wigner.csv")
     return files
 
 
 def _run_pipeline(cfg: RunConfig, trials: int):
-    outdir = _ensure_dir(cfg.outputs.directory)
-    save_config(cfg, os.path.join(outdir, "config_echo.json"))
-
-    mode = synthesize(cfg.pulse, build_grid(cfg))
-    ideal = ideal_interferogram(mode, shear_config(cfg))
+    outdir, mode, ideal = _start_run(cfg)
     settings = ftsi_settings(cfg)
     results, stage1_values = [], []
     truth = None
@@ -396,20 +388,12 @@ def _run_pipeline(cfg: RunConfig, trials: int):
 
 def cmd_pipeline(args) -> int:
     cfg = _resolve_run_config(args)
-    require_seed(cfg)
     outdir, summary, first = _run_pipeline(cfg, args.trials)
 
     if args.compare:
-        other = preset(args.compare)
-        other = replace(
-            other,
-            interferometer=replace(
-                other.interferometer,
-                seed=cfg.interferometer.seed,
-                noiseless=cfg.interferometer.noiseless,
-            ),
-            outputs=replace(other.outputs, directory=os.path.join(outdir, "compare", args.compare)),
-        )
+        det = cfg.interferometer
+        compare_dir = os.path.join(outdir, "compare", args.compare)
+        other = _with_overrides(preset(args.compare), det.seed, det.noiseless, compare_dir)
         _, other_summary, other_first = _run_pipeline(other, args.trials)
         if other_first.grid != first.grid:
             raise ConfigError("--compare preset uses an incompatible grid")
@@ -456,18 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, presets=False):
-        p.add_argument("--config", metavar="PATH", help="run configuration JSON")
+    def common(p, config=True, run=False):
+        # a run (simulate, pipeline) is the only command that draws counts
+        if config:
+            p.add_argument("--config", metavar="PATH", help="run configuration JSON")
         p.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, metavar="U64", help="root seed (overrides config)")
         p.add_argument("--trials", type=int, default=1, metavar="N", help="Monte Carlo repetitions")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-        if presets:
+        if run:
+            p.add_argument("--seed", type=int, metavar="U64", help="root seed (overrides config)")
             p.add_argument("--preset", choices=sorted(PRESETS), help="shipped scenario")
             p.add_argument("--noiseless", action="store_true", help="skip photon counting")
 
     p_sim = sub.add_parser("simulate", help="synthesize a pulse and write its interferogram")
-    common(p_sim, presets=True)
+    common(p_sim, run=True)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rec = sub.add_parser("reconstruct", help="recover the complex mode from a CSV record")
@@ -500,14 +486,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_ana = sub.add_parser("analyze", help="profile a reconstruction result")
-    common(p_ana)
+    common(p_ana, config=False)
     p_ana.add_argument("result", help="result JSON path")
     p_ana.add_argument("--truth", metavar="MODE", help="truth mode JSON for overlap")
     p_ana.add_argument("--wigner", action="store_true", help="also export wigner.csv")
     p_ana.set_defaults(func=cmd_analyze)
 
     p_pipe = sub.add_parser("pipeline", help="simulate, reconstruct, analyze in one run")
-    common(p_pipe, presets=True)
+    common(p_pipe, run=True)
     p_pipe.add_argument(
         "--compare", metavar="PRESET", help="also run PRESET and report the mutual overlap"
     )

@@ -9,14 +9,16 @@ validation failures raise ConfigError so the CLI can map them to exit 2.
 from __future__ import annotations
 
 import json
-import sys
 import zlib
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .core import SpectralGrid, make_grid, shear_nm_to_omega, wavelength_to_omega, write_json
+from .core import (
+    SpectralGrid, is_integral, is_number, make_grid, shear_nm_to_omega, wavelength_to_omega,
+    write_json,
+)
 from .errors import ConfigError
 from .interferometer import ShearConfig
 from .reconstruction import FtsiSettings
@@ -76,15 +78,6 @@ _EXPECTED = {
 }
 
 
-def _is_number(value) -> bool:
-    """A finite int or float, not a bool (int/float comparison is exact)."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
 def _reject_unknown(block: dict, allowed, where: str) -> None:
     unknown = sorted(set(block) - set(allowed))
     if unknown:
@@ -102,11 +95,11 @@ def _typed(value, hint, where: str, name: str):
         return _build(hint, value, f"{where}.{name}")
     if (hint is bool and isinstance(value, bool)) or (hint is str and isinstance(value, str)):
         return value
-    if hint is float and _is_number(value):
+    if hint is float and is_number(value):
         return float(value)
-    if hint is int and _is_number(value) and (isinstance(value, int) or value.is_integer()):
+    if hint is int and is_integral(value):
         return int(value)
-    if hint is tuple and isinstance(value, (list, tuple)) and all(map(_is_number, value)):
+    if hint is tuple and isinstance(value, (list, tuple)) and all(map(is_number, value)):
         return tuple(float(x) for x in value)
     raise ConfigError(f"{where}: {name!r} must be {_EXPECTED[hint]}")
 
@@ -167,6 +160,8 @@ def validate_config(cfg: RunConfig, where: str = "config") -> None:
         raise ConfigError(f"{where}: grid center_nm must be positive")
     if not cfg.outputs.directory:
         raise ConfigError(f"{where}.outputs: 'directory' must be a non-empty string")
+    if cfg.compensate_phi2 and cfg.pulse.phase_kind != "polynomial":
+        raise ConfigError(f"{where}: compensate_phi2 requires a polynomial pulse")
     try:
         check_coverage(cfg.pulse, build_grid(cfg))
         ftsi_settings(cfg)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,32 @@ def shear_nm_to_omega(shear_nm: float, center_nm: float) -> float:
     return 2.0 * math.pi * C_NM_PER_FS * shear_nm / center_nm**2
 
 
-def fwhm_nm_to_omega(fwhm_nm: float, center_nm: float) -> float:
-    """Convert an intensity FWHM [nm] at center_nm to rad/fs (first order)."""
-    if not fwhm_nm > 0:
-        raise ValueError(f"FWHM must be positive, got {fwhm_nm}")
-    return shear_nm_to_omega(fwhm_nm, center_nm)
+def is_number(value) -> bool:
+    """A finite int or float, not a bool (int/float comparison is exact)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def is_integral(value) -> bool:
+    """A number with no fractional part: 4096 and 4096.0, not 4096.9."""
+    return is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def freeze_field(record, name: str, dtype, n_points: int | None = None) -> np.ndarray:
+    """Store a read-only copy of `record.name` as `dtype` on a frozen dataclass.
+
+    The copy leaves the caller's array writable.  With n_points the field
+    must be one-dimensional of that length.
+    """
+    arr = np.array(getattr(record, name), dtype=dtype)
+    if n_points is not None and arr.shape != (n_points,):
+        raise ValueError(f"{name} shape {arr.shape} does not match the grid ({n_points},)")
+    arr.flags.writeable = False
+    object.__setattr__(record, name, arr)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,18 +143,12 @@ class SpectralMode:
     amplitude: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitude, dtype=np.complex128)
-        if amp.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"amplitude length {amp.shape} does not match grid ({self.grid.n_points},)"
-            )
+        amp = freeze_field(self, "amplitude", np.complex128, self.grid.n_points)
         if not np.isfinite(amp).all():
             raise ValueError("amplitude contains non-finite values")
         nrm = float(np.sum(np.abs(amp) ** 2) * self.grid.omega_step)
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"mode norm {nrm!r} deviates from 1 by more than {NORM_TOL}")
-        amp.flags.writeable = False
-        object.__setattr__(self, "amplitude", amp)
 
     def intensity(self) -> np.ndarray:
         """Spectral intensity |psi~(omega)|^2."""
@@ -152,11 +168,8 @@ class TemporalMode:
     amplitude: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitude, dtype=np.complex128)
-        if amp.ndim != 1:
+        if freeze_field(self, "amplitude", np.complex128).ndim != 1:
             raise ValueError("temporal amplitude must be one-dimensional")
-        amp.flags.writeable = False
-        object.__setattr__(self, "amplitude", amp)
 
     @property
     def times(self) -> np.ndarray:
@@ -294,15 +307,9 @@ class WignerMap:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(self.t_axis), len(self.omega_axis)):
+        t, om, vals = (freeze_field(self, n, float) for n in ("t_axis", "omega_axis", "values"))
+        if vals.shape != (len(t), len(om)):
             raise ValueError("Wigner value shape does not match the axes")
-        for name in ("t_axis", "omega_axis"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
 
     def time_marginal(self) -> np.ndarray:
         """Int W domega, approximates |psi(t)|^2 on t_axis."""
@@ -365,11 +372,28 @@ def grid_to_dict(grid: SpectralGrid) -> dict:
     }
 
 
-def grid_from_dict(data: dict) -> SpectralGrid:
-    """Inverse of grid_to_dict; KeyError, TypeError or ValueError if malformed."""
-    return SpectralGrid(
-        float(data["omega_start"]), float(data["omega_step"]), int(data["n_points"])
-    )
+def grid_arrays_from_dict(data: dict, what: str, dtypes: dict) -> tuple:
+    """The grid (inverse of grid_to_dict) and the per-bin arrays of a record dict.
+
+    Returns (grid, {name: array}) for the {name: dtype} in `dtypes`.  Grid
+    values take the config number rule: finite numbers, never bools, and an
+    integral n_points.  A missing key, a wrong type or an array whose length
+    is not the grid's raises DataFormatError naming `what`.
+    """
+    try:
+        start, step, n = (data["grid"][k] for k in ("omega_start", "omega_step", "n_points"))
+        if not (is_number(start) and is_number(step) and is_integral(n)):
+            raise TypeError(f"grid needs numbers and an integral n_points, got {data['grid']!r}")
+        grid = SpectralGrid(float(start), float(step), int(n))
+        arrays = {name: np.asarray(data[name], dtype=dt) for name, dt in dtypes.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"malformed {what}: {exc}") from exc
+    for name, arr in arrays.items():
+        if arr.shape != (grid.n_points,):
+            raise DataFormatError(
+                f"{what}: {name} shape {arr.shape} does not match grid n_points {grid.n_points}"
+            )
+    return grid, arrays
 
 
 def mode_to_dict(mode: SpectralMode) -> dict:
@@ -381,21 +405,10 @@ def mode_to_dict(mode: SpectralMode) -> dict:
 
 
 def mode_from_dict(data: dict) -> SpectralMode:
-    try:
-        grid = grid_from_dict(data["grid"])
-        amp = np.asarray(data["amplitude_abs"], dtype=float)
-        ph = np.asarray(data["phase_rad"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed mode record: {exc}") from exc
-    if len(amp) != len(ph):
-        raise DataFormatError(
-            f"amplitude_abs ({len(amp)}) and phase_rad ({len(ph)}) lengths differ"
-        )
-    if len(amp) != grid.n_points:
-        raise DataFormatError(
-            f"array length {len(amp)} does not match grid n_points {grid.n_points}"
-        )
-    return SpectralMode(grid, amp * np.exp(1j * ph))
+    grid, arr = grid_arrays_from_dict(
+        data, "mode record", {"amplitude_abs": float, "phase_rad": float}
+    )
+    return SpectralMode(grid, arr["amplitude_abs"] * np.exp(1j * arr["phase_rad"]))
 
 
 def save_mode(mode: SpectralMode, path) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     SpectralGrid,
     SpectralMode,
+    freeze_field,
     spectral_to_temporal_array,
     temporal_to_spectral_array,
     write_columns,
@@ -58,23 +59,11 @@ class Interferogram:
         if self.kind not in INTERFEROGRAM_KINDS:
             raise ValueError(f"kind must be one of {INTERFEROGRAM_KINDS}, got {self.kind!r}")
         for name in ("plus", "minus"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.grid.n_points,):
-                raise ValueError(f"{name} length does not match the grid")
+            arr = freeze_field(self, name, float, self.grid.n_points)
             if np.any(arr < 0) or not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be non-negative and finite")
             if self.kind == "counts" and np.any(arr != np.round(arr)):
                 raise ValueError("counts records must hold integers")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-def _check_headroom(grid: SpectralGrid, shear: float) -> None:
-    limit = 0.25 * grid.span
-    if abs(shear) >= limit:
-        raise ValueError(
-            f"shear {shear:g} rad/fs exceeds the grid headroom (|shear| < {limit:g})"
-        )
 
 
 def apply_shear(mode: SpectralMode, shear: float) -> SpectralMode:
@@ -83,7 +72,11 @@ def apply_shear(mode: SpectralMode, shear: float) -> SpectralMode:
     Implemented as multiplication by exp(-i*shear*t) in the time domain,
     which is exact for any shear, on-grid or not.
     """
-    _check_headroom(mode.grid, shear)
+    limit = 0.25 * mode.grid.span
+    if abs(shear) >= limit:
+        raise ValueError(
+            f"shear {shear:g} rad/fs exceeds the grid headroom (|shear| < {limit:g})"
+        )
     if shear == 0.0:
         return mode
     temporal = spectral_to_temporal_array(mode.amplitude, mode.grid)
@@ -123,7 +116,6 @@ def ideal_interferogram(mode: SpectralMode, config: ShearConfig) -> Interferogra
     psi~(omega + W) on the grid (apply_shear by -W), reproducing the
     two-output formula in the module docstring term by term.
     """
-    _check_headroom(mode.grid, config.shear)
     delayed = apply_delay(mode, config.delay)
     sheared = apply_shear(mode, -config.shear)
     plus, minus = interfere(delayed, sheared)

@@ -22,7 +22,8 @@ import numpy as np
 from .core import (
     SpectralGrid,
     SpectralMode,
-    grid_from_dict,
+    freeze_field,
+    grid_arrays_from_dict,
     grid_to_dict,
     read_json,
     spectral_to_temporal_array,
@@ -109,9 +110,7 @@ class FringeDiagnostics:
     valid_mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.asarray(self.valid_mask, dtype=bool)
-        mask.flags.writeable = False
-        object.__setattr__(self, "valid_mask", mask)
+        freeze_field(self, "valid_mask", bool)
 
 
 @dataclass(frozen=True)
@@ -144,15 +143,26 @@ class PhaseFit:
         return self.stderrs[order - 1]
 
 
+def _record_total(interf: Interferogram) -> float:
+    """Summed intensity over both outputs; DegenerateInputError if there is none."""
+    total = float(np.sum(interf.plus) + np.sum(interf.minus))
+    if total <= 0:
+        raise DegenerateInputError("record carries no intensity")
+    return total
+
+
+def _fringe_transform(interf: Interferogram) -> np.ndarray:
+    """Time-domain transform of the difference record plus - minus."""
+    return spectral_to_temporal_array(interf.plus - interf.minus, interf.grid)
+
+
 def recover_spectrum(interf: Interferogram) -> np.ndarray:
     """Fringe-free spectral envelope: plus+minus, normalized to unit integral.
 
     Estimates [S(omega) + S(omega+W)]/2, so the centroid carries a -W/2
     bias relative to S(omega); reconstruct() optionally corrects it.
     """
-    total = float(np.sum(interf.plus) + np.sum(interf.minus))
-    if total <= 0:
-        raise DegenerateInputError("record carries no intensity")
+    total = _record_total(interf)
     return (interf.plus + interf.minus) / (total * interf.grid.omega_step)
 
 
@@ -161,10 +171,8 @@ def coarse_delay_guess(interf: Interferogram) -> float:
 
     Good to about one fringe period; calibrate_delay refines it.
     """
-    if float(np.sum(interf.plus) + np.sum(interf.minus)) <= 0.0:
-        raise DegenerateInputError("record carries no intensity")
-    d = np.asarray(interf.plus, dtype=float) - np.asarray(interf.minus, dtype=float)
-    f = np.abs(spectral_to_temporal_array(d, interf.grid))
+    _record_total(interf)
+    f = np.abs(_fringe_transform(interf))
     t = interf.grid.times
     sel = t > 4.0 * interf.grid.time_step
     if not np.any(sel):
@@ -175,9 +183,10 @@ def coarse_delay_guess(interf: Interferogram) -> float:
     return float(t[i])
 
 
-def _isolate_sideband(record: np.ndarray, grid: SpectralGrid, settings: FtsiSettings):
-    """Filter the +tau sideband of a real record; return (Z(omega), snr, t_peak)."""
-    f = spectral_to_temporal_array(record, grid)
+def _isolate_sideband(interf: Interferogram, settings: FtsiSettings):
+    """Filter the +tau sideband of the difference record; return (Z(omega), snr, t_peak)."""
+    grid = interf.grid
+    f = _fringe_transform(interf)
     t = grid.times
     mag = np.abs(f)
     search = np.abs(t - settings.filter_center) <= settings.filter_width
@@ -243,16 +252,12 @@ def extract_phase_difference(
         raise ConfigError(
             "fringes not resolvable: fewer than 4 samples per period 2*pi/tau"
         )
-    total = float(np.sum(interf.plus) + np.sum(interf.minus))
-    if total <= 0:
-        raise DegenerateInputError("record carries no intensity")
-
+    _record_total(interf)
     mask = _amplitude_mask(interf, settings)
     if int(mask.sum()) < 8:
         raise DegenerateInputError("fewer than 8 bins above the amplitude floor")
 
-    d = np.asarray(interf.plus, dtype=float) - np.asarray(interf.minus, dtype=float)
-    z, snr, t_pk = _isolate_sideband(d, grid, settings)
+    z, snr, t_pk = _isolate_sideband(interf, settings)
     zc = z * np.exp(-1j * grid.omegas * tau)
     dphi = _bridge(grid.omegas, np.angle(zc), mask)
     # Unwrapping leaves a global 2*pi*k ambiguity in dphi, which the record
@@ -279,12 +284,9 @@ def calibrate_delay(interf: Interferogram, settings: FtsiSettings) -> DelayCalib
     """
     if interf.config.shear != 0.0:
         raise ValueError("delay calibration expects a zero-shear record")
-    total = float(np.sum(interf.plus) + np.sum(interf.minus))
-    if total <= 0:
-        raise DegenerateInputError("record carries no intensity")
-    d = np.asarray(interf.plus, dtype=float) - np.asarray(interf.minus, dtype=float)
+    _record_total(interf)
     try:
-        z, snr, _ = _isolate_sideband(d, interf.grid, settings)
+        z, snr, _ = _isolate_sideband(interf, settings)
     except (LowVisibilityError, FilterCollisionError) as exc:
         raise CalibrationError(f"no resolvable carrier fringes: {exc}") from exc
     mask = _amplitude_mask(interf, settings)
@@ -320,6 +322,23 @@ def _weighted_lstsq(design: np.ndarray, y: np.ndarray, weights: np.ndarray):
     else:
         err = np.full(design.shape[1], np.nan)
     return coef, err
+
+
+def masked_fit(values, weights, grid: SpectralGrid, mask, basis, min_bins: int, what: str):
+    """WLS fit of `values` about the grid center; returns (coefficients, stderrs).
+
+    Fits the bins with weight > 0 that the optional mask keeps, at least
+    min_bins of them; basis(x) gives the design columns at x = omega - omega0.
+    """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    use = weights > 0
+    if mask is not None:
+        use &= np.asarray(mask, dtype=bool)
+    if int(use.sum()) < min_bins:
+        raise ValueError(f"not enough weighted bins to fit {what}")
+    x = grid.omegas[use] - grid.omega_center
+    return _weighted_lstsq(np.column_stack(basis(x)), values[use], weights[use])
 
 
 def integrate_phase(
@@ -364,12 +383,10 @@ def integrate_phase(
     ks = np.arange(k_min, k_max + 1)
     nodes = omega0 + ks * shear
     dphi_at = np.interp(nodes, omegas, dphi)
-    phi_nodes = np.zeros_like(nodes)
-    zero = int(np.flatnonzero(ks == 0)[0])
-    for i in range(zero + 1, len(ks)):  # phi(x + W) = phi(x) - dphi(x)
-        phi_nodes[i] = phi_nodes[i - 1] - dphi_at[i - 1]
-    for i in range(zero - 1, -1, -1):  # phi(x) = phi(x + W) + dphi(x)
-        phi_nodes[i] = phi_nodes[i + 1] + dphi_at[i]
+    zero = -k_min  # index of ks == 0; each sum runs outward from phi = 0 there
+    up = np.cumsum(np.concatenate([[0.0], -dphi_at[zero:-1]]))  # phi(x + W) = phi(x) - dphi(x)
+    down = np.cumsum(np.concatenate([[0.0], dphi_at[:zero][::-1]]))  # phi(x) = phi(x + W) + dphi(x)
+    phi_nodes = np.concatenate([down[:0:-1], up])
     order = np.argsort(nodes)
     return np.interp(omegas, nodes[order], phi_nodes[order])
 
@@ -395,17 +412,18 @@ def fit_phase_polynomial(
         raise ValueError("weights must be non-negative")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    use = weights > 0
-    if mask is not None:
-        use &= np.asarray(mask, dtype=bool)
-    if int(use.sum()) < max_order + 2:
-        raise ValueError("not enough weighted bins to fit the requested order")
-    x = grid.omegas[use] - grid.omega_center
-    design = np.column_stack(
-        [x**n / math.factorial(n) for n in range(0, max_order + 1)]
+    coef, err = masked_fit(
+        phase, weights, grid, mask,
+        lambda x: [x**n / math.factorial(n) for n in range(0, max_order + 1)],
+        max_order + 2, "the requested order",
     )
-    coef, err = _weighted_lstsq(design, phase[use], weights[use])
     return PhaseFit(tuple(float(c) for c in coef[1:]), tuple(float(e) for e in err[1:]))
+
+
+# per-bin arrays of a result and their dtypes
+_RESULT_ARRAYS = {
+    "amplitude_abs": float, "phase_rad": float, "valid_mask": bool, "phase_difference": float
+}
 
 
 @dataclass(frozen=True)
@@ -421,17 +439,8 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, dtype in (
-            ("amplitude_abs", float),
-            ("phase_rad", float),
-            ("valid_mask", bool),
-            ("phase_difference", float),
-        ):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            if arr.shape != (self.grid.n_points,):
-                raise ValueError(f"{name} length does not match the grid")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, dtype in _RESULT_ARRAYS.items():
+            freeze_field(self, name, dtype, self.grid.n_points)
 
     def mode(self) -> SpectralMode:
         return SpectralMode(self.grid, self.amplitude_abs * np.exp(1j * self.phase_rad))
@@ -514,25 +523,18 @@ def result_to_dict(result: ReconstructionResult) -> dict:
 
 
 def result_from_dict(data: dict) -> ReconstructionResult:
+    what = "reconstruction result"
+    names = dict(_RESULT_ARRAYS)
+    if isinstance(data, dict) and "phase_difference" not in data:
+        del names["phase_difference"]  # files written before the field existed
+    grid, arrays = grid_arrays_from_dict(data, what, names)
+    arrays.setdefault("phase_difference", np.zeros(grid.n_points))
     try:
-        grid = grid_from_dict(data["grid"])
-        amp = np.asarray(data["amplitude_abs"], dtype=float)
-        ph = np.asarray(data["phase_rad"], dtype=float)
-        mask = np.asarray(data["valid_mask"], dtype=bool)
         fit = fit_from_dict(data["coefficients"])
         diagnostics = dict(data["diagnostics"])
+        return ReconstructionResult(grid, **arrays, coefficients=fit, diagnostics=diagnostics)
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"malformed reconstruction result: {exc}") from exc
-    lengths = {len(amp), len(ph), len(mask), grid.n_points}
-    if len(lengths) != 1:
-        raise DataFormatError("result arrays have inconsistent lengths")
-    dphi = np.asarray(data.get("phase_difference", np.zeros(grid.n_points)), dtype=float)
-    if len(dphi) != grid.n_points:
-        raise DataFormatError("phase_difference length does not match the grid")
-    try:
-        return ReconstructionResult(grid, amp, ph, mask, dphi, fit, diagnostics)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from exc
+        raise DataFormatError(f"malformed {what}: {exc}") from exc
 
 
 def save_result(result: ReconstructionResult, path) -> None:

@@ -10,8 +10,8 @@ import numpy as np
 from .core import (
     SpectralGrid,
     SpectralMode,
-    fwhm_nm_to_omega,
     normalize,
+    shear_nm_to_omega,
     wavelength_to_omega,
 )
 
@@ -66,7 +66,7 @@ class PulseSpec:
 
     @property
     def fwhm_omega(self) -> float:
-        return fwhm_nm_to_omega(self.fwhm_wavelength, self.center_wavelength)
+        return shear_nm_to_omega(self.fwhm_wavelength, self.center_wavelength)
 
 
 def check_coverage(spec: PulseSpec, grid: SpectralGrid) -> None:

@@ -303,6 +303,21 @@ def test_exit_2_config_problems(tmp_path, capsys):
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "result.json", "--seed", "1"],
+        ["analyze", "result.json", "--config", "run.json"],
+        ["reconstruct", "record.csv", "--seed", "1"],
+    ],
+    ids=["analyze --seed", "analyze --config", "reconstruct --seed"],
+)
+def test_flags_a_command_would_ignore_are_refused(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+
+
 def test_exit_3_starved_record(tmp_path, capsys):
     cfg = write_config(tmp_path, "starved.json", **{"interferometer.total_counts": 15,
                                                     "interferometer.seed": 11})
@@ -341,3 +356,15 @@ def test_exit_4_data_problems(tmp_path, capsys):
          "--out", str(tmp_path / "ana")]
     ) == 4
     assert "grid" in capsys.readouterr().err
+
+
+def test_analyze_non_integral_grid_exits_4(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["pipeline", "--preset", "quadratic", "--noiseless", "--out", str(run),
+                 "--quiet"]) == 0
+    result = json.loads((run / "result.json").read_text(encoding="utf-8"))
+    result["grid"]["n_points"] = 4096.9
+    bad = tmp_path / "result.json"
+    bad.write_text(json.dumps(result), encoding="utf-8")
+    assert main(["analyze", str(bad), "--out", str(tmp_path / "ana"), "--quiet"]) == 4
+    assert "n_points" in capsys.readouterr().err

@@ -60,6 +60,9 @@ REJECTED = {
     "two shear units": {"interferometer.shear_rad_per_fs": 0.001},
     "negative delay": {"interferometer.delay_fs": -5.0},
     "bad reconstruction value": {"reconstruction.filter_shape": "triangular"},
+    "compensate_phi2 on a v_lambda pulse": {
+        "compensate_phi2": True, "pulse.phase_kind": "v_lambda", "pulse.v_slope": 1050.0
+    },
 }
 
 

@@ -205,3 +205,35 @@ def test_mode_load_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"grid": {"omega_start": 1.0}}), encoding="utf-8")
     with pytest.raises(DataFormatError):
         ss.load_mode(path)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("n_points", 4096.9), ("n_points", "4096"), ("n_points", True), ("omega_start", "2.27")],
+)
+def test_mode_load_takes_the_number_rule_for_the_grid(tmp_path, quad_mode, key, value):
+    data = json.loads(json.dumps(ss.core.mode_to_dict(quad_mode)))
+    data["grid"][key] = value
+    path = tmp_path / "mode.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(DataFormatError, match="grid"):
+        ss.load_mode(path)
+
+
+def test_records_store_a_read_only_copy(grid, quad_mode):
+    # constructors copy their arrays: the caller's array stays writable and
+    # its later edits do not reach the record
+    amp = np.array(quad_mode.amplitude)
+    mode = ss.SpectralMode(grid, amp)
+    amp[0] = 1.0
+    assert amp.flags.writeable
+    assert mode.amplitude[0] == quad_mode.amplitude[0]
+    assert not mode.amplitude.flags.writeable
+    with pytest.raises(ValueError):
+        mode.amplitude[0] = 1.0
+
+    t, om, w = np.zeros(2), np.zeros(3), np.zeros((2, 3))
+    wmap = ss.WignerMap(t, om, w)
+    w[0, 0] = t[0] = 5.0
+    assert wmap.values[0, 0] == 0.0 and wmap.t_axis[0] == 0.0
+    assert not any(a.flags.writeable for a in (wmap.t_axis, wmap.omega_axis, wmap.values))

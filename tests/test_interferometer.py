@@ -124,6 +124,18 @@ def test_interferogram_validation(grid, shear_cfg):
         ss.Interferogram(grid, 0.5 * np.ones(n), np.ones(n), "counts", shear_cfg)
 
 
+def test_interferogram_stores_a_read_only_copy(grid, shear_cfg):
+    plus, minus = np.ones(grid.n_points), np.ones(grid.n_points)
+    rec = ss.Interferogram(grid, plus, minus, "ideal", shear_cfg)
+    plus[0] = 2.0  # the caller's array stays writable
+    assert rec.plus[0] == 1.0
+    assert minus.flags.writeable
+    for arr in (rec.plus, rec.minus):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+
+
 def test_csv_roundtrip_ideal(tmp_path, quad_record):
     path = tmp_path / "rec.csv"
     ss.save_interferogram_csv(quad_record, path)

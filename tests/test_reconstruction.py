@@ -139,6 +139,32 @@ def test_integrate_linear_recovers_quadratic(grid):
     assert fit_c.coefficient(2) == pytest.approx(p2, abs=0.1)
 
 
+def _ladder_by_steps(dphi, shear, grid):
+    """The concatenation ladder summed one rung at a time, as a reference."""
+    omegas, omega0 = grid.omegas, grid.omega_center
+    lo, hi = (omegas[0] - omega0) / shear, (omegas[-1] - omega0) / shear
+    ks = np.arange(math.ceil(min(lo, hi)), math.floor(max(lo, hi)) + 1)
+    nodes = omega0 + ks * shear
+    dphi_at = np.interp(nodes, omegas, dphi)
+    phi = np.zeros_like(nodes)
+    zero = int(np.flatnonzero(ks == 0)[0])
+    for i in range(zero + 1, len(ks)):
+        phi[i] = phi[i - 1] - dphi_at[i - 1]
+    for i in range(zero - 1, -1, -1):
+        phi[i] = phi[i + 1] + dphi_at[i]
+    order = np.argsort(nodes)
+    return np.interp(omegas, nodes[order], phi[order])
+
+
+@pytest.mark.parametrize("shear", [SHEAR, -SHEAR, 7.3 * SHEAR])
+def test_concatenation_matches_step_by_step_sum(grid, shear):
+    rng = np.random.default_rng(5)
+    dphi = np.cumsum(rng.normal(size=grid.n_points))
+    dphi[grid.n_points // 2] = 0.0  # a zero rung keeps its sign
+    got = ss.integrate_phase(dphi, shear, grid, "concatenation")
+    assert got.tobytes() == _ladder_by_steps(dphi, shear, grid).tobytes()
+
+
 def test_integrate_validation(grid):
     with pytest.raises(ConfigError):
         ss.integrate_phase(np.zeros(grid.n_points), 0.0, grid)
@@ -211,6 +237,15 @@ def test_noiseless_quadratic_coefficients(quad_record, shear_cfg, settings):
     assert out.coefficients.coefficient(3) == pytest.approx(5.0e5, abs=500.0)
     assert out.diagnostics["envelope_bias_corrected"] is True
     assert out.diagnostics["tau_fs_used"] == TAU
+
+
+def test_rectangular_window(quad_record, quad_mode, shear_cfg):
+    rect = ss.FtsiSettings.for_delay(TAU, filter_shape="rectangular")
+    assert rect.support_half_width() == rect.filter_width
+    out = ss.reconstruct(quad_record, shear_cfg, rect)
+    assert out.coefficients.coefficient(2) == pytest.approx(8.7e4, abs=1.0)
+    assert out.coefficients.coefficient(3) == pytest.approx(5.0e5, abs=500.0)
+    assert ss.mode_overlap(out.mode(), quad_mode) > 0.999
 
 
 def test_group_delay_branch(grid, shear_cfg, settings):
@@ -331,6 +366,31 @@ def test_result_bytes_deterministic(tmp_path, quad_record, shear_cfg, settings):
     ss.save_result(out, a)
     ss.save_result(out, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_result_stores_read_only_copies(quad_record, shear_cfg, settings):
+    out = ss.reconstruct(quad_record, shear_cfg, settings)
+    arrays = {name: np.array(getattr(out, name)) for name in
+              ("amplitude_abs", "phase_rad", "valid_mask", "phase_difference")}
+    copy = ss.ReconstructionResult(out.grid, **arrays, coefficients=out.coefficients)
+    for name, arr in arrays.items():
+        arr[0] = not arr[0] if arr.dtype == bool else arr[0] + 1.0
+        assert arr.flags.writeable, name
+        stored = getattr(copy, name)
+        assert stored[0] == getattr(out, name)[0], name
+        assert not stored.flags.writeable, name
+
+
+@pytest.mark.parametrize("n_points", [4096.9, "4096"])
+def test_result_load_rejects_non_integral_n_points(tmp_path, quad_record, shear_cfg, settings,
+                                                   n_points):
+    path = tmp_path / "result.json"
+    ss.save_result(ss.reconstruct(quad_record, shear_cfg, settings), path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["grid"]["n_points"] = n_points
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(DataFormatError, match="n_points"):
+        ss.load_result(path)
 
 
 def test_result_load_rejects_malformed(tmp_path):
