@@ -13,7 +13,6 @@ from .core import (
     mode_overlap,
     normalize,
     to_time_domain,
-    write_columns,
 )
 from .reconstruction import masked_fit
 
@@ -123,13 +122,14 @@ def v_phase_slope(
 
 
 def save_wigner_csv(wmap: WignerMap, path) -> None:
-    """Long-format CSV: t_fs,omega_rad_per_fs,w_value (one row per cell, t slowest)."""
-    n_t, n_omega = wmap.values.shape
-    write_columns(
-        path,
-        "t_fs,omega_rad_per_fs,w_value",
-        "{!r},{!r},{!r}\n",
-        np.repeat(wmap.t_axis, n_omega),
-        np.tile(wmap.omega_axis, n_t),
-        wmap.values.ravel(),
+    """Long-format CSV: t_fs,omega_rad_per_fs,w_value (one row per cell, t slowest).
+
+    Floats are written by repr, each axis value once (a repr holds no braces).
+    """
+    omegas = [f"{w!r}," for w in wmap.omega_axis.tolist()]
+    rows = (
+        "".join(map(f"{t!r},{{}}{{!r}}\n".format, omegas, values))
+        for t, values in zip(wmap.t_axis.tolist(), wmap.values.tolist())
     )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("t_fs,omega_rad_per_fs,w_value\n" + "".join(rows))

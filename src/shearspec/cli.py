@@ -217,7 +217,8 @@ def cmd_reconstruct(args) -> int:
 # ---- analyze -----------------------------------------------------------------
 
 def _save_wigner(mode, path) -> None:
-    # central half of the time span is alias-free for the direct quadrature
+    # grid times lie on wigner()'s half-step lattice; the central half keeps
+    # |t| <= pi/(2*domega), where the map is alias-free
     grid = mode.grid
     n = grid.n_points
     t = grid.times[n // 4 : 3 * n // 4 : max(1, n // 256)]
@@ -305,33 +306,21 @@ def _run_single(cfg: RunConfig, mode, ideal, settings, outdir: str, trial: int, 
 
 
 def _export_artifacts(cfg: RunConfig, outdir: str, truth, result) -> list:
-    files = []
     grid = result.grid
     rec_mode = result.mode()
-    if cfg.outputs.spectrum:
-        write_columns(
-            os.path.join(outdir, "spectrum.csv"),
-            "omega_rad_per_fs,truth,recovered",
-            "{!r},{!r},{!r}\n",
-            grid.omegas, truth.intensity(), rec_mode.intensity(),
-        )
-        files.append("spectrum.csv")
-    if cfg.outputs.phase:
-        write_columns(
-            os.path.join(outdir, "phase.csv"),
-            "omega_rad_per_fs,truth_rad,recovered_rad,valid",
-            "{!r},{!r},{!r},{:d}\n",
-            grid.omegas, truth.phase(), result.phase_rad, result.valid_mask,
-        )
-        files.append("phase.csv")
-    if cfg.outputs.temporal:
-        write_columns(
-            os.path.join(outdir, "temporal.csv"),
-            "t_fs,truth,recovered",
-            "{!r},{!r},{!r}\n",
-            grid.times, to_time_domain(truth).intensity(), to_time_domain(rec_mode).intensity(),
-        )
-        files.append("temporal.csv")
+    tables = {  # output flag: header, row format, columns (built only when written)
+        "spectrum": ("omega_rad_per_fs,truth,recovered", "{!r},{!r},{!r}\n",
+                     lambda: (grid.omegas, truth.intensity(), rec_mode.intensity())),
+        "phase": ("omega_rad_per_fs,truth_rad,recovered_rad,valid", "{!r},{!r},{!r},{:d}\n",
+                  lambda: (grid.omegas, truth.phase(), result.phase_rad, result.valid_mask)),
+        "temporal": ("t_fs,truth,recovered", "{!r},{!r},{!r}\n", lambda: (
+            grid.times, to_time_domain(truth).intensity(), to_time_domain(rec_mode).intensity())),
+    }
+    files = []
+    for name, (header, fmt, columns) in tables.items():
+        if getattr(cfg.outputs, name):
+            files.append(f"{name}.csv")
+            write_columns(os.path.join(outdir, files[-1]), header, fmt, *columns())
     if cfg.outputs.wigner:
         _save_wigner(rec_mode, os.path.join(outdir, "wigner.csv"))
         files.append("wigner.csv")

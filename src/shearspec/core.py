@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataFormatError
 
@@ -252,44 +253,47 @@ def mode_overlap(a: SpectralMode, b: SpectralMode) -> float:
 
 # ---- chronocyclic Wigner distribution --------------------------------------
 
+def _lattice_index(values, origin: float, step: float, lo: int, hi: int, name: str):
+    """Index k in [lo, hi] of each value origin + k*step, to 1e-6 of a step, else ValueError."""
+    x = (values - origin) / step
+    k = np.rint(x)
+    if not np.all(np.abs(x - k) <= 1e-6):
+        raise ValueError(f"{name} values must lie on the lattice {origin!r} + k*{step!r}")
+    if k.min() < lo or k.max() > hi:
+        span = f"{origin + lo * step:.6g}..{origin + hi * step:.6g}"
+        raise ValueError(f"{name} must stay within {span} for this grid")
+    return k.astype(np.intp)
+
+
 def wigner(mode: SpectralMode, t_axis: np.ndarray, omega_axis: np.ndarray) -> "WignerMap":
-    """Chronocyclic Wigner distribution on user axes.
+    """Chronocyclic Wigner distribution on lattice axes.
 
     W(t, omega) = (1/2pi) Int psi~*(omega + x/2) psi~(omega - x/2) e^{i x t} dx
-    evaluated by direct quadrature at the native grid resolution.  The
-    discrete quadrature is periodic in t with period pi/domega, so t_axis
-    must stay inside +-pi/(2*domega) to be alias free.
+    at the native resolution x = 2*m*domega.  Each omega_axis value must be a
+    grid node j and each t_axis value a half-step point t = p*dt/2 with
+    |t| <= pi/(2*domega), the half period in t, to 1e-6 of a step, else
+    ValueError.  Then W = (domega/pi) sum_m conj(a[j+m]) a[j-m] e^{2 pi i m p/N}
+    with a = 0 off the grid: one inverse FFT over the lag m for all t.
     """
     grid = mode.grid
+    n = grid.n_points
     t_axis = np.asarray(t_axis, dtype=float)
     omega_axis = np.asarray(omega_axis, dtype=float)
     if t_axis.ndim != 1 or omega_axis.ndim != 1:
         raise ValueError("axes must be one-dimensional")
-    omegas = grid.omegas
-    if omega_axis.min() < omegas[0] or omega_axis.max() > omegas[-1]:
-        raise ValueError("omega_axis extends beyond the mode grid")
-    t_lim = 0.5 * math.pi / grid.omega_step
-    if np.max(np.abs(t_axis)) > t_lim:
-        raise ValueError(f"t_axis must stay within +-{t_lim:.1f} fs for this grid")
+    j = _lattice_index(omega_axis, grid.omega_start, grid.omega_step, 0, n - 1, "omega_axis")
+    p = _lattice_index(t_axis, 0.0, 0.5 * grid.time_step, -n // 2, n // 2, "t_axis")
 
-    re = np.interp  # complex amplitude interpolated component-wise, 0 outside
-    amp = mode.amplitude
-
-    def sample(points):
-        return re(points, omegas, amp.real, left=0.0, right=0.0) + 1j * re(
-            points, omegas, amp.imag, left=0.0, right=0.0
-        )
-
-    half = 0.5 * grid.span
-    m_max = grid.n_points - 1
-    x = grid.omega_step * np.arange(-m_max, m_max + 1)
-    x = x[np.abs(x) <= half]  # offsets with any support overlap
-    up = sample(omega_axis[:, None] + x[None, :])
-    dn = sample(omega_axis[:, None] - x[None, :])
-    kernel = np.exp(2j * np.outer(x, t_axis))
-    w = (np.conj(up) * dn) @ kernel  # (n_omega, n_t)
-    scale = grid.omega_step / math.pi
-    w *= scale
+    # window j holds a[j+m] and window j+1 reversed holds a[j-m] at column
+    # c = m + n/2; the term |m| = n/2 is zero, as j+m or j-m is off the grid
+    padded = np.zeros(2 * n, dtype=np.complex128)
+    padded[n // 2 : n // 2 + n] = mode.amplitude
+    windows = sliding_window_view(padded, n)
+    r = np.conj(windows[j])
+    r *= windows[j + 1, ::-1]
+    # e^{2 pi i m p/n} = (-1)^p e^{2 pi i c p/n}: the sign folds m mod n
+    w = np.fft.ifft(r, axis=1, out=r)[:, p % n]
+    w *= np.where(p % 2 == 0, 1.0, -1.0) * (n * grid.omega_step / math.pi)
     peak = np.max(np.abs(w))
     if peak > 0:
         resid = np.max(np.abs(w.imag)) / peak
@@ -372,27 +376,34 @@ def grid_to_dict(grid: SpectralGrid) -> dict:
     }
 
 
+def _array_from_json(name: str, values, dtype, n_points: int) -> np.ndarray:
+    """n_points finite numbers, never bools, for float; JSON booleans for bool."""
+    wrong = set(map(type, values)) - ({bool} if dtype is bool else {int, float})
+    if wrong:
+        raise TypeError(f"{name} holds {', '.join(sorted(k.__name__ for k in wrong))} values")
+    arr = np.array(values, dtype=dtype)
+    if arr.shape != (n_points,) or not np.isfinite(arr).all():
+        raise ValueError(f"{name} needs {n_points} finite values, got shape {arr.shape}")
+    return arr
+
+
 def grid_arrays_from_dict(data: dict, what: str, dtypes: dict) -> tuple:
     """The grid (inverse of grid_to_dict) and the per-bin arrays of a record dict.
 
-    Returns (grid, {name: array}) for the {name: dtype} in `dtypes`.  Grid
-    values take the config number rule: finite numbers, never bools, and an
-    integral n_points.  A missing key, a wrong type or an array whose length
-    is not the grid's raises DataFormatError naming `what`.
+    Returns (grid, {name: array}) for the {name: dtype} in `dtypes`, float
+    or bool.  Values take the config number rule: finite numbers, never
+    bools, in the grid and in float arrays, an integral n_points, and JSON
+    booleans in bool arrays.  A missing key, a wrong type or an array whose
+    length is not the grid's raises DataFormatError naming `what`.
     """
     try:
         start, step, n = (data["grid"][k] for k in ("omega_start", "omega_step", "n_points"))
         if not (is_number(start) and is_number(step) and is_integral(n)):
             raise TypeError(f"grid needs numbers and an integral n_points, got {data['grid']!r}")
         grid = SpectralGrid(float(start), float(step), int(n))
-        arrays = {name: np.asarray(data[name], dtype=dt) for name, dt in dtypes.items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        arrays = {k: _array_from_json(k, data[k], dt, grid.n_points) for k, dt in dtypes.items()}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"malformed {what}: {exc}") from exc
-    for name, arr in arrays.items():
-        if arr.shape != (grid.n_points,):
-            raise DataFormatError(
-                f"{what}: {name} shape {arr.shape} does not match grid n_points {grid.n_points}"
-            )
     return grid, arrays
 
 

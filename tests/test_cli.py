@@ -368,3 +368,15 @@ def test_analyze_non_integral_grid_exits_4(tmp_path, capsys):
     bad.write_text(json.dumps(result), encoding="utf-8")
     assert main(["analyze", str(bad), "--out", str(tmp_path / "ana"), "--quiet"]) == 4
     assert "n_points" in capsys.readouterr().err
+
+
+def test_analyze_string_mask_exits_4(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["pipeline", "--preset", "quadratic", "--noiseless", "--out", str(run),
+                 "--quiet"]) == 0
+    result = json.loads((run / "result.json").read_text(encoding="utf-8"))
+    result["valid_mask"] = ["false"] * len(result["valid_mask"])
+    bad = tmp_path / "result.json"
+    bad.write_text(json.dumps(result), encoding="utf-8")
+    assert main(["analyze", str(bad), "--out", str(tmp_path / "ana"), "--quiet"]) == 4
+    assert "valid_mask" in capsys.readouterr().err

@@ -135,6 +135,53 @@ def smooth_random_mode(rng, n=256):
     return ss.normalize(g, amp * np.exp(1j * ph), anchor=False)
 
 
+def ref_wigner_quadrature(mode, t_axis, omega_axis):
+    """The package's earlier direct quadrature, kept as the reference.
+
+    Amplitudes interpolated at omega +- x for every lag x with support
+    overlap, times an (n_x, n_t) kernel matrix exp(2i x t).  Returns the
+    real map, shape (len(t_axis), len(omega_axis)).
+    """
+    grid = mode.grid
+    omegas, amp = grid.omegas, mode.amplitude
+
+    def sample(points):
+        return np.interp(points, omegas, amp.real, left=0.0, right=0.0) + 1j * np.interp(
+            points, omegas, amp.imag, left=0.0, right=0.0
+        )
+
+    m_max = grid.n_points - 1
+    x = grid.omega_step * np.arange(-m_max, m_max + 1)
+    x = x[np.abs(x) <= 0.5 * grid.span]
+    up = sample(omega_axis[:, None] + x[None, :])
+    dn = sample(omega_axis[:, None] - x[None, :])
+    w = (np.conj(up) * dn) @ np.exp(2j * np.outer(x, t_axis)) * (grid.omega_step / math.pi)
+    return w.real.T
+
+
+@pytest.mark.parametrize("case", ["cli-axes", "smooth-random"])
+def test_wigner_fft_matches_quadrature(case, grid, quad_mode):
+    if case == "cli-axes":  # the axes of `analyze --wigner` at N=4096
+        mode, n = quad_mode, grid.n_points
+        t_axis, om_axis = grid.times[n // 4 : 3 * n // 4 : 16], grid.omegas[::16]
+    else:
+        mode = smooth_random_mode(np.random.default_rng(11))
+        t_lim = 0.5 * math.pi / mode.grid.omega_step
+        t_axis, om_axis = np.linspace(-t_lim, t_lim, mode.grid.n_points + 1), mode.grid.omegas
+    ref = ref_wigner_quadrature(mode, t_axis, om_axis)
+    wmap = ss.wigner(mode, t_axis, om_axis)
+    assert wmap.values.shape == ref.shape
+    assert np.max(np.abs(wmap.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_wigner_axes_must_lie_on_the_lattice(grid, quad_mode):
+    # t on the half-step lattice p*dt/2, omega on the grid nodes
+    with pytest.raises(ValueError, match="t_axis"):
+        ss.wigner(quad_mode, np.array([0.0, 0.25 * grid.time_step]), grid.omegas[::64])
+    with pytest.raises(ValueError, match="omega_axis"):
+        ss.wigner(quad_mode, np.array([0.0]), grid.omegas[::64] + 0.5 * grid.omega_step)
+
+
 def test_wigner_marginals_random_smooth():
     rng = np.random.default_rng(3)
     worst_f = worst_t = 0.0
@@ -217,6 +264,19 @@ def test_mode_load_takes_the_number_rule_for_the_grid(tmp_path, quad_mode, key, 
     path = tmp_path / "mode.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(DataFormatError, match="grid"):
+        ss.load_mode(path)
+
+
+@pytest.mark.parametrize(
+    "value", [repr, lambda v: False], ids=["string", "bool-in-float"]
+)
+def test_mode_load_takes_the_number_rule_for_the_arrays(tmp_path, quad_mode, value):
+    # the replaced bin is far in the wing, so a misread value still loads
+    data = json.loads(json.dumps(ss.core.mode_to_dict(quad_mode)))
+    data["amplitude_abs"][0] = value(data["amplitude_abs"][0])
+    path = tmp_path / "mode.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(DataFormatError, match="amplitude_abs"):
         ss.load_mode(path)
 
 

@@ -393,6 +393,27 @@ def test_result_load_rejects_non_integral_n_points(tmp_path, quad_record, shear_
         ss.load_result(path)
 
 
+@pytest.mark.parametrize(
+    "name,edit",
+    [
+        ("amplitude_abs", lambda vals: [repr(vals[0])] + vals[1:]),
+        ("phase_rad", lambda vals: [True] + vals[1:]),
+        ("valid_mask", lambda vals: ["false"] * len(vals)),
+        ("valid_mask", lambda vals: [int(v) for v in vals]),
+    ],
+    ids=["string", "bool-in-float", "string-mask", "integer-mask"],
+)
+def test_result_load_takes_the_number_rule_for_the_arrays(tmp_path, quad_record, shear_cfg,
+                                                          settings, name, edit):
+    path = tmp_path / "result.json"
+    ss.save_result(ss.reconstruct(quad_record, shear_cfg, settings), path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data[name] = edit(data[name])
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=name):
+        ss.load_result(path)
+
+
 def test_result_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{", encoding="utf-8")

@@ -93,11 +93,15 @@ def test_interferogram_csv_matches_row_loop(tmp_path, kind, quad_record, counts_
 
 def test_wigner_csv_matches_row_loop(tmp_path, quad_mode, grid):
     n = grid.n_points
-    wmap = ss.wigner(quad_mode, grid.times[n // 4 : 3 * n // 4 : 128], grid.omegas[::64])
-    assert wmap.values.shape[0] != wmap.values.shape[1]  # catches a transposed layout
-    ss.save_wigner_csv(wmap, tmp_path / "new.csv")
-    ref_wigner_csv(wmap, tmp_path / "ref.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # a small map, and the 128 x 256 map of `analyze --wigner`
+    for t_step, om_step in [(128, 64), (16, 16)]:
+        t_axis = grid.times[n // 4 : 3 * n // 4 : t_step]
+        wmap = ss.wigner(quad_mode, t_axis, grid.omegas[::om_step])
+        assert wmap.values.shape[0] != wmap.values.shape[1]  # catches a transposed layout
+        ss.save_wigner_csv(wmap, tmp_path / "new.csv")
+        ref_wigner_csv(wmap, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert wmap.values.shape == (128, 256)
 
 
 def test_artifact_csvs_match_row_loop(tmp_path, quad_mode, counts_result):
