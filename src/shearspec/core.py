@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -64,11 +65,15 @@ def freeze_field(record, name: str, dtype, n_points: int | None = None) -> np.nd
     The copy leaves the caller's array writable.  With n_points the field
     must be one-dimensional of that length.
     """
-    arr = np.array(getattr(record, name), dtype=dtype)
+    arr = _read_only(np.array(getattr(record, name), dtype=dtype))
     if n_points is not None and arr.shape != (n_points,):
         raise ValueError(f"{name} shape {arr.shape} does not match the grid ({n_points},)")
-    arr.flags.writeable = False
     object.__setattr__(record, name, arr)
+    return arr
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
     return arr
 
 
@@ -98,9 +103,9 @@ class SpectralGrid:
         # index n/2 exactly, n is even by construction
         return self.omega_start + self.omega_step * (self.n_points // 2)
 
-    @property
+    @cached_property
     def omegas(self) -> np.ndarray:
-        return self.omega_start + self.omega_step * np.arange(self.n_points)
+        return _read_only(self.omega_start + self.omega_step * np.arange(self.n_points))
 
     @property
     def time_step(self) -> float:
@@ -110,9 +115,20 @@ class SpectralGrid:
     def time_start(self) -> float:
         return -0.5 * self.n_points * self.time_step
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return self.time_start + self.time_step * np.arange(self.n_points)
+        return _read_only(self.time_start + self.time_step * np.arange(self.n_points))
+
+    @cached_property
+    def _transform_factors(self) -> tuple:
+        """Both transforms' per-grid factors, built once per instance: (signs,
+        forward post-factor, inverse pre-factor, inverse post-factor)."""
+        signs = np.where(np.arange(self.n_points) % 2 == 0, 1.0, -1.0)  # exp(-i j domega t0)
+        root = math.sqrt(2.0 * math.pi)
+        fwd_post = (self.omega_step / root) * np.exp(-1j * self.omega_start * self.times)
+        inv_pre = np.exp(1j * self.omega_start * self.times)
+        inv_post = (self.time_step / root) * signs
+        return tuple(_read_only(a) for a in (signs, fwd_post, inv_pre, inv_post))
 
     def __eq__(self, other):
         # same physical grid within a bin-position error of ~1e-5 bins;
@@ -207,22 +223,16 @@ def spectral_to_temporal_array(values: np.ndarray, grid: SpectralGrid) -> np.nda
     psi(t_k) = (domega/sqrt(2*pi)) sum_j values_j exp(-i*omega_j*t_k) with
     t_k the dual grid of `grid`.  Unitary together with its inverse.
     """
-    n = grid.n_points
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # exp(-i j domega t0)
+    signs, post, _, _ = grid._transform_factors
     ft = np.fft.fft(np.asarray(values, dtype=np.complex128) * signs)
-    phase = np.exp(-1j * grid.omega_start * grid.times)
-    return (grid.omega_step / math.sqrt(2.0 * math.pi)) * phase * ft
+    return post * ft
 
 
 def temporal_to_spectral_array(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Inverse of spectral_to_temporal_array."""
-    n = grid.n_points
-    pre = np.asarray(values, dtype=np.complex128) * np.exp(
-        1j * grid.omega_start * grid.times
-    )
-    ift = np.fft.ifft(pre) * n
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # exp(+i omega_j t0)
-    return (grid.time_step / math.sqrt(2.0 * math.pi)) * signs * ift
+    _, _, pre, post = grid._transform_factors
+    ift = np.fft.ifft(np.asarray(values, dtype=np.complex128) * pre) * grid.n_points
+    return post * ift
 
 
 def to_time_domain(mode: SpectralMode) -> TemporalMode:

@@ -99,7 +99,11 @@ class FtsiSettings:
         x = (t - center) / self.filter_width
         if self.filter_shape == "rectangular":
             return (np.abs(x) <= 1.0).astype(float)
-        return np.exp(-math.log(2.0) * x ** (2 * self.filter_order))
+        # exp underflows to exactly 0.0 past ln2 * |x|^(2k) = 746: evaluate below 760 only
+        inside = np.abs(x) < (760.0 / math.log(2.0)) ** (1.0 / (2 * self.filter_order))
+        w = np.zeros_like(x)
+        w[inside] = np.exp(-math.log(2.0) * x[inside] ** (2 * self.filter_order))
+        return w
 
 
 @dataclass(frozen=True)

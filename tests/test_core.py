@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -90,6 +91,64 @@ def test_forward_transform_matches_direct_sum():
         -1j * np.outer(g.times, g.omegas)
     ) @ v
     assert np.max(np.abs(f - direct)) < 1e-12
+
+
+def ref_spectral_to_temporal(values, grid):
+    """The forward transform as written before the grid cached its factors."""
+    n = grid.n_points
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    ft = np.fft.fft(np.asarray(values, dtype=np.complex128) * signs)
+    phase = np.exp(-1j * grid.omega_start * (grid.time_start + grid.time_step * np.arange(n)))
+    return (grid.omega_step / math.sqrt(2.0 * math.pi)) * phase * ft
+
+
+def ref_temporal_to_spectral(values, grid):
+    """The inverse transform as written before the grid cached its factors."""
+    n = grid.n_points
+    times = grid.time_start + grid.time_step * np.arange(n)
+    pre = np.asarray(values, dtype=np.complex128) * np.exp(1j * grid.omega_start * times)
+    ift = np.fft.ifft(pre) * n
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return (grid.time_step / math.sqrt(2.0 * math.pi)) * signs * ift
+
+
+@pytest.mark.parametrize("n", [4096, 8192, 16384, 65536])
+def test_cached_transforms_match_inline_formulas(n):
+    # Below 16384 complex points (256 KB) the arithmetic is the same, so the
+    # bits are.  From there numpy's temporary elision let the old inverse
+    # compute exp(...) * values in place, and complex multiplication is not
+    # bitwise commutative, so the last ulp may differ.
+    rng = np.random.default_rng(n)
+    g = ss.make_grid(OMEGA0, 10.0 * FWHM_W, n)
+    real = rng.normal(size=n)
+    for values in (real, real + 1j * rng.normal(size=n)):
+        for ours, ref in ((spectral_to_temporal_array, ref_spectral_to_temporal),
+                          (temporal_to_spectral_array, ref_temporal_to_spectral)):
+            got, want = ours(values, g), ref(values, g)
+            assert got.dtype == want.dtype == np.complex128
+            if n < 16384:
+                assert got.tobytes() == want.tobytes(), ours.__name__
+            else:
+                ulp = np.spacing(np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= 4.0 * ulp, ours.__name__
+
+
+def test_grid_arrays_cached_read_only_and_per_instance():
+    g = ss.make_grid(2.0, 0.5, 64)
+    assert g.omegas is g.omegas and g.times is g.times
+    for arr in (g.omegas, g.times, *g._transform_factors):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    f = spectral_to_temporal_array(np.ones(64), g)
+    f[0] = 0.0  # results are the caller's, not the cache
+    assert np.array_equal(f[1:], spectral_to_temporal_array(np.ones(64), g)[1:])
+
+    h = dataclasses.replace(g, omega_start=g.omega_start + 0.25)
+    assert h.omegas is not g.omegas
+    assert np.array_equal(h.omegas, g.omegas + 0.25)
+    assert not np.array_equal(h._transform_factors[1], g._transform_factors[1])
+    assert np.array_equal(h.times, g.times)  # the dual axis depends on the step only
+    assert h.times is not g.times
 
 
 def test_mode_roundtrip_public_api(grid, quad_mode):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,33 @@ def test_noiseless_quadratic_coefficients(quad_record, shear_cfg, settings):
     assert out.coefficients.coefficient(3) == pytest.approx(5.0e5, abs=500.0)
     assert out.diagnostics["envelope_bias_corrected"] is True
     assert out.diagnostics["tau_fs_used"] == TAU
+
+
+def test_noiseless_quadratic_at_65536_points(quad_pulse, shear_cfg, settings):
+    # the transforms above 16384 points, where numpy computes the products
+    # of temporaries in place (temporary elision)
+    mode = ss.synthesize(quad_pulse, ss.make_grid(OMEGA0, 10.0 * FWHM_W, 65536))
+    out = ss.reconstruct(ss.ideal_interferogram(mode, shear_cfg), shear_cfg, settings)
+    assert out.coefficients.coefficient(2) == pytest.approx(8.7e4, abs=5.0)
+    assert ss.mode_overlap(out.mode(), mode) > 0.999
+
+
+@pytest.mark.parametrize("n", [4096, 65536])
+def test_window_support_limited_matches_dense(n):
+    t = ss.make_grid(OMEGA0, 10.0 * FWHM_W, n).times
+    centers = (t[0] + 0.3 * TAU, t[-1] - 0.3 * TAU, TAU)
+    for order in (1, 2, 6, 12):
+        st = ss.FtsiSettings.for_delay(TAU, filter_order=order)
+        for center in centers:
+            dense = np.exp(-math.log(2.0) * ((t - center) / st.filter_width) ** (2 * order))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = st.window(t, center)
+            assert got.tobytes() == dense.tobytes(), (order, center)
+    rect = ss.FtsiSettings.for_delay(TAU, filter_shape="rectangular")
+    for center in centers:
+        want = (np.abs((t - center) / rect.filter_width) <= 1.0).astype(float)
+        assert rect.window(t, center).tobytes() == want.tobytes()
 
 
 def test_rectangular_window(quad_record, quad_mode, shear_cfg):
