@@ -117,10 +117,20 @@ def _start_run(cfg: RunConfig):
     return outdir, mode, ideal_interferogram(mode, shear_config(cfg))
 
 
-def _trial_dir(outdir: str, trial: int, trials: int) -> str:
-    if trials == 1:
-        return outdir
-    return _ensure_dir(os.path.join(outdir, f"trial_{trial:03d}"))
+def _trial_prefix(trial: int, trials: int) -> str:
+    """Where a trial's files go, relative to the output directory."""
+    return "" if trials == 1 else f"trial_{trial:03d}/"
+
+
+def _save_record(outdir: str, prefix: str, rec, result=None) -> list:
+    """Write rec (and result) under outdir/prefix; their paths relative to outdir."""
+    _ensure_dir(os.path.join(outdir, prefix))
+    names = [prefix + "interferogram.csv"]
+    save_interferogram_csv(rec, os.path.join(outdir, names[0]))
+    if result is not None:
+        names.append(prefix + "result.json")
+        save_result(result, os.path.join(outdir, names[1]))
+    return names
 
 
 def _detect(cfg: RunConfig, ideal, purpose: str, trial: int):
@@ -138,8 +148,7 @@ def cmd_simulate(args) -> int:
     save_mode(mode, os.path.join(outdir, "truth_mode.json"))
     for trial in range(args.trials):
         rec = _detect(cfg, ideal, "counts", trial)
-        tdir = _trial_dir(outdir, trial, args.trials)
-        save_interferogram_csv(rec, os.path.join(tdir, "interferogram.csv"))
+        _save_record(outdir, _trial_prefix(trial, args.trials), rec)
     _say(args, f"wrote interferogram.csv, truth_mode.json, config_echo.json under {outdir}")
     return 0
 
@@ -276,33 +285,25 @@ def _compensated_pulse(pulse: PulseSpec, fitted_phi2: float) -> PulseSpec:
     return replace(pulse, poly_coeffs=tuple(coeffs))
 
 
-def _run_single(cfg: RunConfig, mode, ideal, settings, outdir: str, trial: int, trials: int):
+def _run_single(cfg: RunConfig, mode, ideal, settings, trial: int):
     """One detect+reconstruct pass on the shared ideal record of `mode`.
 
-    Compensated runs do it twice: stage 2 re-synthesizes the pulse with
-    this trial's fitted phi2 removed, so only that stage is per trial.
+    Returns the trial's mode, its (record, result) pair and, for compensated
+    runs, stage 1's pair or else None.  Compensated runs do the pass twice:
+    stage 2 re-synthesizes the pulse with this trial's fitted phi2 removed,
+    so only that stage is per trial.
     """
     sc = ideal.config
-    stage1_phi2 = None
-
+    stage1 = None
     if cfg.compensate_phi2:
         rec1 = _detect(cfg, ideal, "counts", trial)
-        stage1 = reconstruct(rec1, sc, settings)
-        stage1_phi2 = stage1.coefficients.coefficient(2)
-        if trial == 0:
-            sdir = _ensure_dir(os.path.join(outdir, "stage1"))
-            save_interferogram_csv(rec1, os.path.join(sdir, "interferogram.csv"))
-            save_result(stage1, os.path.join(sdir, "result.json"))
-        mode = synthesize(_compensated_pulse(cfg.pulse, stage1_phi2), mode.grid)
+        stage1 = (rec1, reconstruct(rec1, sc, settings))
+        mode = synthesize(_compensated_pulse(cfg.pulse, stage1[1].coefficients.coefficient(2)),
+                          mode.grid)
         ideal = ideal_interferogram(mode, sc)
 
     rec = _detect(cfg, ideal, "counts-stage2" if cfg.compensate_phi2 else "counts", trial)
-    result = reconstruct(rec, sc, settings)
-
-    tdir = _trial_dir(outdir, trial, trials)
-    save_interferogram_csv(rec, os.path.join(tdir, "interferogram.csv"))
-    save_result(result, os.path.join(tdir, "result.json"))
-    return mode, result, stage1_phi2
+    return mode, (rec, reconstruct(rec, sc, settings)), stage1
 
 
 def _export_artifacts(cfg: RunConfig, outdir: str, truth, result) -> list:
@@ -328,22 +329,31 @@ def _export_artifacts(cfg: RunConfig, outdir: str, truth, result) -> list:
 
 
 def _run_pipeline(cfg: RunConfig, trials: int):
+    """Run the trials; only trial 0 writes its records, every trial adds to per-trial lists.
+
+    `simulate --config config_echo.json --trials N` rebuilds any trial's
+    record, except compensated stage-2 records of trials >= 1, which depend
+    on that trial's stage-1 fit.
+    """
     outdir, mode, ideal = _start_run(cfg)
     settings = ftsi_settings(cfg)
-    results, stage1_values = [], []
-    truth = None
+    files = ["config_echo.json", "truth_mode.json"]
+    per_trial = {}
     for trial in range(trials):
-        trial_mode, result, stage1_phi2 = _run_single(
-            cfg, mode, ideal, settings, outdir, trial, trials
-        )
+        trial_mode, (rec, result), stage1 = _run_single(cfg, mode, ideal, settings, trial)
         if trial == 0:
-            truth = trial_mode
+            first, truth = result, trial_mode
             save_mode(truth, os.path.join(outdir, "truth_mode.json"))
-        results.append(result)
-        if stage1_phi2 is not None:
-            stage1_values.append(stage1_phi2)
+            if stage1 is not None:
+                files += _save_record(outdir, "stage1/", *stage1)
+            files += _save_record(outdir, _trial_prefix(0, trials), rec, result)
+        stats = fit_to_dict(result.coefficients)
+        stats.update((key, result.diagnostics[key]) for key in ("visibility", "sideband_snr"))
+        if stage1 is not None:
+            stats["stage1_phi2_fs2"] = stage1[1].coefficients.coefficient(2)
+        for key, value in stats.items():
+            per_trial.setdefault(key, []).append(float(value))
 
-    first = results[0]
     report = _analysis_report(first, truth)
     summary = dict(report)
     summary["pulse"] = config_to_dict(cfg)["pulse"]
@@ -352,24 +362,20 @@ def _run_pipeline(cfg: RunConfig, trials: int):
     summary["noiseless"] = cfg.interferometer.noiseless
     summary["seed"] = cfg.interferometer.seed
     summary["total_counts"] = cfg.interferometer.total_counts
-    if stage1_values:
-        summary["stage1_phi2_fs2"] = stage1_values[0]
+    if "stage1_phi2_fs2" in per_trial:
+        summary["stage1_phi2_fs2"] = per_trial["stage1_phi2_fs2"][0]
     if trials > 1:
-        p2 = np.array([r.coefficients.coefficient(2) for r in results])
-        p3 = np.array([r.coefficients.coefficient(3) for r in results])
+        p2 = np.array(per_trial["phi2_fs2"])
+        p3 = np.array(per_trial["phi3_fs3"])
         summary["trials"] = {
             "n": trials,
             "phi2_fs2_mean": float(p2.mean()),
             "phi2_fs2_sd": float(p2.std(ddof=1)),
             "phi3_fs3_mean": float(p3.mean()),
             "phi3_fs3_sd": float(p3.std(ddof=1)),
-            "phi2_fs2": [float(v) for v in p2],
-            "phi3_fs3": [float(v) for v in p3],
+            **per_trial,
         }
-        if stage1_values:
-            summary["trials"]["stage1_phi2_fs2"] = [float(v) for v in stage1_values]
 
-    files = ["config_echo.json", "truth_mode.json", "interferogram.csv", "result.json"]
     files += _export_artifacts(cfg, outdir, truth, first)
     summary["files"] = sorted(files + ["summary.json"])
     return outdir, summary, first

@@ -5,6 +5,7 @@ import pytest
 
 import shearspec as ss
 from shearspec.cli import main
+from shearspec.reconstruction import fit_to_dict
 
 from conftest import SHEAR, TAU
 
@@ -18,6 +19,13 @@ CONFIG_QUAD = {
     },
     "interferometer": {"shear_nm": 0.58, "delay_fs": 10000.0, "seed": 7},
 }
+
+
+# per-trial lists in summary.json["trials"]: the fit_to_dict keys and two diagnostics
+TRIAL_KEYS = (
+    "phi1_fs", "phi1_fs_stderr", "phi2_fs2", "phi2_fs2_stderr", "phi3_fs3", "phi3_fs3_stderr",
+    "visibility", "sideband_snr",
+)
 
 
 def write_config(tmp_path, name="run.json", **tweaks):
@@ -194,16 +202,51 @@ def test_trials_layout(tmp_path):
     assert main(
         ["pipeline", "--preset", "quadratic", "--trials", "3", "--out", str(out), "--quiet"]
     ) == 0
-    for trial in range(3):
-        tdir = out / f"trial_{trial:03d}"
-        assert (tdir / "result.json").is_file()
-        assert (tdir / "interferogram.csv").is_file()
+    assert (out / "trial_000" / "result.json").is_file()
+    assert (out / "trial_000" / "interferogram.csv").is_file()
+    assert not (out / "trial_001").exists()
+    assert not (out / "trial_002").exists()
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     tr = summary["trials"]
     assert tr["n"] == 3
     assert len(tr["phi2_fs2"]) == 3
     assert len(set(tr["phi2_fs2"])) == 3  # distinct per-trial seeds
     assert tr["phi2_fs2_mean"] == pytest.approx(np.mean(tr["phi2_fs2"]))
+    for key in TRIAL_KEYS:
+        assert len(tr[key]) == 3, key
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("name", ["quadratic", "compensated"])
+def test_summary_lists_the_files_written(tmp_path, name, trials):
+    out = tmp_path / "run"
+    argv = ["pipeline", "--preset", name, "--trials", str(trials), "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert summary["files"] == written
+
+
+def test_trial_records_regenerate_from_the_echo(tmp_path):
+    run, sim = tmp_path / "run", tmp_path / "sim"
+    argv = ["pipeline", "--preset", "quadratic", "--trials", "3", "--out", str(run), "--quiet"]
+    assert main(argv) == 0
+    echo = str(run / "config_echo.json")
+    assert main(["simulate", "--config", echo, "--trials", "3", "--out", str(sim), "--quiet"]) == 0
+    trial0 = "trial_000/interferogram.csv"
+    assert (sim / trial0).read_bytes() == (run / trial0).read_bytes()
+
+    rec0, rec2 = tmp_path / "rec0", tmp_path / "rec2"
+    for trial, rec in ((0, rec0), (2, rec2)):
+        csv = str(sim / f"trial_{trial:03d}" / "interferogram.csv")
+        assert main(["reconstruct", csv, "--config", echo, "--out", str(rec), "--quiet"]) == 0
+    assert (rec0 / "result.json").read_bytes() == (run / "trial_000" / "result.json").read_bytes()
+
+    tr = json.loads((run / "summary.json").read_text(encoding="utf-8"))["trials"]
+    result = ss.load_result(str(rec2 / "result.json"))
+    regenerated = fit_to_dict(result.coefficients)
+    regenerated.update((key, result.diagnostics[key]) for key in ("visibility", "sideband_snr"))
+    assert {key: tr[key][2] for key in TRIAL_KEYS} == regenerated
 
 
 def test_compare_presets(tmp_path):
