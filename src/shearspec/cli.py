@@ -166,15 +166,15 @@ def _settings_overrides(args, base: dict) -> dict:
 
 
 def cmd_reconstruct(args) -> int:
-    if args.trials != 1:
-        raise ConfigError("--trials applies to simulate and pipeline")
     base = load_config(args.config) if args.config else None
 
     shear = None
     if args.shear_nm is not None and args.shear_rad_per_fs is not None:
         raise ConfigError("give one shear unit, not both")
     if args.shear_nm is not None:
-        center = grid_center_nm(base) if base else args.center_nm
+        center = args.center_nm
+        if center is None and base is not None:
+            center = grid_center_nm(base)
         if center is None:
             raise ConfigError("--shear-nm needs --center-nm (or --config) for conversion")
         shear = shear_nm_to_omega(args.shear_nm, center)
@@ -261,8 +261,6 @@ def _analysis_report(result, truth=None) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    if args.trials != 1:
-        raise ConfigError("--trials applies to simulate and pipeline")
     result = load_result(args.result)
     truth = load_mode(args.truth) if args.truth else None
     report = _analysis_report(result, truth)
@@ -377,19 +375,20 @@ def _run_pipeline(cfg: RunConfig, trials: int):
         }
 
     files += _export_artifacts(cfg, outdir, truth, first)
-    summary["files"] = sorted(files + ["summary.json"])
-    return outdir, summary, first
+    return outdir, summary, first, files
 
 
 def cmd_pipeline(args) -> int:
     cfg = _resolve_run_config(args)
-    outdir, summary, first = _run_pipeline(cfg, args.trials)
+    outdir, summary, first, files = _run_pipeline(cfg, args.trials)
 
     if args.compare:
+        # one run: the comparison reads only its first result and v_slope_fs
         det = cfg.interferometer
         compare_dir = os.path.join(outdir, "compare", args.compare)
         other = _with_overrides(preset(args.compare), det.seed, det.noiseless, compare_dir)
-        _, other_summary, other_first = _run_pipeline(other, args.trials)
+        _, other_summary, other_first, other_files = _run_pipeline(other, 1)
+        files += [f"compare/{args.compare}/{name}" for name in other_files]
         if other_first.grid != first.grid:
             raise ConfigError("--compare preset uses an incompatible grid")
         rep = orthogonality_report(first.mode(), other_first.mode())
@@ -401,6 +400,7 @@ def cmd_pipeline(args) -> int:
             "v_slope_fs": other_summary["v_slope_fs"],
         }
 
+    summary["files"] = sorted(files + ["summary.json"])
     write_json(summary, os.path.join(outdir, "summary.json"))
 
     fit = first.coefficients
@@ -440,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", metavar="PATH", help="run configuration JSON")
         p.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
-        p.add_argument("--trials", type=int, default=1, metavar="N", help="Monte Carlo repetitions")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
         if run:
+            p.add_argument("--trials", type=int, default=1, metavar="N", help="Monte Carlo repetitions")
             p.add_argument("--seed", type=int, metavar="U64", help="root seed (overrides config)")
             p.add_argument("--preset", choices=sorted(PRESETS), help="shipped scenario")
             p.add_argument("--noiseless", action="store_true", help="skip photon counting")

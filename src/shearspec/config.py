@@ -260,26 +260,9 @@ def _scenario(
     )
 
 
-def _kink_reconstruction(tau: float) -> dict:
-    """Settings for a phase with a slope kink at the shear scale (V / Lambda).
-
-    Concatenation sums dphi exactly on the shear ladder, where the midpoint
-    rule smooths the kink away.  The kink also gives the sideband long tails
-    in time, which the default tau/3 window clips, so the window is the
-    widest whose 1e-3 support (``support_half_width``) ends tau/3 short of
-    t = 0, the edge of the DC / mirror-sideband region: support 2*tau/3,
-    filter_width ~0.55*tau.  Noiseless fidelity is flat over widths
-    0.50-0.75 tau, so this choice is not tuned to an edge of that plateau.
-    """
-    default = FtsiSettings.for_delay(tau)
-    support_per_width = default.support_half_width() / default.filter_width
-    return {
-        "integration_method": "concatenation",
-        "filter_width": (2.0 * tau / 3.0) / support_per_width,
-    }
-
-
-_KINK_RECONSTRUCTION = _kink_reconstruction(_SHARED_DETECTION.delay_fs)
+# a slope kink at the shear scale (V / Lambda): concatenation sums dphi
+# exactly on the shear ladder, where the midpoint rule smooths the kink away
+_KINK_RECONSTRUCTION = {"integration_method": "concatenation"}
 
 PRESETS = {
     "quadratic": _scenario(

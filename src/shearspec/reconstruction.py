@@ -46,6 +46,17 @@ INTEGRATION_METHODS = ("midpoint_integration", "concatenation")
 MIN_SIDEBAND_SNR = 3.0
 
 
+def _support_per_width(shape: str, order: int) -> float:
+    """support_half_width / filter_width of a window; a bad shape or order raises."""
+    if shape not in FILTER_SHAPES:
+        raise ValueError(f"filter_shape must be one of {FILTER_SHAPES}")
+    if order < 1:
+        raise ValueError("filter_order must be >= 1")
+    if shape == "rectangular":
+        return 1.0
+    return (math.log(1000.0) / math.log(2.0)) ** (1.0 / (2.0 * order))
+
+
 @dataclass(frozen=True)
 class FtsiSettings:
     """Fourier-transform fringe analysis settings.
@@ -69,10 +80,7 @@ class FtsiSettings:
     def __post_init__(self):
         if not 0 < self.filter_width < self.filter_center:
             raise ValueError("need 0 < filter_width < filter_center")
-        if self.filter_shape not in FILTER_SHAPES:
-            raise ValueError(f"filter_shape must be one of {FILTER_SHAPES}")
-        if self.filter_order < 1:
-            raise ValueError("filter_order must be >= 1")
+        _support_per_width(self.filter_shape, self.filter_order)  # checks shape and order
         if not 0 < self.amplitude_floor < 1:
             raise ValueError("amplitude_floor must lie in (0, 1)")
         if self.integration_method not in INTEGRATION_METHODS:
@@ -80,20 +88,25 @@ class FtsiSettings:
 
     @classmethod
     def for_delay(cls, tau: float, **overrides) -> "FtsiSettings":
-        """Defaults for an expected delay: center tau, width tau/3."""
+        """Settings for an expected delay tau: the window centred on tau.
+
+        Unless filter_width is given, the window is the widest of its shape and
+        order whose support_half_width() is 2*tau/3, so it ends tau/3 short of
+        t = 0, the edge of the DC / mirror-sideband region (~0.55*tau for the
+        default order-6 super-Gaussian, wide enough for a kink's sideband tails).
+        """
         if not tau > 0:
             raise ValueError("expected delay must be positive")
-        kwargs = {"filter_center": tau, "filter_width": tau / 3.0}
-        kwargs.update(overrides)
+        kwargs = {"filter_center": tau, **overrides}
+        if "filter_width" not in kwargs:
+            shape = kwargs.get("filter_shape", cls.filter_shape)
+            order = kwargs.get("filter_order", cls.filter_order)
+            kwargs["filter_width"] = (2.0 * tau / 3.0) / _support_per_width(shape, order)
         return cls(**kwargs)
 
     def support_half_width(self) -> float:
         """Half width beyond which the window passes less than 1e-3."""
-        if self.filter_shape == "rectangular":
-            return self.filter_width
-        return self.filter_width * (math.log(1000.0) / math.log(2.0)) ** (
-            1.0 / (2.0 * self.filter_order)
-        )
+        return self.filter_width * _support_per_width(self.filter_shape, self.filter_order)
 
     def window(self, t: np.ndarray, center: float) -> np.ndarray:
         x = (t - center) / self.filter_width

@@ -8,9 +8,9 @@ the V and Lambda modes' mutual overlap (0.0021; the exact modes' is 0.0016)
 lies below the [0.01, 0.11] band, and their temporal intensities are nearly
 disjoint (L1 distance 0.369, and 0.370 even between the exact modes, against
 a 0.05 bound).  Criterion 4 passes for every preset: the V/Lambda presets
-integrate by concatenation with a window wide enough for the sideband's
-kink tails, where the default midpoint rule and tau/3 window capped their
-noiseless fidelity near 0.997.
+integrate by concatenation, and the default window (support 2*tau/3, about
+0.55*tau wide) is wide enough for the sideband's kink tails; the midpoint
+rule with a tau/3 window capped their noiseless fidelity near 0.997.
 """
 
 import math

@@ -164,6 +164,19 @@ def test_reconstruct_shear_nm_uses_grid_center(tmp_path):
     assert used != ss.shear_nm_to_omega(0.58, 830.0)
 
 
+def test_reconstruct_center_nm_overrides_config(tmp_path):
+    cfg = write_config(tmp_path)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--noiseless", "--out", str(sim), "--quiet"]) == 0
+    rec = tmp_path / "rec"
+    assert main(
+        ["reconstruct", str(sim / "interferogram.csv"), "--config", cfg, "--shear-nm", "0.58",
+         "--center-nm", "800", "--out", str(rec), "--quiet"]
+    ) == 0
+    used = ss.load_result(rec / "result.json").diagnostics["shear_rad_per_fs_used"]
+    assert used == ss.shear_nm_to_omega(0.58, 800.0)
+
+
 def test_reconstruct_with_calibration(tmp_path):
     cal_cfg = write_config(tmp_path, "cal.json", **{"interferometer.shear_nm": None,
                                                     "interferometer.shear_rad_per_fs": 0.0})
@@ -249,6 +262,19 @@ def test_trial_records_regenerate_from_the_echo(tmp_path):
     assert {key: tr[key][2] for key in TRIAL_KEYS} == regenerated
 
 
+def test_summary_lists_the_compare_files(tmp_path):
+    # the compare preset runs once: its record sits in compare/PRESET/ itself
+    out = tmp_path / "run"
+    argv = ["pipeline", "--preset", "v-phase", "--compare", "lambda-phase", "--trials", "3",
+            "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert summary["files"] == written
+    assert "compare/lambda-phase/result.json" in written
+    assert not (out / "compare" / "lambda-phase" / "trial_000").exists()
+
+
 def test_compare_presets(tmp_path):
     out = tmp_path / "cmp"
     assert main(
@@ -293,6 +319,25 @@ def test_v_phase_echo_carries_reconstruction_settings(tmp_path):
     assert (rec / "result.json").read_bytes() == (run / "result.json").read_bytes()
 
 
+@pytest.mark.parametrize("delay_fs", [5000.0, 6000.0])
+def test_v_phase_echo_reconstructs_at_an_edited_delay(tmp_path, delay_fs):
+    # the sideband window follows delay_fs: no preset pins a width
+    run = tmp_path / "run"
+    argv = ["pipeline", "--preset", "v-phase", "--noiseless", "--out", str(run), "--quiet"]
+    assert main(argv) == 0
+    echo = json.loads((run / "config_echo.json").read_text(encoding="utf-8"))
+    echo["interferometer"]["delay_fs"] = delay_fs
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(echo), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(
+        ["pipeline", "--config", str(edited), "--noiseless", "--out", str(out), "--quiet"]
+    ) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["delay_fs"] == delay_fs
+    assert summary["overlap_with_truth"] > 0.99
+
+
 def test_quiet_suppresses_stdout(tmp_path, capsys):
     out = tmp_path / "q"
     assert main(
@@ -327,18 +372,20 @@ def test_exit_2_config_problems(tmp_path, capsys):
 
     sim = tmp_path / "sim"
     assert main(["simulate", "--preset", "quadratic", "--out", str(sim), "--quiet"]) == 0
-    assert main(
-        [
-            "reconstruct",
-            str(sim / "interferogram.csv"),
-            "--config",
-            cfg,
-            "--trials",
-            "2",
-            "--out",
-            str(tmp_path / "t"),
-        ]
-    ) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "reconstruct",
+                str(sim / "interferogram.csv"),
+                "--config",
+                cfg,
+                "--trials",
+                "2",
+                "--out",
+                str(tmp_path / "t"),
+            ]
+        )
+    assert exc.value.code == 2
     # shear has to come from somewhere
     assert main(
         ["reconstruct", str(sim / "interferogram.csv"), "--tau-fs", "10000",
@@ -358,6 +405,13 @@ def test_exit_2_config_problems(tmp_path, capsys):
 def test_flags_a_command_would_ignore_are_refused(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+
+
+def test_trials_is_a_run_flag(tmp_path):
+    # only simulate and pipeline repeat a run; analyze has nothing to repeat
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "result.json", "--trials", "2", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
 
 

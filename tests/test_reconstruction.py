@@ -27,13 +27,28 @@ SIGMA = FWHM_W / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 def test_settings_for_delay_defaults():
     st = ss.FtsiSettings.for_delay(TAU)
     assert st.filter_center == TAU
-    assert st.filter_width == pytest.approx(TAU / 3.0)
+    assert st.support_half_width() == pytest.approx(2.0 * TAU / 3.0, rel=1e-12)
     # super-gaussian order 6: support where the window exceeds 1/1000
     assert st.support_half_width() == pytest.approx(
         st.filter_width * (math.log(1000.0) / math.log(2.0)) ** (1.0 / 12.0), rel=1e-12
     )
     assert st.integration_method == "midpoint_integration"
     assert st.correct_envelope_bias is True
+
+
+@pytest.mark.parametrize(
+    "shape_or_order", [{"filter_order": 1}, {"filter_shape": "rectangular"}],
+    ids=["order-1", "rectangular"],
+)
+def test_settings_for_delay_width_follows_shape_and_order(
+    shape_or_order, quad_record, quad_mode, shear_cfg
+):
+    # one rule for every window: the support ends tau/3 short of t = 0
+    st = ss.FtsiSettings.for_delay(TAU, **shape_or_order)
+    assert st.support_half_width() == pytest.approx(2.0 * TAU / 3.0, rel=1e-12)
+    out = ss.reconstruct(quad_record, shear_cfg, st)
+    assert out.coefficients.coefficient(2) == pytest.approx(8.7e4, abs=100.0)
+    assert ss.mode_overlap(out.mode(), quad_mode) > 0.999
 
 
 def test_settings_validation():
