@@ -47,17 +47,17 @@ def _half_max_width(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _find_peaks(x: np.ndarray, y: np.ndarray, threshold: float) -> list:
-    """Local maxima above threshold * max, parabolically refined."""
+    """Local maxima above threshold * max, parabolically refined.
+
+    Bin i is a peak if y[i] >= level, y[i] > y[i-1] and y[i] >= y[i+1]: a
+    flat top counts once, at its first bin.
+    """
     level = threshold * float(np.max(y))
-    peaks = []
-    for i in range(1, len(y) - 1):
-        if y[i] >= level and y[i] > y[i - 1] and y[i] >= y[i + 1]:
-            denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-            shift = 0.0
-            if denom < 0:
-                shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
-            peaks.append(float(x[i] + shift * (x[i] - x[i - 1])))
-    return peaks
+    left, mid, right = y[:-2], y[1:-1], y[2:]
+    i = np.flatnonzero((mid >= level) & (mid > left) & (mid >= right)) + 1
+    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+    shift = np.divide(0.5 * (y[i - 1] - y[i + 1]), denom, out=np.zeros(i.size), where=denom < 0)
+    return (x[i] + shift * (x[i] - x[i - 1])).tolist()
 
 
 def temporal_profile(mode: SpectralMode, peak_threshold: float = 0.1) -> TemporalProfile:
@@ -124,12 +124,13 @@ def v_phase_slope(
 def save_wigner_csv(wmap: WignerMap, path) -> None:
     """Long-format CSV: t_fs,omega_rad_per_fs,w_value (one row per cell, t slowest).
 
-    Floats are written by repr, each axis value once (a repr holds no braces).
+    Floats are written by repr, each axis value once: a row joins the t
+    value, a precomputed ",omega," cell and the value for every frequency.
     """
-    omegas = [f"{w!r}," for w in wmap.omega_axis.tolist()]
+    cells = [f",{w!r}," for w in wmap.omega_axis.tolist()]
     rows = (
-        "".join(map(f"{t!r},{{}}{{!r}}\n".format, omegas, values))
-        for t, values in zip(wmap.t_axis.tolist(), wmap.values.tolist())
+        "".join([f"{t}{cell}{v!r}\n" for cell, v in zip(cells, values)])
+        for t, values in zip(map(repr, wmap.t_axis.tolist()), wmap.values.tolist())
     )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t_fs,omega_rad_per_fs,w_value\n" + "".join(rows))

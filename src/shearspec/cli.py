@@ -235,8 +235,7 @@ def _save_wigner(mode, path) -> None:
     save_wigner_csv(wigner(mode, t, om), path)
 
 
-def _analysis_report(result, truth=None) -> dict:
-    mode = result.mode()
+def _analysis_report(result, mode, truth=None) -> dict:
     prof = temporal_profile(mode)
     report = {
         "fwhm_fs": prof.fwhm_fs,
@@ -263,11 +262,12 @@ def _analysis_report(result, truth=None) -> dict:
 def cmd_analyze(args) -> int:
     result = load_result(args.result)
     truth = load_mode(args.truth) if args.truth else None
-    report = _analysis_report(result, truth)
+    mode = result.mode()
+    report = _analysis_report(result, mode, truth)
 
     outdir = _ensure_dir(args.out or "out")
     if args.wigner:
-        _save_wigner(result.mode(), os.path.join(outdir, "wigner.csv"))
+        _save_wigner(mode, os.path.join(outdir, "wigner.csv"))
     write_json(report, os.path.join(outdir, "report.json"))
     overlap = report.get("overlap_with_truth")
     tail = f", overlap {overlap:.4f}" if overlap is not None else ""
@@ -352,7 +352,7 @@ def _run_pipeline(cfg: RunConfig, trials: int):
         for key, value in stats.items():
             per_trial.setdefault(key, []).append(float(value))
 
-    report = _analysis_report(first, truth)
+    report = _analysis_report(first, first.mode(), truth)
     summary = dict(report)
     summary["pulse"] = config_to_dict(cfg)["pulse"]
     summary["shear_rad_per_fs"] = resolved_shear(cfg)

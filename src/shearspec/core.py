@@ -265,6 +265,8 @@ def mode_overlap(a: SpectralMode, b: SpectralMode) -> float:
 
 def _lattice_index(values, origin: float, step: float, lo: int, hi: int, name: str):
     """Index k in [lo, hi] of each value origin + k*step, to 1e-6 of a step, else ValueError."""
+    if values.size == 0:
+        raise ValueError(f"{name} must hold at least one value")
     x = (values - origin) / step
     k = np.rint(x)
     if not np.all(np.abs(x - k) <= 1e-6):
@@ -283,7 +285,11 @@ def wigner(mode: SpectralMode, t_axis: np.ndarray, omega_axis: np.ndarray) -> "W
     grid node j and each t_axis value a half-step point t = p*dt/2 with
     |t| <= pi/(2*domega), the half period in t, to 1e-6 of a step, else
     ValueError.  Then W = (domega/pi) sum_m conj(a[j+m]) a[j-m] e^{2 pi i m p/N}
-    with a = 0 off the grid: one inverse FFT over the lag m for all t.
+    with a = 0 off the grid.  Every p is a multiple of N/L, L = N/gcd(N, all
+    p mod N), so the phase factor repeats every L lags: the lag products are
+    summed block by block onto L columns, and one L-point inverse FFT gives
+    every t.  Cost O(len(omega_axis)*N) time and O(N + len(omega_axis)*L)
+    memory; axes without a common stride get L = N.
     """
     grid = mode.grid
     n = grid.n_points
@@ -292,18 +298,26 @@ def wigner(mode: SpectralMode, t_axis: np.ndarray, omega_axis: np.ndarray) -> "W
     if t_axis.ndim != 1 or omega_axis.ndim != 1:
         raise ValueError("axes must be one-dimensional")
     j = _lattice_index(omega_axis, grid.omega_start, grid.omega_step, 0, n - 1, "omega_axis")
-    p = _lattice_index(t_axis, 0.0, 0.5 * grid.time_step, -n // 2, n // 2, "t_axis")
+    p = _lattice_index(t_axis, 0.0, 0.5 * grid.time_step, -n // 2, n // 2, "t_axis") % n
+    stride = math.gcd(n, *p.tolist())
+    period = n // stride
 
-    # window j holds a[j+m] and window j+1 reversed holds a[j-m] at column
-    # c = m + n/2; the term |m| = n/2 is zero, as j+m or j-m is off the grid
+    # lag m sits at column c = m + n/2 (the term |m| = n/2 is zero, as j+m or
+    # j-m is off the grid); columns c0..c0+L-1 of row j are conj(a[j+m]) from
+    # window j + c0 of the conjugate times a[j-m] from window n-1-j + c0 of
+    # the reversed copy, and they add onto columns c mod L
     padded = np.zeros(2 * n, dtype=np.complex128)
     padded[n // 2 : n // 2 + n] = mode.amplitude
-    windows = sliding_window_view(padded, n)
-    r = np.conj(windows[j])
-    r *= windows[j + 1, ::-1]
-    # e^{2 pi i m p/n} = (-1)^p e^{2 pi i c p/n}: the sign folds m mod n
-    w = np.fft.ifft(r, axis=1, out=r)[:, p % n]
-    w *= np.where(p % 2 == 0, 1.0, -1.0) * (n * grid.omega_step / math.pi)
+    ahead = sliding_window_view(np.conj(padded), period)
+    behind = sliding_window_view(padded[::-1], period)
+    folded = np.zeros((len(j), period), dtype=np.complex128)
+    for c0 in range(0, n, period):
+        block = ahead[j + c0]
+        block *= behind[(n - 1 + c0) - j]
+        folded += block
+    # e^{2 pi i m p/n} = (-1)^p e^{2 pi i c p/n}, and c p/n = (c mod L)(p/stride)/L mod 1
+    w = np.fft.ifft(folded, axis=1, out=folded)[:, p // stride]
+    w *= np.where(p % 2 == 0, 1.0, -1.0) * (period * grid.omega_step / math.pi)
     peak = np.max(np.abs(w))
     if peak > 0:
         resid = np.max(np.abs(w.imag)) / peak

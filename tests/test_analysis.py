@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import shearspec as ss
+from shearspec.analysis import _find_peaks
 
 from conftest import OMEGA0, FWHM_W
 
@@ -35,6 +36,40 @@ def test_v_profile_two_peaks(grid):
     assert prof.peak_count == 2
     assert sorted(prof.peak_times_fs)[0] == pytest.approx(-1050.0, abs=15.0)
     assert sorted(prof.peak_times_fs)[1] == pytest.approx(1050.0, abs=15.0)
+
+
+def ref_find_peaks(x, y, threshold):
+    """The package's earlier per-bin loop, kept as the reference."""
+    level = threshold * float(np.max(y))
+    peaks = []
+    for i in range(1, len(y) - 1):
+        if y[i] >= level and y[i] > y[i - 1] and y[i] >= y[i + 1]:
+            denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+            shift = 0.0
+            if denom < 0:
+                shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
+            peaks.append(float(x[i] + shift * (x[i] - x[i - 1])))
+    return peaks
+
+
+@pytest.mark.parametrize("case", ["random", "plateau", "two-peak"])
+def test_find_peaks_matches_loop(case, grid):
+    x = grid.times
+    if case == "random":
+        y = np.random.default_rng(5).random(x.size)
+    elif case == "plateau":  # flat tops, a shelf and a tie between neighbours
+        y = np.zeros(x.size)
+        y[100:140] = 1.0
+        y[500:503] = [0.5, 0.7, 0.7]
+        y[503:510] = 0.9
+        y[900:902] = 0.3
+    else:
+        y = np.exp(-(((x - 300.0) / 80.0) ** 2)) + 0.6 * np.exp(-(((x + 700.0) / 50.0) ** 2))
+    got = _find_peaks(x, y, 0.1)
+    ref = ref_find_peaks(x, y, 0.1)
+    assert got == ref  # the same floats, bit for bit
+    assert len(ref) > (100 if case == "random" else 1)
+    assert all(type(t) is float for t in got)
 
 
 def test_orthogonality_self(quad_mode):

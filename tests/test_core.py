@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,74 @@ def ref_wigner_quadrature(mode, t_axis, omega_axis):
     return w.real.T
 
 
+def ref_wigner_unfolded(mode, t_axis, omega_axis, rows=32):
+    """The lag sum with no fold: a full-length inverse FFT over the lag.
+
+    W = (domega/pi) sum_m conj(a[j+m]) a[j-m] e^{2 pi i m p/N}, a = 0 off
+    the grid, for m in [-N/2, N/2) put in FFT order; `rows` frequencies at a
+    time.  Returns the real map, shape (len(t_axis), len(omega_axis)).
+    """
+    grid = mode.grid
+    n = grid.n_points
+    j = np.rint((omega_axis - grid.omega_start) / grid.omega_step).astype(int)
+    p = np.rint(t_axis / (0.5 * grid.time_step)).astype(int)
+    amp = np.concatenate([np.zeros(n), mode.amplitude, np.zeros(n)])
+    m = np.fft.ifftshift(np.arange(-n // 2, n // 2))
+    out = np.empty((len(j), len(p)))
+    for lo in range(0, len(j), rows):
+        jj = j[lo : lo + rows, None] + n
+        lag = np.conj(amp[jj + m]) * amp[jj - m]
+        w = np.fft.ifft(lag, axis=1)[:, p % n] * (n * grid.omega_step / math.pi)
+        out[lo : lo + rows] = w.real
+    return out.T
+
+
+@pytest.fixture(scope="module")
+def mode_16k(quad_pulse):
+    g = ss.make_grid(OMEGA0, 10.0 * FWHM_W, 16384)
+    return ss.synthesize(quad_pulse, g)
+
+
+def cli_axes(g):
+    """The axes of `analyze --wigner`: 128 central times by 256 frequencies."""
+    n = g.n_points
+    return g.times[n // 4 : 3 * n // 4 : n // 256], g.omegas[:: n // 256]
+
+
+def test_wigner_fold_matches_unfolded_sum(mode_16k):
+    t_axis, om_axis = cli_axes(mode_16k.grid)
+    ref = ref_wigner_unfolded(mode_16k, t_axis, om_axis)
+    wmap = ss.wigner(mode_16k, t_axis, om_axis)
+    assert wmap.values.shape == ref.shape == (128, 256)
+    assert np.max(np.abs(wmap.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_wigner_memory_is_the_folded_map(mode_16k):
+    # the unfolded lag products alone are 256 x 16384 complex, 67 MB
+    t_axis, om_axis = cli_axes(mode_16k.grid)
+    tracemalloc.start()
+    try:
+        ss.wigner(mode_16k, t_axis, om_axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("case", ["odd-p", "half-period"])
+def test_wigner_fold_lengths_match_quadrature(case, grid, quad_mode):
+    n = grid.n_points
+    half = 0.5 * grid.time_step
+    if case == "odd-p":  # one odd p: gcd 1, so the fold length is n
+        p = np.array([-n // 4, -64, 0, 37, 512])
+    else:  # p = -n/2 and n/2 fold onto one column, with the signs (-1)^p
+        p = np.arange(-n // 2, n // 2 + 1, n // 16)
+    t_axis, om_axis = p * half, grid.omegas[::16]
+    ref = ref_wigner_quadrature(quad_mode, t_axis, om_axis)
+    wmap = ss.wigner(quad_mode, t_axis, om_axis)
+    assert np.max(np.abs(wmap.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("case", ["cli-axes", "smooth-random"])
 def test_wigner_fft_matches_quadrature(case, grid, quad_mode):
     if case == "cli-axes":  # the axes of `analyze --wigner` at N=4096
@@ -239,6 +308,14 @@ def test_wigner_axes_must_lie_on_the_lattice(grid, quad_mode):
         ss.wigner(quad_mode, np.array([0.0, 0.25 * grid.time_step]), grid.omegas[::64])
     with pytest.raises(ValueError, match="omega_axis"):
         ss.wigner(quad_mode, np.array([0.0]), grid.omegas[::64] + 0.5 * grid.omega_step)
+
+
+@pytest.mark.parametrize("empty", ["t_axis", "omega_axis"])
+def test_wigner_empty_axis_is_named(empty, grid, quad_mode):
+    axes = {"t_axis": np.array([0.0]), "omega_axis": grid.omegas[::64]}
+    axes[empty] = np.array([])
+    with pytest.raises(ValueError, match=empty):
+        ss.wigner(quad_mode, **axes)
 
 
 def test_wigner_marginals_random_smooth():
