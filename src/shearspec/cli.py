@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -165,25 +166,29 @@ def _settings_overrides(args, base: dict) -> dict:
     return over
 
 
+def _reconstruct_shear(args, base) -> float:
+    """Shear in rad/fs from the flags, else the config.  A shear in nm converts at
+    --center-nm, else at the config's grid centre; one in rad/fs refuses --center-nm."""
+    nm, rad = args.shear_nm, args.shear_rad_per_fs
+    if nm is None and rad is None and base is not None:
+        nm, rad = base.interferometer.shear_nm, base.interferometer.shear_rad_per_fs
+    if nm is not None and rad is not None:
+        raise ConfigError("give one shear unit, not both")
+    if rad is not None and args.center_nm is not None:
+        raise ConfigError("--center-nm converts a shear in nm, and this shear is in rad/fs")
+    if rad is not None:
+        return rad
+    if nm is None:
+        raise ConfigError("shear must come from --shear-nm, --shear-rad-per-fs, or --config")
+    center = grid_center_nm(base) if args.center_nm is None and base is not None else args.center_nm
+    if center is None:
+        raise ConfigError("--shear-nm needs --center-nm (or --config) for conversion")
+    return shear_nm_to_omega(nm, center)
+
+
 def cmd_reconstruct(args) -> int:
     base = load_config(args.config) if args.config else None
-
-    shear = None
-    if args.shear_nm is not None and args.shear_rad_per_fs is not None:
-        raise ConfigError("give one shear unit, not both")
-    if args.shear_nm is not None:
-        center = args.center_nm
-        if center is None and base is not None:
-            center = grid_center_nm(base)
-        if center is None:
-            raise ConfigError("--shear-nm needs --center-nm (or --config) for conversion")
-        shear = shear_nm_to_omega(args.shear_nm, center)
-    elif args.shear_rad_per_fs is not None:
-        shear = args.shear_rad_per_fs
-    elif base is not None:
-        shear = resolved_shear(base)
-    if shear is None:
-        raise ConfigError("shear must come from --shear-nm, --shear-rad-per-fs, or --config")
+    shear = _reconstruct_shear(args, base)
 
     tau = args.tau_fs
     if tau is None and base is not None:
@@ -225,16 +230,6 @@ def cmd_reconstruct(args) -> int:
 
 # ---- analyze -----------------------------------------------------------------
 
-def _save_wigner(mode, path) -> None:
-    # grid times lie on wigner()'s half-step lattice; the central half keeps
-    # |t| <= pi/(2*domega), where the map is alias-free
-    grid = mode.grid
-    n = grid.n_points
-    t = grid.times[n // 4 : 3 * n // 4 : max(1, n // 256)]
-    om = grid.omegas[:: max(1, n // 256)]
-    save_wigner_csv(wigner(mode, t, om), path)
-
-
 def _analysis_report(result, mode, truth=None) -> dict:
     prof = temporal_profile(mode)
     report = {
@@ -267,7 +262,13 @@ def cmd_analyze(args) -> int:
 
     outdir = _ensure_dir(args.out or "out")
     if args.wigner:
-        _save_wigner(mode, os.path.join(outdir, "wigner.csv"))
+        # grid times lie on wigner()'s half-step lattice; the central half keeps
+        # |t| <= pi/(2*domega), where the map is alias-free
+        grid = mode.grid
+        n = grid.n_points
+        t = grid.times[n // 4 : 3 * n // 4 : max(1, n // 256)]
+        om = grid.omegas[:: max(1, n // 256)]
+        save_wigner_csv(wigner(mode, t, om), os.path.join(outdir, "wigner.csv"))
     write_json(report, os.path.join(outdir, "report.json"))
     overlap = report.get("overlap_with_truth")
     tail = f", overlap {overlap:.4f}" if overlap is not None else ""
@@ -304,26 +305,20 @@ def _run_single(cfg: RunConfig, mode, ideal, settings, trial: int):
     return mode, (rec, reconstruct(rec, sc, settings)), stage1
 
 
-def _export_artifacts(cfg: RunConfig, outdir: str, truth, result) -> list:
+def _export_artifacts(outdir: str, truth, result) -> list:
     grid = result.grid
     rec_mode = result.mode()
-    tables = {  # output flag: header, row format, columns (built only when written)
-        "spectrum": ("omega_rad_per_fs,truth,recovered", "{!r},{!r},{!r}\n",
-                     lambda: (grid.omegas, truth.intensity(), rec_mode.intensity())),
-        "phase": ("omega_rad_per_fs,truth_rad,recovered_rad,valid", "{!r},{!r},{!r},{:d}\n",
-                  lambda: (grid.omegas, truth.phase(), result.phase_rad, result.valid_mask)),
-        "temporal": ("t_fs,truth,recovered", "{!r},{!r},{!r}\n", lambda: (
-            grid.times, to_time_domain(truth).intensity(), to_time_domain(rec_mode).intensity())),
+    tables = {  # file: header, row format, columns
+        "spectrum.csv": ("omega_rad_per_fs,truth,recovered", "{!r},{!r},{!r}\n",
+                         grid.omegas, truth.intensity(), rec_mode.intensity()),
+        "phase.csv": ("omega_rad_per_fs,truth_rad,recovered_rad,valid", "{!r},{!r},{!r},{:d}\n",
+                      grid.omegas, truth.phase(), result.phase_rad, result.valid_mask),
+        "temporal.csv": ("t_fs,truth,recovered", "{!r},{!r},{!r}\n", grid.times,
+                         to_time_domain(truth).intensity(), to_time_domain(rec_mode).intensity()),
     }
-    files = []
-    for name, (header, fmt, columns) in tables.items():
-        if getattr(cfg.outputs, name):
-            files.append(f"{name}.csv")
-            write_columns(os.path.join(outdir, files[-1]), header, fmt, *columns())
-    if cfg.outputs.wigner:
-        _save_wigner(rec_mode, os.path.join(outdir, "wigner.csv"))
-        files.append("wigner.csv")
-    return files
+    for name, table in tables.items():
+        write_columns(os.path.join(outdir, name), *table)
+    return list(tables)
 
 
 def _run_pipeline(cfg: RunConfig, trials: int):
@@ -352,14 +347,10 @@ def _run_pipeline(cfg: RunConfig, trials: int):
         for key, value in stats.items():
             per_trial.setdefault(key, []).append(float(value))
 
-    report = _analysis_report(first, first.mode(), truth)
-    summary = dict(report)
-    summary["pulse"] = config_to_dict(cfg)["pulse"]
-    summary["shear_rad_per_fs"] = resolved_shear(cfg)
-    summary["delay_fs"] = cfg.interferometer.delay_fs
-    summary["noiseless"] = cfg.interferometer.noiseless
-    summary["seed"] = cfg.interferometer.seed
-    summary["total_counts"] = cfg.interferometer.total_counts
+    det = cfg.interferometer
+    summary = dict(_analysis_report(first, first.mode(), truth), pulse=config_to_dict(cfg)["pulse"],
+                   shear_rad_per_fs=resolved_shear(cfg), delay_fs=det.delay_fs,
+                   noiseless=det.noiseless, seed=det.seed, total_counts=det.total_counts)
     if "stage1_phi2_fs2" in per_trial:
         summary["stage1_phi2_fs2"] = per_trial["stage1_phi2_fs2"][0]
     if trials > 1:
@@ -374,23 +365,24 @@ def _run_pipeline(cfg: RunConfig, trials: int):
             **per_trial,
         }
 
-    files += _export_artifacts(cfg, outdir, truth, first)
+    files += _export_artifacts(outdir, truth, first)
     return outdir, summary, first, files
 
 
 def cmd_pipeline(args) -> int:
     cfg = _resolve_run_config(args)
+    if args.compare:  # checked before either run writes a file
+        det = cfg.interferometer
+        compare_dir = os.path.join(cfg.outputs.directory, "compare", args.compare)
+        other = _with_overrides(preset(args.compare), det.seed, det.noiseless, compare_dir)
+        if build_grid(other) != build_grid(cfg):
+            raise ConfigError("--compare preset uses an incompatible grid")
     outdir, summary, first, files = _run_pipeline(cfg, args.trials)
 
     if args.compare:
         # one run: the comparison reads only its first result and v_slope_fs
-        det = cfg.interferometer
-        compare_dir = os.path.join(outdir, "compare", args.compare)
-        other = _with_overrides(preset(args.compare), det.seed, det.noiseless, compare_dir)
         _, other_summary, other_first, other_files = _run_pipeline(other, 1)
         files += [f"compare/{args.compare}/{name}" for name in other_files]
-        if other_first.grid != first.grid:
-            raise ConfigError("--compare preset uses an incompatible grid")
         rep = orthogonality_report(first.mode(), other_first.mode())
         summary["compare"] = {
             "preset": args.compare,
@@ -454,30 +446,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconstruct", help="recover the complex mode from a CSV record")
     common(p_rec)
     p_rec.add_argument("interferogram", help="interferogram CSV path")
-    p_rec.add_argument("--tau-fs", type=float, dest="tau_fs", help="carrier delay in fs")
-    p_rec.add_argument("--shear-nm", type=float, dest="shear_nm", help="shear in nm")
-    p_rec.add_argument(
-        "--shear-rad-per-fs", type=float, dest="shear_rad_per_fs", help="shear in rad/fs"
-    )
-    p_rec.add_argument(
-        "--center-nm", type=float, dest="center_nm", help="carrier wavelength for --shear-nm"
-    )
-    p_rec.add_argument(
-        "--calibrate-from", dest="calibrate_from", metavar="CSV",
-        help="zero-shear record; fit tau from its fringe slope",
-    )
-    p_rec.add_argument("--filter-center", type=float, dest="filter_center", help="fs")
-    p_rec.add_argument("--filter-width", type=float, dest="filter_width", help="HWHM, fs")
-    p_rec.add_argument("--filter-order", type=int, dest="filter_order")
-    p_rec.add_argument("--filter-shape", choices=FILTER_SHAPES, dest="filter_shape")
-    p_rec.add_argument("--amplitude-floor", type=float, dest="amplitude_floor")
-    p_rec.add_argument(
-        "--integration-method", choices=INTEGRATION_METHODS, dest="integration_method"
-    )
-    p_rec.add_argument(
-        "--no-envelope-correction", action="store_true", dest="no_envelope_correction",
-        help="keep the -shear/2 envelope centroid bias",
-    )
+    p_rec.add_argument("--tau-fs", type=float, help="carrier delay in fs")
+    p_rec.add_argument("--shear-nm", type=float, help="shear in nm")
+    p_rec.add_argument("--shear-rad-per-fs", type=float, help="shear in rad/fs")
+    p_rec.add_argument("--center-nm", type=float, help="carrier wavelength for --shear-nm")
+    p_rec.add_argument("--calibrate-from", metavar="CSV",
+                       help="zero-shear record; fit tau from its fringe slope")
+    # one flag per FtsiSettings field, typed by its hint; the bool is --no-envelope-correction
+    extra = {"filter_center": {"help": "fs"}, "filter_width": {"help": "HWHM, fs"},
+             "filter_shape": {"choices": FILTER_SHAPES},
+             "integration_method": {"choices": INTEGRATION_METHODS}}
+    hints = get_type_hints(FtsiSettings)
+    for name in (f.name for f in fields(FtsiSettings) if hints[f.name] is not bool):
+        p_rec.add_argument("--" + name.replace("_", "-"), type=hints[name], **extra.get(name, {}))
+    p_rec.add_argument("--no-envelope-correction", action="store_true",
+                       help="keep the -shear/2 envelope centroid bias")
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_ana = sub.add_parser("analyze", help="profile a reconstruction result")

@@ -2,8 +2,8 @@
 
 A run is described by one JSON document with blocks mirroring the library
 layers: pulse (synthesis), grid, interferometer (shear/delay/counts/seed),
-reconstruction (FtsiSettings overrides), outputs (artifact toggles).  All
-validation failures raise ConfigError so the CLI can map them to exit 2.
+reconstruction (FtsiSettings overrides), outputs (the output directory).
+All validation failures raise ConfigError so the CLI can map them to exit 2.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class DetectionSpec:
 @dataclass(frozen=True)
 class OutputSpec:
     directory: str = "out"
-    spectrum: bool = True
-    phase: bool = True
-    temporal: bool = True
-    wigner: bool = False
 
 
 @dataclass(frozen=True)
@@ -135,8 +131,20 @@ def _build(cls, block, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+# retired `outputs` toggles, at the one value every run had, load as no-ops
+_RETIRED_OUTPUTS = {"spectrum": True, "phase": True, "temporal": True, "wigner": False}
+
+
 def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
     """Build a RunConfig from parsed JSON, rejecting unknown keys and wrong types."""
+    outputs = raw.get("outputs") if isinstance(raw, dict) else None
+    if isinstance(outputs, dict):
+        for key, old in _RETIRED_OUTPUTS.items():
+            if outputs.get(key) is not None and outputs[key] is not old:  # `is`: 1 is not true
+                fix = "use `analyze --wigner`" if key == "wigner" else f"{key}.csv is always written"
+                raise ConfigError(f"{where}.outputs: {key!r} is retired and may only be "
+                                  f"{str(old).lower()}; {fix}")
+        raw = {**raw, "outputs": {k: v for k, v in outputs.items() if k not in _RETIRED_OUTPUTS}}
     cfg = _build(RunConfig, raw, where)
     validate_config(cfg, where)
     return cfg

@@ -177,6 +177,81 @@ def test_reconstruct_center_nm_overrides_config(tmp_path):
     assert used == ss.shear_nm_to_omega(0.58, 800.0)
 
 
+def test_reconstruct_center_nm_converts_the_config_shear_nm(tmp_path):
+    # without --shear-nm the config's shear_nm converts at --center-nm too
+    cfg = write_config(tmp_path)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--noiseless", "--out", str(sim), "--quiet"]) == 0
+    rec = tmp_path / "rec"
+    assert main(
+        ["reconstruct", str(sim / "interferogram.csv"), "--config", cfg, "--center-nm", "800",
+         "--out", str(rec), "--quiet"]
+    ) == 0
+    used = ss.load_result(rec / "result.json").diagnostics["shear_rad_per_fs_used"]
+    assert used == ss.shear_nm_to_omega(0.58, 800.0)
+    assert used != ss.resolved_shear(ss.load_config(cfg))
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_center_nm_refused_for_a_shear_in_rad_per_fs(tmp_path, capsys, source):
+    if source == "flag":
+        shear = ["--shear-rad-per-fs", str(SHEAR), "--tau-fs", "10000"]
+    else:
+        shear = ["--config", write_config(tmp_path, **{"interferometer.shear_nm": None,
+                                                       "interferometer.shear_rad_per_fs": SHEAR})]
+    rec = tmp_path / "rec"
+    # the shear is resolved before the record is read: a missing record still exits 2
+    assert main(["reconstruct", str(tmp_path / "none.csv"), *shear, "--center-nm", "500",
+                 "--out", str(rec), "--quiet"]) == 2
+    assert "--center-nm" in capsys.readouterr().err
+    assert not rec.exists()
+
+
+def test_reconstruct_without_envelope_correction(tmp_path):
+    sim, rec = tmp_path / "sim", tmp_path / "rec"
+    argv = ["simulate", "--preset", "quadratic", "--noiseless", "--out", str(sim), "--quiet"]
+    assert main(argv) == 0
+    echo = str(sim / "config_echo.json")
+    assert main(["reconstruct", str(sim / "interferogram.csv"), "--config", echo,
+                 "--no-envelope-correction", "--out", str(rec), "--quiet"]) == 0
+    got = ss.load_result(rec / "result.json")
+    assert got.diagnostics["envelope_bias_corrected"] is False
+
+    cfg = ss.load_config(echo)
+    record = ss.load_interferogram_csv(sim / "interferogram.csv", ss.shear_config(cfg))
+    settings = ss.FtsiSettings.for_delay(TAU, **cfg.reconstruction, correct_envelope_bias=False)
+    want = ss.reconstruct(record, ss.shear_config(cfg), settings)
+    for name in ("amplitude_abs", "phase_rad", "valid_mask", "phase_difference"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.coefficients == want.coefficients
+
+
+def test_reconstruct_help_lists_the_settings_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in ("--filter-center", "--filter-width", "--filter-order", "--filter-shape",
+                 "--amplitude-floor", "--integration-method", "--no-envelope-correction"):
+        assert flag in text, flag
+    assert "--correct-envelope-bias" not in text
+    assert "{super_gaussian,rectangular}" in text
+    assert "{midpoint_integration,concatenation}" in text
+
+
+@pytest.mark.parametrize(
+    "flag", [["--filter-shape", "triangular"], ["--integration-method", "simpson"],
+             ["--filter-order", "4.5"], ["--filter-width", "wide"]],
+    ids=["shape", "method", "order", "width"],
+)
+def test_bad_settings_flag_exits_2_before_reading(tmp_path, flag):
+    # the record does not exist: reading it would exit 4
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", str(tmp_path / "none.csv"), "--shear-rad-per-fs", str(SHEAR),
+              "--tau-fs", "10000", *flag, "--out", str(tmp_path / "rec")])
+    assert exc.value.code == 2
+
+
 def test_reconstruct_with_calibration(tmp_path):
     cal_cfg = write_config(tmp_path, "cal.json", **{"interferometer.shear_nm": None,
                                                     "interferometer.shear_rad_per_fs": 0.0})
@@ -273,6 +348,16 @@ def test_summary_lists_the_compare_files(tmp_path):
     assert summary["files"] == written
     assert "compare/lambda-phase/result.json" in written
     assert not (out / "compare" / "lambda-phase" / "trial_000").exists()
+
+
+def test_compare_grid_is_checked_before_running(tmp_path, capsys):
+    cfg = write_config(tmp_path, **{"grid.n_points": 2048})
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", cfg, "--compare", "quadratic", "--out", str(out),
+                 "--quiet"]) == 2
+    assert "incompatible grid" in capsys.readouterr().err
+    assert not (out / "compare").exists()
+    assert not out.exists()
 
 
 def test_compare_presets(tmp_path):
@@ -413,6 +498,22 @@ def test_trials_is_a_run_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "result.json", "--trials", "2", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_zero_trials_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert main([command, "--preset", "quadratic", "--trials", "0", "--out", str(out)]) == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_below_a_regular_file_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    argv = ["simulate", "--preset", "quadratic", "--noiseless", "--out", str(blocker / "run")]
+    assert main(argv) == 4
+    assert "cannot create output directory" in capsys.readouterr().err
 
 
 def test_exit_3_starved_record(tmp_path, capsys):

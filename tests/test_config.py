@@ -191,3 +191,42 @@ def test_calibration_settings_error_exits_2(tmp_path, capsys):
          "--calibrate-from", record, "--amplitude-floor", "2", "--out", str(tmp_path / "rec")]
     ) == 2
     assert "amplitude_floor" in capsys.readouterr().err
+
+
+# ---- retired output toggles --------------------------------------------------
+
+RETIRED = {"spectrum": True, "phase": True, "temporal": True, "wigner": False}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED))
+@pytest.mark.parametrize("value", ["old", None], ids=["old-value", "null"])
+def test_retired_output_key_loads_and_leaves_the_echo(key, value):
+    value = RETIRED[key] if value == "old" else value
+    cfg = ss.config_from_dict(raw_config(**{f"outputs.{key}": value}))
+    assert cfg == ss.config_from_dict(raw_config())
+    assert ss.config_to_dict(cfg)["outputs"] == {"directory": "out"}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("wigner", True, "analyze --wigner"), ("spectrum", False, "spectrum.csv is always written"),
+     ("phase", 1, "'phase' is retired"), ("temporal", "true", "'temporal' is retired")],
+)
+def test_retired_output_key_at_another_value_is_refused(key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        ss.config_from_dict(raw_config(**{f"outputs.{key}": value}))
+
+
+def test_old_echo_with_retired_keys_runs(tmp_path, capsys):
+    old = raw_config(outputs={"directory": str(tmp_path / "cfg-out"), **RETIRED})
+    path = tmp_path / "old_echo.json"
+    path.write_text(json.dumps(old), encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim"), "--quiet"]) == 0
+    echo = json.loads((tmp_path / "sim" / "config_echo.json").read_text(encoding="utf-8"))
+    assert set(echo["outputs"]) == {"directory"}
+
+    for key, value in (("wigner", True), ("spectrum", False)):
+        path.write_text(json.dumps(raw_config(**{f"outputs.{key}": value})), encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / key)]) == 2
+        assert f"{key!r} is retired" in capsys.readouterr().err
+        assert not (tmp_path / key).exists()
