@@ -35,7 +35,6 @@ from .config import (
     require_seed,
     resolved_shear,
     save_config,
-    settings_for_delay,
     shear_config,
     validate_config,
 )
@@ -156,14 +155,16 @@ def cmd_simulate(args) -> int:
 
 # ---- reconstruct -------------------------------------------------------------
 
-def _settings_overrides(args, base: dict) -> dict:
-    over = dict(base)
-    for f in fields(FtsiSettings):
-        if getattr(args, f.name, None) is not None:
-            over[f.name] = getattr(args, f.name)
-    if getattr(args, "no_envelope_correction", False):
-        over["correct_envelope_bias"] = False
-    return over
+def _reconstruct_settings(args, base) -> FtsiSettings:
+    """The config's settings, else the defaults, with the settings flags applied."""
+    flags = {f.name: getattr(args, f.name) for f in fields(FtsiSettings)
+             if getattr(args, f.name, None) is not None}
+    if args.no_envelope_correction:
+        flags["correct_envelope_bias"] = False
+    try:
+        return replace(ftsi_settings(base) if base else FtsiSettings(), **flags)
+    except ValueError as exc:
+        raise ConfigError(f"reconstruction settings: {exc}") from None
 
 
 def _reconstruct_shear(args, base) -> float:
@@ -189,28 +190,25 @@ def _reconstruct_shear(args, base) -> float:
 def cmd_reconstruct(args) -> int:
     base = load_config(args.config) if args.config else None
     shear = _reconstruct_shear(args, base)
+    settings = _reconstruct_settings(args, base)
 
     tau = args.tau_fs
     if tau is None and base is not None:
         tau = base.interferometer.delay_fs
 
-    overrides = _settings_overrides(args, base.reconstruction if base else {})
     calibration = None
     if args.calibrate_from:
-        cal_interf = load_interferogram_csv(args.calibrate_from, ShearConfig(0.0, tau or 1.0))
-        guess = tau if tau is not None else coarse_delay_guess(cal_interf)
-        cal_settings = settings_for_delay(
-            guess, {k: v for k, v in overrides.items() if not k.startswith("filter_")}
-        )
-        calibration = calibrate_delay(cal_interf, cal_settings)
+        expected = ShearConfig(0.0, 1.0 if tau is None else tau)
+        cal = load_interferogram_csv(args.calibrate_from, expected)
+        if tau is None:  # search around the record's own sideband
+            cal = replace(cal, config=ShearConfig(0.0, coarse_delay_guess(cal)))
+        calibration = calibrate_delay(cal, settings)
         tau = calibration.tau_fs
     if tau is None:
         raise ConfigError("delay must come from --tau-fs, --config, or --calibrate-from")
 
     sc = ShearConfig(shear=shear, delay=tau)
     interf = load_interferogram_csv(args.interferogram, sc)
-    settings = settings_for_delay(tau, overrides)
-
     result = reconstruct(interf, sc, settings)
     if calibration is not None:
         result.diagnostics["tau_calibrated"] = True
@@ -256,8 +254,11 @@ def _analysis_report(result, mode, truth=None) -> dict:
 
 def cmd_analyze(args) -> int:
     result = load_result(args.result)
+    try:
+        mode = result.mode()
+    except ValueError as exc:  # an amplitude that is not unit-norm
+        raise DataFormatError(f"{args.result}: {exc}") from None
     truth = load_mode(args.truth) if args.truth else None
-    mode = result.mode()
     report = _analysis_report(result, mode, truth)
 
     outdir = _ensure_dir(args.out or "out")
@@ -452,13 +453,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--center-nm", type=float, help="carrier wavelength for --shear-nm")
     p_rec.add_argument("--calibrate-from", metavar="CSV",
                        help="zero-shear record; fit tau from its fringe slope")
-    # one flag per FtsiSettings field, typed by its hint; the bool is --no-envelope-correction
-    extra = {"filter_center": {"help": "fs"}, "filter_width": {"help": "HWHM, fs"},
+    # one flag per FtsiSettings field, typed by its hint (filter_width's float | None as
+    # float); the bool is --no-envelope-correction
+    extra = {"filter_width": {"type": float, "help": "HWHM, fs (default: from the delay)"},
              "filter_shape": {"choices": FILTER_SHAPES},
              "integration_method": {"choices": INTEGRATION_METHODS}}
     hints = get_type_hints(FtsiSettings)
     for name in (f.name for f in fields(FtsiSettings) if hints[f.name] is not bool):
-        p_rec.add_argument("--" + name.replace("_", "-"), type=hints[name], **extra.get(name, {}))
+        kwargs = {"type": hints[name], **extra.get(name, {})}
+        p_rec.add_argument("--" + name.replace("_", "-"), **kwargs)
     p_rec.add_argument("--no-envelope-correction", action="store_true",
                        help="keep the -shear/2 envelope centroid bias")
     p_rec.set_defaults(func=cmd_reconstruct)

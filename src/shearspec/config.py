@@ -2,7 +2,7 @@
 
 A run is described by one JSON document with blocks mirroring the library
 layers: pulse (synthesis), grid, interferometer (shear/delay/counts/seed),
-reconstruction (FtsiSettings overrides), outputs (the output directory).
+reconstruction (FtsiSettings), outputs (the output directory).
 All validation failures raise ConfigError so the CLI can map them to exit 2.
 """
 
@@ -21,7 +21,7 @@ from .core import (
 )
 from .errors import ConfigError
 from .interferometer import ShearConfig
-from .reconstruction import FtsiSettings
+from .reconstruction import FtsiSettings, check_delay
 from .synthesis import PulseSpec, check_coverage
 
 MAX_SEED = 2**64 - 1
@@ -58,7 +58,7 @@ class RunConfig:
     pulse: PulseSpec
     grid: GridSpec = field(default_factory=GridSpec)
     interferometer: DetectionSpec = field(default_factory=DetectionSpec)
-    reconstruction: dict = field(default_factory=dict, metadata={"overrides_of": FtsiSettings})
+    reconstruction: FtsiSettings = field(default_factory=FtsiSettings)
     outputs: OutputSpec = field(default_factory=OutputSpec)
     compensate_phi2: bool = False
 
@@ -109,11 +109,7 @@ def _checked(cls, block, where: str) -> dict:
     kwargs = {}
     for f in fields(cls):
         value = block.get(f.name)
-        if value is None:
-            continue
-        if "overrides_of" in f.metadata:  # keys and types are that dataclass's fields
-            kwargs[f.name] = _checked(f.metadata["overrides_of"], value, f"{where}.{f.name}")
-        else:
+        if value is not None:
             kwargs[f.name] = _typed(value, hints[f.name], where, f.name)
     return kwargs
 
@@ -171,9 +167,10 @@ def validate_config(cfg: RunConfig, where: str = "config") -> None:
     if cfg.compensate_phi2 and cfg.pulse.phase_kind != "polynomial":
         raise ConfigError(f"{where}: compensate_phi2 requires a polynomial pulse")
     try:
-        check_coverage(cfg.pulse, build_grid(cfg))
-        ftsi_settings(cfg)
-    except (ValueError, TypeError) as exc:
+        grid = build_grid(cfg)
+        check_coverage(cfg.pulse, grid)
+        check_delay(cfg.reconstruction, grid, det.delay_fs)
+    except (ValueError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -231,15 +228,7 @@ def shear_config(cfg: RunConfig) -> ShearConfig:
 
 
 def ftsi_settings(cfg: RunConfig) -> FtsiSettings:
-    return settings_for_delay(cfg.interferometer.delay_fs, cfg.reconstruction)
-
-
-def settings_for_delay(tau: float, overrides: dict) -> FtsiSettings:
-    """FtsiSettings.for_delay(tau, **overrides), a bad override raising ConfigError."""
-    try:
-        return FtsiSettings.for_delay(tau, **overrides)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"reconstruction settings: {exc}") from None
+    return cfg.reconstruction
 
 
 def derive_seed(root: int, purpose: str, trial: int = 0) -> int:
@@ -258,19 +247,19 @@ _SHARED_DETECTION = DetectionSpec(shear_nm=0.58, delay_fs=10000.0, total_counts=
 
 
 def _scenario(
-    pulse: PulseSpec, compensate: bool = False, reconstruction: dict | None = None
+    pulse: PulseSpec, compensate: bool = False, reconstruction: FtsiSettings = FtsiSettings()
 ) -> RunConfig:
     return RunConfig(
         pulse=pulse,
         interferometer=_SHARED_DETECTION,
-        reconstruction=dict(reconstruction or {}),
+        reconstruction=reconstruction,
         compensate_phi2=compensate,
     )
 
 
 # a slope kink at the shear scale (V / Lambda): concatenation sums dphi
 # exactly on the shear ladder, where the midpoint rule smooths the kink away
-_KINK_RECONSTRUCTION = {"integration_method": "concatenation"}
+_KINK_RECONSTRUCTION = FtsiSettings(integration_method="concatenation")
 
 PRESETS = {
     "quadratic": _scenario(

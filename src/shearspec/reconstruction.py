@@ -59,18 +59,21 @@ def _support_per_width(shape: str, order: int) -> float:
 
 @dataclass(frozen=True)
 class FtsiSettings:
-    """Fourier-transform fringe analysis settings.
+    """Fourier-transform fringe analysis settings; none depends on the delay.
 
-    filter_center/filter_width are in fs; the filter is re-centered on the
-    detected sideband peak inside the search window [center-width,
-    center+width].  filter_width is the half width at half maximum of the
+    The sideband filter is re-centred on the detected peak inside the search
+    window [tau - width, tau + width] around the delay tau the record is
+    analysed at.  filter_width (fs) is the half width at half maximum of the
     super-Gaussian window exp(-ln2 * ((t-c)/width)^(2*order)), or the half
-    width of the rectangular window.  amplitude_floor masks bins whose
-    summed-output intensity falls below floor * max before unwrapping.
+    width of the rectangular window.  None takes width(tau): the widest
+    window of its shape and order whose support_half_width(tau) is 2*tau/3,
+    so it ends tau/3 short of t = 0, the edge of the DC / mirror-sideband
+    region (~0.55*tau for the default order-6 super-Gaussian, wide enough for
+    a kink's sideband tails).  amplitude_floor masks bins whose summed-output
+    intensity falls below floor * max before unwrapping.
     """
 
-    filter_center: float
-    filter_width: float
+    filter_width: float | None = None
     filter_shape: str = "super_gaussian"
     filter_order: int = 6
     amplitude_floor: float = 0.003
@@ -78,38 +81,26 @@ class FtsiSettings:
     correct_envelope_bias: bool = True
 
     def __post_init__(self):
-        if not 0 < self.filter_width < self.filter_center:
-            raise ValueError("need 0 < filter_width < filter_center")
+        if self.filter_width is not None and not self.filter_width > 0:
+            raise ValueError("filter_width must be positive")
         _support_per_width(self.filter_shape, self.filter_order)  # checks shape and order
         if not 0 < self.amplitude_floor < 1:
             raise ValueError("amplitude_floor must lie in (0, 1)")
         if self.integration_method not in INTEGRATION_METHODS:
             raise ValueError(f"integration_method must be one of {INTEGRATION_METHODS}")
 
-    @classmethod
-    def for_delay(cls, tau: float, **overrides) -> "FtsiSettings":
-        """Settings for an expected delay tau: the window centred on tau.
+    def width(self, tau: float) -> float:
+        """The window's half width for a record analysed at delay tau."""
+        if self.filter_width is not None:
+            return self.filter_width
+        return (2.0 * tau / 3.0) / _support_per_width(self.filter_shape, self.filter_order)
 
-        Unless filter_width is given, the window is the widest of its shape and
-        order whose support_half_width() is 2*tau/3, so it ends tau/3 short of
-        t = 0, the edge of the DC / mirror-sideband region (~0.55*tau for the
-        default order-6 super-Gaussian, wide enough for a kink's sideband tails).
-        """
-        if not tau > 0:
-            raise ValueError("expected delay must be positive")
-        kwargs = {"filter_center": tau, **overrides}
-        if "filter_width" not in kwargs:
-            shape = kwargs.get("filter_shape", cls.filter_shape)
-            order = kwargs.get("filter_order", cls.filter_order)
-            kwargs["filter_width"] = (2.0 * tau / 3.0) / _support_per_width(shape, order)
-        return cls(**kwargs)
+    def support_half_width(self, tau: float) -> float:
+        """Half width beyond which the window at delay tau passes less than 1e-3."""
+        return self.width(tau) * _support_per_width(self.filter_shape, self.filter_order)
 
-    def support_half_width(self) -> float:
-        """Half width beyond which the window passes less than 1e-3."""
-        return self.filter_width * _support_per_width(self.filter_shape, self.filter_order)
-
-    def window(self, t: np.ndarray, center: float) -> np.ndarray:
-        x = (t - center) / self.filter_width
+    def window(self, t: np.ndarray, center: float, width: float) -> np.ndarray:
+        x = (t - center) / width
         if self.filter_shape == "rectangular":
             return (np.abs(x) <= 1.0).astype(float)
         # exp underflows to exactly 0.0 past ln2 * |x|^(2k) = 746: evaluate below 760 only
@@ -200,13 +191,32 @@ def coarse_delay_guess(interf: Interferogram) -> float:
     return float(t[i])
 
 
-def _isolate_sideband(interf: Interferogram, settings: FtsiSettings):
+def check_delay(settings: FtsiSettings, grid: SpectralGrid, tau: float) -> None:
+    """ConfigError unless a record on `grid` can be analysed at delay tau.
+
+    The fringe period 2*pi/tau needs at least 4 samples, and the search
+    window [tau - width, tau + width] must stay clear of t = 0.
+    """
+    if not tau > 0:
+        raise ConfigError("tau must be positive")
+    if 2.0 * math.pi / tau < 4.0 * grid.omega_step:
+        raise ConfigError(
+            f"fringes not resolvable at tau = {tau:g} fs: fewer than 4 samples per period 2*pi/tau"
+        )
+    width = settings.width(tau)
+    if not width < tau:
+        raise ConfigError(f"filter_width {width:g} fs must be below the delay {tau:g} fs")
+
+
+def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float):
     """Filter the +tau sideband of the difference record; return (Z(omega), snr, t_peak)."""
     grid = interf.grid
+    check_delay(settings, grid, tau)
+    w = settings.width(tau)
     f = _fringe_transform(interf)
     t = grid.times
     mag = np.abs(f)
-    search = np.abs(t - settings.filter_center) <= settings.filter_width
+    search = np.abs(t - tau) <= w
     if not np.any(search):
         raise ConfigError("filter window lies outside the grid's time span")
     i_pk = int(np.flatnonzero(search)[np.argmax(mag[search])])
@@ -215,7 +225,6 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings):
 
     if peak <= 0.0:
         raise LowVisibilityError("record shows no sideband energy in the filter window")
-    w = settings.filter_width
     off = (np.abs(t) >= 2.0 * w) & (np.abs(np.abs(t) - abs(t_pk)) >= 2.0 * w)
     floor = float(np.median(mag[off])) if np.any(off) else 0.0
     snr = peak / floor if floor > 0 else math.inf
@@ -224,7 +233,7 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings):
             f"sideband SNR {snr:.2f} below {MIN_SIDEBAND_SNR}: fringes not usable"
         )
 
-    support = settings.support_half_width()
+    support = settings.support_half_width(tau)
     if t_pk - support <= 0.0:
         raise FilterCollisionError(
             f"filter support [{t_pk - support:.0f}, {t_pk + support:.0f}] fs reaches "
@@ -237,7 +246,7 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings):
             "half the sideband peak"
         )
 
-    z = temporal_to_spectral_array(f * settings.window(t, t_pk), grid)
+    z = temporal_to_spectral_array(f * settings.window(t, t_pk, w), grid)
     return z, snr, t_pk
 
 
@@ -258,23 +267,17 @@ def extract_phase_difference(
 ) -> tuple[np.ndarray, FringeDiagnostics]:
     """Measure dphi(omega) = phi(omega) - phi(omega+W) from the fringe record.
 
-    tau is the calibrated delay used for carrier removal; the sideband
-    filter itself locks onto the detected peak.  Returns dphi on the full
-    grid (bridged outside the valid mask) plus diagnostics.
+    tau is the calibrated delay, used for the sideband search and carrier
+    removal; the filter itself locks onto the detected peak.  Returns dphi
+    on the full grid (bridged outside the valid mask) plus diagnostics.
     """
     grid = interf.grid
-    if not tau > 0:
-        raise ConfigError("tau must be positive")
-    if 2.0 * math.pi / tau < 4.0 * grid.omega_step:
-        raise ConfigError(
-            "fringes not resolvable: fewer than 4 samples per period 2*pi/tau"
-        )
     _record_total(interf)
     mask = _amplitude_mask(interf, settings)
     if int(mask.sum()) < 8:
         raise DegenerateInputError("fewer than 8 bins above the amplitude floor")
 
-    z, snr, t_pk = _isolate_sideband(interf, settings)
+    z, snr, t_pk = _isolate_sideband(interf, settings, tau)
     zc = z * np.exp(-1j * grid.omegas * tau)
     dphi = _bridge(grid.omegas, np.angle(zc), mask)
     # Unwrapping leaves a global 2*pi*k ambiguity in dphi, which the record
@@ -297,13 +300,14 @@ def calibrate_delay(interf: Interferogram, settings: FtsiSettings) -> DelayCalib
 
     The sideband phase of a zero-shear interferogram is omega*tau exactly,
     so a weighted straight-line fit over valid bins returns tau and its
-    standard error.
+    standard error.  The sideband is searched for around the record's
+    expected delay, interf.config.delay.
     """
     if interf.config.shear != 0.0:
         raise ValueError("delay calibration expects a zero-shear record")
     _record_total(interf)
     try:
-        z, snr, _ = _isolate_sideband(interf, settings)
+        z, snr, _ = _isolate_sideband(interf, settings, interf.config.delay)
     except (LowVisibilityError, FilterCollisionError) as exc:
         raise CalibrationError(f"no resolvable carrier fringes: {exc}") from exc
     mask = _amplitude_mask(interf, settings)

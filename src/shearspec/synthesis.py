@@ -59,6 +59,9 @@ class PulseSpec:
                 raise ValueError("table_phase length must match table_omega")
             if self.table_amplitude and len(self.table_amplitude) != len(self.table_omega):
                 raise ValueError("table_amplitude length must match table_omega")
+            if self.table_amplitude and not (min(self.table_amplitude) >= 0
+                                             and max(self.table_amplitude) > 0):
+                raise ValueError("table_amplitude must be non-negative and not all zero")
 
     @property
     def omega_center(self) -> float:
@@ -95,8 +98,6 @@ def synthesize(spec: PulseSpec, grid: SpectralGrid) -> SpectralMode:
             omegas, np.asarray(spec.table_omega), np.asarray(spec.table_amplitude),
             left=0.0, right=0.0,
         )
-        if np.any(amp < 0):
-            raise ValueError("tabulated amplitude must be non-negative")
     else:
         sigma = fwhm / _FWHM_PER_SIGMA
         amp = np.exp(-(detuning**2) / (4.0 * sigma**2))  # amplitude of Gaussian intensity

@@ -40,7 +40,7 @@ def quad_record(quad_mode, shear_cfg):
 
 @pytest.fixture(scope="session")
 def settings():
-    return ss.FtsiSettings.for_delay(TAU)
+    return ss.FtsiSettings()
 
 
 def gaussian_weights(g):

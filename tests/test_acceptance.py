@@ -242,7 +242,7 @@ def test_criterion_8_delay_calibration(quad_mode):
     worst = 0.0
     for tau in (5000.0, 10000.0):
         ideal = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=tau))
-        cal_settings = ss.FtsiSettings.for_delay(tau)
+        cal_settings = ss.FtsiSettings()
         for seed in range(50):
             rec = ss.detect_counts(ideal, 1_000_000, ss.derive_seed(seed, "counts", 0))
             cal = ss.calibrate_delay(rec, cal_settings)

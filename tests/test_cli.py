@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ def test_reconstruct_without_envelope_correction(tmp_path):
 
     cfg = ss.load_config(echo)
     record = ss.load_interferogram_csv(sim / "interferogram.csv", ss.shear_config(cfg))
-    settings = ss.FtsiSettings.for_delay(TAU, **cfg.reconstruction, correct_envelope_bias=False)
+    settings = replace(cfg.reconstruction, correct_envelope_bias=False)
     want = ss.reconstruct(record, ss.shear_config(cfg), settings)
     for name in ("amplitude_abs", "phase_rad", "valid_mask", "phase_difference"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -231,7 +232,7 @@ def test_reconstruct_help_lists_the_settings_flags(capsys):
         main(["reconstruct", "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for flag in ("--filter-center", "--filter-width", "--filter-order", "--filter-shape",
+    for flag in ("--filter-width", "--filter-order", "--filter-shape",
                  "--amplitude-floor", "--integration-method", "--no-envelope-correction"):
         assert flag in text, flag
     assert "--correct-envelope-bias" not in text
@@ -283,6 +284,36 @@ def test_reconstruct_with_calibration(tmp_path):
     assert result.diagnostics["tau_calibrated"] is True
     assert result.diagnostics["tau_fs_used"] == pytest.approx(10000.0, rel=1e-3)
     assert result.coefficients.coefficient(2) == pytest.approx(8.7e4, abs=100.0)
+
+
+def test_calibration_uses_the_record_settings(tmp_path):
+    # a noisy zero-shear record: the fitted delay depends on the window's order
+    cal_cfg = write_config(tmp_path, "cal.json", **{"interferometer.shear_nm": None,
+                                                    "interferometer.shear_rad_per_fs": 0.0})
+    cal = tmp_path / "cal"
+    assert main(["simulate", "--config", cal_cfg, "--out", str(cal), "--quiet"]) == 0
+    sim, rec = tmp_path / "sim", tmp_path / "rec"
+    argv = ["simulate", "--preset", "quadratic", "--noiseless", "--out", str(sim), "--quiet"]
+    assert main(argv) == 0
+    assert main(["reconstruct", str(sim / "interferogram.csv"), "--shear-nm", "0.58",
+                 "--center-nm", "830", "--tau-fs", "10000", "--filter-order", "2",
+                 "--calibrate-from", str(cal / "interferogram.csv"), "--out", str(rec),
+                 "--quiet"]) == 0
+    used = ss.load_result(rec / "result.json").diagnostics["tau_fs_used"]
+    record = ss.load_interferogram_csv(cal / "interferogram.csv", ss.ShearConfig(0.0, TAU))
+    assert used == ss.calibrate_delay(record, ss.FtsiSettings(filter_order=2)).tau_fs
+    assert used != ss.calibrate_delay(record, ss.FtsiSettings()).tau_fs
+
+
+@pytest.mark.parametrize("width, code", [(100, 3), (200, 0)])
+def test_filter_width_must_isolate_the_sideband(tmp_path, capsys, width, code):
+    sim = tmp_path / "sim"
+    argv = ["simulate", "--preset", "quadratic", "--noiseless", "--out", str(sim), "--quiet"]
+    assert main(argv) == 0
+    assert main(["reconstruct", str(sim / "interferogram.csv"), "--config",
+                 str(sim / "config_echo.json"), "--filter-width", str(width),
+                 "--out", str(tmp_path / "rec"), "--quiet"]) == code
+    assert ("sideband is not isolated" in capsys.readouterr().err) == (code == 3)
 
 
 def test_trials_layout(tmp_path):
@@ -388,7 +419,7 @@ def test_v_phase_echo_carries_reconstruction_settings(tmp_path):
     argv = ["pipeline", "--preset", "v-phase", "--noiseless", "--out", str(run), "--quiet"]
     assert main(argv) == 0
     echo = json.loads((run / "config_echo.json").read_text(encoding="utf-8"))
-    assert echo["reconstruction"] == ss.preset("v-phase").reconstruction
+    assert ss.FtsiSettings(**echo["reconstruction"]) == ss.preset("v-phase").reconstruction
     assert echo["reconstruction"]["integration_method"] == "concatenation"
     assert main(
         [
@@ -484,8 +515,9 @@ def test_exit_2_config_problems(tmp_path, capsys):
         ["analyze", "result.json", "--seed", "1"],
         ["analyze", "result.json", "--config", "run.json"],
         ["reconstruct", "record.csv", "--seed", "1"],
+        ["reconstruct", "record.csv", "--filter-center", "10000"],
     ],
-    ids=["analyze --seed", "analyze --config", "reconstruct --seed"],
+    ids=["analyze --seed", "analyze --config", "reconstruct --seed", "reconstruct --filter-center"],
 )
 def test_flags_a_command_would_ignore_are_refused(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -498,6 +530,24 @@ def test_trials_is_a_run_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "result.json", "--trials", "2", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["reconstruct", "none.csv", "--shear-nm", "0.58", "--center-nm", "830"], "delay must come"),
+     (["reconstruct", "none.csv", "--shear-nm", "0.58", "--tau-fs", "10000"], "needs --center-nm"),
+     (["reconstruct", "none.csv", "--shear-nm", "0.58", "--shear-rad-per-fs", str(SHEAR),
+       "--tau-fs", "10000"], "one shear unit"),
+     (["pipeline"], "--config PATH or --preset NAME")],
+    ids=["no delay", "shear-nm without a centre", "both shear units", "pipeline without a run"],
+)
+def test_missing_or_conflicting_inputs_exit_2(tmp_path, capsys, argv, message):
+    # checked before the record is read: reading none.csv would exit 4
+    out = tmp_path / "out"
+    assert main([str(tmp_path / a) if a == "none.csv" else a for a in argv]
+                + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])
@@ -566,6 +616,19 @@ def test_analyze_non_integral_grid_exits_4(tmp_path, capsys):
     bad.write_text(json.dumps(result), encoding="utf-8")
     assert main(["analyze", str(bad), "--out", str(tmp_path / "ana"), "--quiet"]) == 4
     assert "n_points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0], ids=["doubled", "zero"])
+def test_analyze_amplitude_that_is_not_unit_norm_exits_4(tmp_path, capsys, scale):
+    run = tmp_path / "run"
+    assert main(["pipeline", "--preset", "quadratic", "--noiseless", "--out", str(run),
+                 "--quiet"]) == 0
+    result = json.loads((run / "result.json").read_text(encoding="utf-8"))
+    result["amplitude_abs"] = [scale * a for a in result["amplitude_abs"]]
+    bad = tmp_path / "result.json"
+    bad.write_text(json.dumps(result), encoding="utf-8")
+    assert main(["analyze", str(bad), "--out", str(tmp_path / "ana"), "--quiet"]) == 4
+    assert f"{bad}: mode norm" in capsys.readouterr().err
 
 
 def test_analyze_string_mask_exits_4(tmp_path, capsys):

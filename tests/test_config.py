@@ -38,6 +38,11 @@ def raw_config(**tweaks):
     return raw
 
 
+def _tabulated(amplitude):
+    return {"pulse.phase_kind": "tabulated", "pulse.table_omega": [2.2, 2.35],
+            "pulse.table_phase": [0.0, 0.0], "pulse.table_amplitude": amplitude}
+
+
 REJECTED = {
     "unknown top-level key": {"colour": 1},
     "unknown pulse key": {"pulse.colour": 1},
@@ -60,6 +65,11 @@ REJECTED = {
     "two shear units": {"interferometer.shear_rad_per_fs": 0.001},
     "negative delay": {"interferometer.delay_fs": -5.0},
     "bad reconstruction value": {"reconstruction.filter_shape": "triangular"},
+    "retired filter_center": {"reconstruction.filter_center": 10000.0},
+    "filter_width at the delay": {"reconstruction.filter_width": 10000.0},
+    "grid too coarse for the fringes": {"grid.n_points": 1024},
+    "negative table_amplitude": _tabulated([1.0, -0.5]),
+    "all-zero table_amplitude": _tabulated([0.0, 0.0]),
     "compensate_phi2 on a v_lambda pulse": {
         "compensate_phi2": True, "pulse.phase_kind": "v_lambda", "pulse.v_slope": 1050.0
     },
@@ -77,6 +87,8 @@ def test_messages():
         ss.config_from_dict(raw_config(**{"grid.colour": 1}))
     with pytest.raises(ConfigError, match="missing required block 'pulse'"):
         ss.config_from_dict(raw_config(pulse=DROP))
+    with pytest.raises(ConfigError, match="unknown preset 'nope'"):
+        ss.preset("nope")
 
 
 def test_top_level_must_be_an_object():
@@ -165,8 +177,9 @@ def test_reconstruction_overrides_are_typed():
     cfg = ss.config_from_dict(
         raw_config(**{"reconstruction.filter_width": 3000, "reconstruction.filter_order": 4.0})
     )
-    assert cfg.reconstruction == {"filter_width": 3000.0, "filter_order": 4}
-    assert [type(v) for v in cfg.reconstruction.values()] == [float, int]
+    assert cfg.reconstruction == ss.FtsiSettings(filter_width=3000.0, filter_order=4)
+    assert [type(cfg.reconstruction.filter_width), type(cfg.reconstruction.filter_order)] == [
+        float, int]
     assert ss.ftsi_settings(cfg).filter_width == 3000.0
 
 
@@ -178,6 +191,27 @@ def test_grid_must_cover_the_pulse(tmp_path, capsys):
     for command in ("pipeline", "simulate"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
     assert "does not cover the pulse" in capsys.readouterr().err
+
+
+def test_2048_points_resolve_the_fringes_at_10_ps():
+    # 2*pi/tau >= 4 domega holds from 2048 points on; 1024 is in REJECTED
+    assert ss.config_from_dict(raw_config(**{"grid.n_points": 2048})).grid.n_points == 2048
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize(
+    "tweaks, message",
+    [({"grid.n_points": 1024}, "fringes not resolvable"),
+     (_tabulated([1.0, -0.5]), "table_amplitude"), (_tabulated([0.0, 0.0]), "table_amplitude")],
+    ids=["coarse grid", "negative table", "zero table"],
+)
+def test_rejected_before_any_file_is_written(tmp_path, capsys, command, tweaks, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw_config(**tweaks)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibration_settings_error_exits_2(tmp_path, capsys):

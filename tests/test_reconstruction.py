@@ -25,12 +25,12 @@ SIGMA = FWHM_W / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 # ---- settings ----------------------------------------------------------------
 
 def test_settings_for_delay_defaults():
-    st = ss.FtsiSettings.for_delay(TAU)
-    assert st.filter_center == TAU
-    assert st.support_half_width() == pytest.approx(2.0 * TAU / 3.0, rel=1e-12)
+    st = ss.FtsiSettings()
+    assert st.filter_width is None
+    assert st.support_half_width(TAU) == pytest.approx(2.0 * TAU / 3.0, rel=1e-12)
     # super-gaussian order 6: support where the window exceeds 1/1000
-    assert st.support_half_width() == pytest.approx(
-        st.filter_width * (math.log(1000.0) / math.log(2.0)) ** (1.0 / 12.0), rel=1e-12
+    assert st.support_half_width(TAU) == pytest.approx(
+        st.width(TAU) * (math.log(1000.0) / math.log(2.0)) ** (1.0 / 12.0), rel=1e-12
     )
     assert st.integration_method == "midpoint_integration"
     assert st.correct_envelope_bias is True
@@ -44,8 +44,8 @@ def test_settings_for_delay_width_follows_shape_and_order(
     shape_or_order, quad_record, quad_mode, shear_cfg
 ):
     # one rule for every window: the support ends tau/3 short of t = 0
-    st = ss.FtsiSettings.for_delay(TAU, **shape_or_order)
-    assert st.support_half_width() == pytest.approx(2.0 * TAU / 3.0, rel=1e-12)
+    st = ss.FtsiSettings(**shape_or_order)
+    assert st.support_half_width(TAU) == pytest.approx(2.0 * TAU / 3.0, rel=1e-12)
     out = ss.reconstruct(quad_record, shear_cfg, st)
     assert out.coefficients.coefficient(2) == pytest.approx(8.7e4, abs=100.0)
     assert ss.mode_overlap(out.mode(), quad_mode) > 0.999
@@ -53,13 +53,15 @@ def test_settings_for_delay_width_follows_shape_and_order(
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        ss.FtsiSettings.for_delay(TAU, integration_method="simpson")
+        ss.FtsiSettings(integration_method="simpson")
     with pytest.raises(ValueError):
-        ss.FtsiSettings.for_delay(TAU, filter_shape="boxcar")
+        ss.FtsiSettings(filter_shape="boxcar")
     with pytest.raises(ValueError):
-        ss.FtsiSettings.for_delay(TAU, filter_order=0)
+        ss.FtsiSettings(filter_order=0)
     with pytest.raises(ValueError):
-        ss.FtsiSettings.for_delay(TAU, amplitude_floor=-0.1)
+        ss.FtsiSettings(amplitude_floor=-0.1)
+    with pytest.raises(ValueError):
+        ss.FtsiSettings(filter_width=0.0)
 
 
 # ---- spectrum + phase difference ----------------------------------------------
@@ -90,7 +92,7 @@ def test_extract_phase_difference_analytic(quad_record, settings, grid):
 
 
 def test_filter_collision(quad_record):
-    wide = ss.FtsiSettings.for_delay(TAU, filter_width=TAU / 1.1)
+    wide = ss.FtsiSettings(filter_width=TAU / 1.1)
     with pytest.raises(FilterCollisionError):
         ss.extract_phase_difference(quad_record, wide, TAU)
 
@@ -118,8 +120,11 @@ def test_extract_rejects_bad_tau(quad_record, settings):
     too_fast = 2.0 * math.pi / quad_record.grid.omega_step
     with pytest.raises(ConfigError):
         ss.extract_phase_difference(
-            quad_record, ss.FtsiSettings.for_delay(too_fast), too_fast
+            quad_record, ss.FtsiSettings(), too_fast
         )
+    # the search window [tau - width, tau + width] must end short of t = 0
+    with pytest.raises(ConfigError, match="below the delay"):
+        ss.extract_phase_difference(quad_record, ss.FtsiSettings(filter_width=TAU), TAU)
 
 
 # ---- integration ---------------------------------------------------------------
@@ -232,13 +237,13 @@ def test_noiseless_presets_reach_reference_fidelity():
 
 
 def test_preset_reconstruction_settings():
-    default = ss.FtsiSettings.for_delay(TAU)
+    default = ss.FtsiSettings()
     for name in ("quadratic", "compensated"):
         assert ss.ftsi_settings(ss.preset(name)) == default, name
     for name in ("v-phase", "lambda-phase"):
         s = ss.ftsi_settings(ss.preset(name))
         assert s.integration_method == "concatenation", name
-        assert s.support_half_width() == pytest.approx(2.0 * TAU / 3.0, rel=1e-12), name
+        assert s.support_half_width(TAU) == pytest.approx(2.0 * TAU / 3.0, rel=1e-12), name
         rest = replace(
             s,
             filter_width=default.filter_width,
@@ -269,22 +274,22 @@ def test_window_support_limited_matches_dense(n):
     t = ss.make_grid(OMEGA0, 10.0 * FWHM_W, n).times
     centers = (t[0] + 0.3 * TAU, t[-1] - 0.3 * TAU, TAU)
     for order in (1, 2, 6, 12):
-        st = ss.FtsiSettings.for_delay(TAU, filter_order=order)
+        st = ss.FtsiSettings(filter_order=order)
         for center in centers:
-            dense = np.exp(-math.log(2.0) * ((t - center) / st.filter_width) ** (2 * order))
+            dense = np.exp(-math.log(2.0) * ((t - center) / st.width(TAU)) ** (2 * order))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = st.window(t, center)
+                got = st.window(t, center, st.width(TAU))
             assert got.tobytes() == dense.tobytes(), (order, center)
-    rect = ss.FtsiSettings.for_delay(TAU, filter_shape="rectangular")
+    rect = ss.FtsiSettings(filter_shape="rectangular")
     for center in centers:
-        want = (np.abs((t - center) / rect.filter_width) <= 1.0).astype(float)
-        assert rect.window(t, center).tobytes() == want.tobytes()
+        want = (np.abs((t - center) / rect.width(TAU)) <= 1.0).astype(float)
+        assert rect.window(t, center, rect.width(TAU)).tobytes() == want.tobytes()
 
 
 def test_rectangular_window(quad_record, quad_mode, shear_cfg):
-    rect = ss.FtsiSettings.for_delay(TAU, filter_shape="rectangular")
-    assert rect.support_half_width() == rect.filter_width
+    rect = ss.FtsiSettings(filter_shape="rectangular")
+    assert rect.support_half_width(TAU) == rect.width(TAU)
     out = ss.reconstruct(quad_record, shear_cfg, rect)
     assert out.coefficients.coefficient(2) == pytest.approx(8.7e4, abs=1.0)
     assert out.coefficients.coefficient(3) == pytest.approx(5.0e5, abs=500.0)
@@ -313,9 +318,9 @@ def test_envelope_bias_correction(quad_record, quad_mode, shear_cfg, grid):
         return float(np.sum(grid.omegas * w) / np.sum(w))
 
     truth = centroid(np.abs(quad_mode.amplitude))
-    on = ss.reconstruct(quad_record, shear_cfg, ss.FtsiSettings.for_delay(TAU))
+    on = ss.reconstruct(quad_record, shear_cfg, ss.FtsiSettings())
     off = ss.reconstruct(
-        quad_record, shear_cfg, ss.FtsiSettings.for_delay(TAU, correct_envelope_bias=False)
+        quad_record, shear_cfg, ss.FtsiSettings(correct_envelope_bias=False)
     )
     assert centroid(on.amplitude_abs) - truth == pytest.approx(0.0, abs=1e-9)
     assert centroid(off.amplitude_abs) - truth == pytest.approx(-SHEAR / 2.0, rel=1e-5)
@@ -326,17 +331,17 @@ def test_carrier_error_adds_quadratic_phase(quad_record, shear_cfg, settings):
     out = ss.reconstruct(quad_record, shear_cfg, settings)
     dtau = 50.0
     wrong = ss.ShearConfig(shear=SHEAR, delay=TAU + dtau)
-    out_wrong = ss.reconstruct(quad_record, wrong, ss.FtsiSettings.for_delay(TAU + dtau))
+    out_wrong = ss.reconstruct(quad_record, wrong, ss.FtsiSettings())
     added = out_wrong.coefficients.coefficient(2) - out.coefficients.coefficient(2)
     assert added == pytest.approx(dtau / SHEAR, rel=1e-3)
 
 
 def test_amplitude_floor_masks_wings(quad_record, shear_cfg):
     strict = ss.reconstruct(
-        quad_record, shear_cfg, ss.FtsiSettings.for_delay(TAU, amplitude_floor=0.05)
+        quad_record, shear_cfg, ss.FtsiSettings(amplitude_floor=0.05)
     )
     loose = ss.reconstruct(
-        quad_record, shear_cfg, ss.FtsiSettings.for_delay(TAU, amplitude_floor=0.001)
+        quad_record, shear_cfg, ss.FtsiSettings(amplitude_floor=0.001)
     )
     assert int(strict.valid_mask.sum()) < int(loose.valid_mask.sum())
 

@@ -19,6 +19,10 @@ def test_pulse_spec_validation():
         ss.PulseSpec(830.0, 8.0, "tabulated", table_omega=(1.0,), table_phase=(0.0,))
     with pytest.raises(ValueError):
         ss.PulseSpec(830.0, 8.0, "tabulated", table_omega=(1.0, 2.0), table_phase=(0.0,))
+    for amplitude in ((1.0, -0.5), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="table_amplitude"):
+            ss.PulseSpec(830.0, 8.0, "tabulated", table_omega=(1.0, 2.0), table_phase=(0.0, 0.0),
+                         table_amplitude=amplitude)
 
 
 def test_pulse_spec_derived_quantities():
@@ -83,6 +87,16 @@ def test_tabulated_phase_exact_on_linear_table(grid):
     d = got[core] - phi1 * x[core]
     d -= d[len(d) // 2]
     assert np.max(np.abs(d)) < 1e-9
+
+
+def test_tabulated_amplitude_sampled_from_the_gaussian(grid):
+    # a table on the grid's own bins interpolates exactly: the Gaussian mode comes back
+    gaussian = ss.synthesize(ss.PulseSpec(830.0, 8.0), grid)
+    n = grid.n_points
+    spec = ss.PulseSpec(830.0, 8.0, "tabulated", table_omega=tuple(grid.omegas),
+                        table_phase=(0.0,) * n, table_amplitude=tuple(gaussian.amplitude.real))
+    mode = ss.synthesize(spec, grid)
+    assert np.max(np.abs(mode.amplitude - gaussian.amplitude)) < 1e-12
 
 
 def test_apply_delay_shifts_centroid(grid):
