@@ -188,6 +188,11 @@ def _reconstruct_shear(args, base) -> float:
 
 
 def cmd_reconstruct(args) -> int:
+    for name in ("tau_fs", "shear_nm", "shear_rad_per_fs", "center_nm"):
+        value, positive = getattr(args, name), name == "center_nm"
+        if value is not None and not (np.isfinite(value) and (value > 0 or not positive)):
+            rule = "positive and finite" if positive else "finite"
+            raise ConfigError(f"--{name.replace('_', '-')} must be {rule}, got {value:g}")
     base = load_config(args.config) if args.config else None
     shear = _reconstruct_shear(args, base)
     settings = _reconstruct_settings(args, base)
@@ -198,18 +203,16 @@ def cmd_reconstruct(args) -> int:
 
     calibration = None
     if args.calibrate_from:
-        expected = ShearConfig(0.0, 1.0 if tau is None else tau)
-        cal = load_interferogram_csv(args.calibrate_from, expected)
-        if tau is None:  # search around the record's own sideband
-            cal = replace(cal, config=ShearConfig(0.0, coarse_delay_guess(cal)))
-        calibration = calibrate_delay(cal, settings)
+        cal = load_interferogram_csv(args.calibrate_from)
+        # without a delay, search around the record's own sideband
+        guess = coarse_delay_guess(cal) if tau is None else tau
+        calibration = calibrate_delay(cal, ShearConfig(0.0, guess), settings)
         tau = calibration.tau_fs
     if tau is None:
         raise ConfigError("delay must come from --tau-fs, --config, or --calibrate-from")
 
     sc = ShearConfig(shear=shear, delay=tau)
-    interf = load_interferogram_csv(args.interferogram, sc)
-    result = reconstruct(interf, sc, settings)
+    result = reconstruct(load_interferogram_csv(args.interferogram), sc, settings)
     if calibration is not None:
         result.diagnostics["tau_calibrated"] = True
         result.diagnostics["tau_calibration_stderr_fs"] = calibration.stderr_fs
@@ -285,15 +288,14 @@ def _compensated_pulse(pulse: PulseSpec, fitted_phi2: float) -> PulseSpec:
     return replace(pulse, poly_coeffs=tuple(coeffs))
 
 
-def _run_single(cfg: RunConfig, mode, ideal, settings, trial: int):
-    """One detect+reconstruct pass on the shared ideal record of `mode`.
+def _run_single(cfg: RunConfig, mode, ideal, sc: ShearConfig, settings, trial: int):
+    """One detect+reconstruct pass on the shared ideal record of `mode`, taken at `sc`.
 
     Returns the trial's mode, its (record, result) pair and, for compensated
     runs, stage 1's pair or else None.  Compensated runs do the pass twice:
     stage 2 re-synthesizes the pulse with this trial's fitted phi2 removed,
     so only that stage is per trial.
     """
-    sc = ideal.config
     stage1 = None
     if cfg.compensate_phi2:
         rec1 = _detect(cfg, ideal, "counts", trial)
@@ -330,11 +332,12 @@ def _run_pipeline(cfg: RunConfig, trials: int):
     on that trial's stage-1 fit.
     """
     outdir, mode, ideal = _start_run(cfg)
+    sc = shear_config(cfg)
     settings = ftsi_settings(cfg)
     files = ["config_echo.json", "truth_mode.json"]
     per_trial = {}
     for trial in range(trials):
-        trial_mode, (rec, result), stage1 = _run_single(cfg, mode, ideal, settings, trial)
+        trial_mode, (rec, result), stage1 = _run_single(cfg, mode, ideal, sc, settings, trial)
         if trial == 0:
             first, truth = result, trial_mode
             save_mode(truth, os.path.join(outdir, "truth_mode.json"))

@@ -45,15 +45,16 @@ class ShearConfig:
 
 @dataclass(frozen=True)
 class Interferogram:
-    """Two-output spectral record, either ideal intensities or Poisson counts."""
+    """Two-output spectral record, either ideal intensities or Poisson counts.
+
+    It holds what interferogram.csv holds; the shear and delay it is
+    analysed at are the analysis's ShearConfig argument.
+    """
 
     grid: SpectralGrid
     plus: np.ndarray
     minus: np.ndarray
     kind: str
-    config: ShearConfig
-    total_counts: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in INTERFEROGRAM_KINDS:
@@ -119,7 +120,7 @@ def ideal_interferogram(mode: SpectralMode, config: ShearConfig) -> Interferogra
     delayed = apply_delay(mode, config.delay)
     sheared = apply_shear(mode, -config.shear)
     plus, minus = interfere(delayed, sheared)
-    return Interferogram(mode.grid, plus, minus, "ideal", config)
+    return Interferogram(mode.grid, plus, minus, "ideal")
 
 
 def detect_counts(interf: Interferogram, total_counts: int, seed: int) -> Interferogram:
@@ -143,15 +144,7 @@ def detect_counts(interf: Interferogram, total_counts: int, seed: int) -> Interf
     means = np.concatenate([interf.plus, interf.minus]) * (total_counts / total)
     draws = rng.poisson(means)
     n = interf.grid.n_points
-    return Interferogram(
-        interf.grid,
-        draws[:n].astype(float),
-        draws[n:].astype(float),
-        "counts",
-        interf.config,
-        total_counts=int(total_counts),
-        seed=int(seed),
-    )
+    return Interferogram(interf.grid, draws[:n].astype(float), draws[n:].astype(float), "counts")
 
 
 # ---- CSV serialization ------------------------------------------------------
@@ -189,7 +182,7 @@ def _exact_step(omegas: np.ndarray, estimate: float) -> float:
     return estimate
 
 
-def load_interferogram_csv(path, config: ShearConfig) -> Interferogram:
+def load_interferogram_csv(path) -> Interferogram:
     """Parse an interferogram CSV.  Malformed input reports the line number."""
     omegas, plus, minus = [], [], []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -220,15 +213,14 @@ def load_interferogram_csv(path, config: ShearConfig) -> Interferogram:
     # whole-span estimate keeps the step accurate to ~1e-14 relative, where
     # a single first-difference loses digits to cancellation
     step = (omegas[-1] - omegas[0]) / (n - 1)
-    if step <= 0 or np.max(np.abs(np.diff(omegas) - step)) > 1e-9 * abs(step):
-        raise DataFormatError(f"{path}: omega column is not uniformly spaced")
+    # written as a pass test so that a NaN, which fails every comparison, is refused
+    if not (step > 0 and np.max(np.abs(np.diff(omegas) - step)) <= 1e-9 * abs(step)):
+        raise DataFormatError(f"{path}: omega column is not finite and uniformly spaced")
     grid = SpectralGrid(float(omegas[0]), _exact_step(omegas, float(step)), n)
     p = np.asarray(plus)
     m = np.asarray(minus)
     integral = np.all(p == np.round(p)) and np.all(m == np.round(m)) and (p.sum() + m.sum()) > 0
-    kind = "counts" if integral else "ideal"
-    total = int(p.sum() + m.sum()) if kind == "counts" else None
     try:
-        return Interferogram(grid, p, m, kind, config, total_counts=total)
+        return Interferogram(grid, p, m, "counts" if integral else "ideal")
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

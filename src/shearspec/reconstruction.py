@@ -295,19 +295,21 @@ def extract_phase_difference(
     return dphi, diag
 
 
-def calibrate_delay(interf: Interferogram, settings: FtsiSettings) -> DelayCalibration:
+def calibrate_delay(
+    interf: Interferogram, config: ShearConfig, settings: FtsiSettings
+) -> DelayCalibration:
     """Fit the delay from a zero-shear record's sideband phase slope.
 
     The sideband phase of a zero-shear interferogram is omega*tau exactly,
     so a weighted straight-line fit over valid bins returns tau and its
-    standard error.  The sideband is searched for around the record's
-    expected delay, interf.config.delay.
+    standard error.  The sideband is searched for around the expected
+    delay, config.delay; config.shear must be zero.
     """
-    if interf.config.shear != 0.0:
+    if config.shear != 0.0:
         raise ValueError("delay calibration expects a zero-shear record")
     _record_total(interf)
     try:
-        z, snr, _ = _isolate_sideband(interf, settings, interf.config.delay)
+        z, snr, _ = _isolate_sideband(interf, settings, config.delay)
     except (LowVisibilityError, FilterCollisionError) as exc:
         raise CalibrationError(f"no resolvable carrier fringes: {exc}") from exc
     mask = _amplitude_mask(interf, settings)

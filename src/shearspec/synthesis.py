@@ -72,13 +72,24 @@ class PulseSpec:
         return shear_nm_to_omega(self.fwhm_wavelength, self.center_wavelength)
 
 
+def _table_amplitude(spec: PulseSpec, grid: SpectralGrid) -> np.ndarray:
+    """The tabulated amplitude interpolated onto the grid, zero outside the table."""
+    return np.interp(grid.omegas, np.asarray(spec.table_omega), np.asarray(spec.table_amplitude),
+                     left=0.0, right=0.0)
+
+
 def check_coverage(spec: PulseSpec, grid: SpectralGrid) -> None:
-    """Raise ValueError unless the grid spans +-2 FWHM around the pulse carrier."""
+    """Raise ValueError unless the grid spans +-2 FWHM around the pulse carrier
+    and a tabulated amplitude is positive somewhere on it."""
     omega0, fwhm, omegas = spec.omega_center, spec.fwhm_omega, grid.omegas
     if omega0 - 2.0 * fwhm < omegas[0] or omega0 + 2.0 * fwhm > omegas[-1]:
         raise ValueError(
             "grid does not cover the pulse: need at least +-2 FWHM around the carrier"
         )
+    if spec.phase_kind == "tabulated" and spec.table_amplitude:
+        if not np.any(_table_amplitude(spec, grid) > 0):
+            raise ValueError("table_amplitude is zero everywhere on the grid: "
+                             "table_omega must overlap the grid")
 
 
 def synthesize(spec: PulseSpec, grid: SpectralGrid) -> SpectralMode:
@@ -94,10 +105,7 @@ def synthesize(spec: PulseSpec, grid: SpectralGrid) -> SpectralMode:
     detuning = omegas - spec.omega_center
 
     if spec.phase_kind == "tabulated" and spec.table_amplitude:
-        amp = np.interp(
-            omegas, np.asarray(spec.table_omega), np.asarray(spec.table_amplitude),
-            left=0.0, right=0.0,
-        )
+        amp = _table_amplitude(spec, grid)
     else:
         sigma = fwhm / _FWHM_PER_SIGMA
         amp = np.exp(-(detuning**2) / (4.0 * sigma**2))  # amplitude of Gaussian intensity

@@ -241,11 +241,12 @@ def test_criterion_7_delay_sensitivity(quad_record, shear_cfg, settings):
 def test_criterion_8_delay_calibration(quad_mode):
     worst = 0.0
     for tau in (5000.0, 10000.0):
-        ideal = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=tau))
+        zero_shear = ss.ShearConfig(shear=0.0, delay=tau)
+        ideal = ss.ideal_interferogram(quad_mode, zero_shear)
         cal_settings = ss.FtsiSettings()
         for seed in range(50):
             rec = ss.detect_counts(ideal, 1_000_000, ss.derive_seed(seed, "counts", 0))
-            cal = ss.calibrate_delay(rec, cal_settings)
+            cal = ss.calibrate_delay(rec, zero_shear, cal_settings)
             worst = max(worst, abs(cal.tau_fs - tau) / tau)
     report(8, "zero-shear delay calibration", worst < 1e-3, f"worst relative error {worst:.2e}")
     assert worst < 1e-3

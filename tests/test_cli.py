@@ -88,7 +88,7 @@ def test_simulate_reconstruct_analyze_chain(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["simulate", "--config", cfg, "--noiseless", "--out", str(sim), "--quiet"]) == 0
 
-    record = ss.load_interferogram_csv(sim / "interferogram.csv", ss.ShearConfig(SHEAR, TAU))
+    record = ss.load_interferogram_csv(sim / "interferogram.csv")
     assert record.kind == "ideal"
 
     rec = tmp_path / "rec"
@@ -219,7 +219,7 @@ def test_reconstruct_without_envelope_correction(tmp_path):
     assert got.diagnostics["envelope_bias_corrected"] is False
 
     cfg = ss.load_config(echo)
-    record = ss.load_interferogram_csv(sim / "interferogram.csv", ss.shear_config(cfg))
+    record = ss.load_interferogram_csv(sim / "interferogram.csv")
     settings = replace(cfg.reconstruction, correct_envelope_bias=False)
     want = ss.reconstruct(record, ss.shear_config(cfg), settings)
     for name in ("amplitude_abs", "phase_rad", "valid_mask", "phase_difference"):
@@ -300,9 +300,10 @@ def test_calibration_uses_the_record_settings(tmp_path):
                  "--calibrate-from", str(cal / "interferogram.csv"), "--out", str(rec),
                  "--quiet"]) == 0
     used = ss.load_result(rec / "result.json").diagnostics["tau_fs_used"]
-    record = ss.load_interferogram_csv(cal / "interferogram.csv", ss.ShearConfig(0.0, TAU))
-    assert used == ss.calibrate_delay(record, ss.FtsiSettings(filter_order=2)).tau_fs
-    assert used != ss.calibrate_delay(record, ss.FtsiSettings()).tau_fs
+    record = ss.load_interferogram_csv(cal / "interferogram.csv")
+    zero_shear = ss.ShearConfig(0.0, TAU)
+    assert used == ss.calibrate_delay(record, zero_shear, ss.FtsiSettings(filter_order=2)).tau_fs
+    assert used != ss.calibrate_delay(record, zero_shear, ss.FtsiSettings()).tau_fs
 
 
 @pytest.mark.parametrize("width, code", [(100, 3), (200, 0)])
@@ -538,8 +539,20 @@ def test_trials_is_a_run_flag(tmp_path):
      (["reconstruct", "none.csv", "--shear-nm", "0.58", "--tau-fs", "10000"], "needs --center-nm"),
      (["reconstruct", "none.csv", "--shear-nm", "0.58", "--shear-rad-per-fs", str(SHEAR),
        "--tau-fs", "10000"], "one shear unit"),
-     (["pipeline"], "--config PATH or --preset NAME")],
-    ids=["no delay", "shear-nm without a centre", "both shear units", "pipeline without a run"],
+     (["pipeline"], "--config PATH or --preset NAME"),
+     (["reconstruct", "none.csv", "--shear-nm", "0.58", "--center-nm", "830", "--tau-fs", "inf"],
+      "--tau-fs must be finite"),
+     (["reconstruct", "none.csv", "--shear-nm", "0.58", "--center-nm", "830", "--tau-fs", "nan"],
+      "--tau-fs must be finite"),
+     (["reconstruct", "none.csv", "--shear-rad-per-fs", "inf", "--tau-fs", "10000"],
+      "--shear-rad-per-fs must be finite"),
+     (["reconstruct", "none.csv", "--shear-nm", "nan", "--center-nm", "830", "--tau-fs", "10000"],
+      "--shear-nm must be finite"),
+     *[(["reconstruct", "none.csv", "--shear-nm", "0.58", "--center-nm", centre, "--tau-fs",
+         "10000"], "--center-nm must be positive and finite") for centre in ("nan", "-5", "0")]],
+    ids=["no delay", "shear-nm without a centre", "both shear units", "pipeline without a run",
+         "tau-fs inf", "tau-fs nan", "shear-rad-per-fs inf", "shear-nm nan", "center-nm nan",
+         "center-nm -5", "center-nm 0"],
 )
 def test_missing_or_conflicting_inputs_exit_2(tmp_path, capsys, argv, message):
     # checked before the record is read: reading none.csv would exit 4

@@ -38,8 +38,8 @@ def raw_config(**tweaks):
     return raw
 
 
-def _tabulated(amplitude):
-    return {"pulse.phase_kind": "tabulated", "pulse.table_omega": [2.2, 2.35],
+def _tabulated(amplitude, omega=(2.2, 2.35)):
+    return {"pulse.phase_kind": "tabulated", "pulse.table_omega": list(omega),
             "pulse.table_phase": [0.0, 0.0], "pulse.table_amplitude": amplitude}
 
 
@@ -70,6 +70,7 @@ REJECTED = {
     "grid too coarse for the fringes": {"grid.n_points": 1024},
     "negative table_amplitude": _tabulated([1.0, -0.5]),
     "all-zero table_amplitude": _tabulated([0.0, 0.0]),
+    "table off the grid": _tabulated([1.0, 1.0], omega=[1.0, 1.1]),
     "compensate_phi2 on a v_lambda pulse": {
         "compensate_phi2": True, "pulse.phase_kind": "v_lambda", "pulse.v_slope": 1050.0
     },
@@ -202,8 +203,9 @@ def test_2048_points_resolve_the_fringes_at_10_ps():
 @pytest.mark.parametrize(
     "tweaks, message",
     [({"grid.n_points": 1024}, "fringes not resolvable"),
-     (_tabulated([1.0, -0.5]), "table_amplitude"), (_tabulated([0.0, 0.0]), "table_amplitude")],
-    ids=["coarse grid", "negative table", "zero table"],
+     (_tabulated([1.0, -0.5]), "table_amplitude"), (_tabulated([0.0, 0.0]), "table_amplitude"),
+     (_tabulated([1.0, 1.0], omega=[1.0, 1.1]), "overlap the grid")],
+    ids=["coarse grid", "negative table", "zero table", "table off the grid"],
 )
 def test_rejected_before_any_file_is_written(tmp_path, capsys, command, tweaks, message):
     path = tmp_path / "run.json"

@@ -100,7 +100,7 @@ def test_filter_collision(quad_record):
 def test_flat_record_has_no_sideband(grid, quad_record, settings):
     flat = ss.Interferogram(
         grid, quad_record.plus + quad_record.minus, quad_record.plus + quad_record.minus,
-        "ideal", quad_record.config,
+        "ideal",
     )
     with pytest.raises(LowVisibilityError):
         ss.extract_phase_difference(flat, settings, TAU)
@@ -108,7 +108,7 @@ def test_flat_record_has_no_sideband(grid, quad_record, settings):
 
 def test_zero_record_is_degenerate(grid, quad_record, settings):
     zero = ss.Interferogram(grid, np.zeros(grid.n_points), np.zeros(grid.n_points),
-                            "ideal", quad_record.config)
+                            "ideal")
     with pytest.raises(DegenerateInputError):
         ss.extract_phase_difference(zero, settings, TAU)
 
@@ -349,31 +349,33 @@ def test_amplitude_floor_masks_wings(quad_record, shear_cfg):
 # ---- delay calibration ---------------------------------------------------------
 
 def test_calibrate_noiseless_exact(quad_mode, settings):
-    rec = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=TAU))
-    est = ss.calibrate_delay(rec, settings)
+    zero_shear = ss.ShearConfig(shear=0.0, delay=TAU)
+    rec = ss.ideal_interferogram(quad_mode, zero_shear)
+    est = ss.calibrate_delay(rec, zero_shear, settings)
     assert est.tau_fs == pytest.approx(TAU, rel=1e-12)
     assert est.stderr_fs >= 0.0
     assert est.sideband_snr > 1e6
 
 
 def test_calibrate_with_counts(quad_mode, settings):
-    ideal = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=TAU))
+    zero_shear = ss.ShearConfig(shear=0.0, delay=TAU)
+    ideal = ss.ideal_interferogram(quad_mode, zero_shear)
     for seed in range(10):
         rec = ss.detect_counts(ideal, 1_000_000, ss.derive_seed(7, "counts", seed))
-        est = ss.calibrate_delay(rec, settings)
+        est = ss.calibrate_delay(rec, zero_shear, settings)
         assert abs(est.tau_fs - TAU) / TAU < 1e-3
 
 
-def test_calibrate_rejects_sheared_record(quad_record, settings):
+def test_calibrate_rejects_sheared_record(quad_record, shear_cfg, settings):
     with pytest.raises(ValueError):
-        ss.calibrate_delay(quad_record, settings)
+        ss.calibrate_delay(quad_record, shear_cfg, settings)
 
 
 def test_calibrate_starved_counts(quad_mode, settings):
-    ideal = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=TAU))
-    starved = ss.detect_counts(ideal, 20, 1)
+    zero_shear = ss.ShearConfig(shear=0.0, delay=TAU)
+    starved = ss.detect_counts(ss.ideal_interferogram(quad_mode, zero_shear), 20, 1)
     with pytest.raises(CalibrationError):
-        ss.calibrate_delay(starved, settings)
+        ss.calibrate_delay(starved, zero_shear, settings)
 
 
 def test_coarse_delay_guess(quad_mode, quad_record):
@@ -384,10 +386,10 @@ def test_coarse_delay_guess(quad_mode, quad_record):
     with pytest.raises(DegenerateInputError):
         coarse_delay_guess(
             ss.Interferogram(grid, np.zeros(grid.n_points), np.zeros(grid.n_points),
-                             "ideal", quad_record.config)
+                             "ideal")
         )
     flat = ss.Interferogram(grid, quad_record.plus + quad_record.minus,
-                            quad_record.plus + quad_record.minus, "ideal", quad_record.config)
+                            quad_record.plus + quad_record.minus, "ideal")
     with pytest.raises(LowVisibilityError):
         coarse_delay_guess(flat)
 
