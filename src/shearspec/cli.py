@@ -57,7 +57,6 @@ from .interferometer import (
 )
 from .reconstruction import (
     FILTER_SHAPES,
-    INTEGRATION_METHODS,
     FtsiSettings,
     calibrate_delay,
     coarse_delay_guess,
@@ -257,12 +256,12 @@ def _analysis_report(result, mode, truth=None) -> dict:
 
 def cmd_analyze(args) -> int:
     result = load_result(args.result)
-    try:
-        mode = result.mode()
-    except ValueError as exc:  # an amplitude that is not unit-norm
-        raise DataFormatError(f"{args.result}: {exc}") from None
     truth = load_mode(args.truth) if args.truth else None
-    report = _analysis_report(result, mode, truth)
+    try:  # an amplitude that is not unit-norm, or too few valid bins for the V slope
+        mode = result.mode()
+        report = _analysis_report(result, mode, truth)
+    except ValueError as exc:
+        raise DataFormatError(f"{args.result}: {exc}") from None
 
     outdir = _ensure_dir(args.out or "out")
     if args.wigner:
@@ -459,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     # one flag per FtsiSettings field, typed by its hint (filter_width's float | None as
     # float); the bool is --no-envelope-correction
     extra = {"filter_width": {"type": float, "help": "HWHM, fs (default: from the delay)"},
-             "filter_shape": {"choices": FILTER_SHAPES},
-             "integration_method": {"choices": INTEGRATION_METHODS}}
+             "filter_shape": {"choices": FILTER_SHAPES}}
     hints = get_type_hints(FtsiSettings)
     for name in (f.name for f in fields(FtsiSettings) if hints[f.name] is not bool):
         kwargs = {"type": hints[name], **extra.get(name, {})}

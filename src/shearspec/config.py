@@ -127,20 +127,30 @@ def _build(cls, block, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-# retired `outputs` toggles, at the one value every run had, load as no-ops
-_RETIRED_OUTPUTS = {"spectrum": True, "phase": True, "temporal": True, "wigner": False}
+# retired keys, (block, key): (the values old echoes carry, what replaced the key).
+# Those values, or null, load as no-ops; any other value exits 2.
+_RETIRED = {
+    ("outputs", "spectrum"): ((True,), "spectrum.csv is always written"),
+    ("outputs", "phase"): ((True,), "phase.csv is always written"),
+    ("outputs", "temporal"): ((True,), "temporal.csv is always written"),
+    ("outputs", "wigner"): ((False,), "use `analyze --wigner`"),
+    ("reconstruction", "integration_method"): (
+        ("midpoint_integration", "concatenation"), "one integrator serves every pulse"
+    ),
+}
 
 
 def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
     """Build a RunConfig from parsed JSON, rejecting unknown keys and wrong types."""
-    outputs = raw.get("outputs") if isinstance(raw, dict) else None
-    if isinstance(outputs, dict):
-        for key, old in _RETIRED_OUTPUTS.items():
-            if outputs.get(key) is not None and outputs[key] is not old:  # `is`: 1 is not true
-                fix = "use `analyze --wigner`" if key == "wigner" else f"{key}.csv is always written"
-                raise ConfigError(f"{where}.outputs: {key!r} is retired and may only be "
-                                  f"{str(old).lower()}; {fix}")
-        raw = {**raw, "outputs": {k: v for k, v in outputs.items() if k not in _RETIRED_OUTPUTS}}
+    for (block, key), (olds, fix) in _RETIRED.items():
+        section = raw.get(block) if isinstance(raw, dict) else None
+        if not isinstance(section, dict) or key not in section:
+            continue
+        value = section[key]  # compared with its type: 1 is not true
+        if value is not None and (type(value), value) not in [(type(o), o) for o in olds]:
+            allowed = " or ".join(json.dumps(o) for o in olds)
+            raise ConfigError(f"{where}.{block}: {key!r} is retired and may only be {allowed}; {fix}")
+        raw = {**raw, block: {k: v for k, v in section.items() if k != key}}
     cfg = _build(RunConfig, raw, where)
     validate_config(cfg, where)
     return cfg
@@ -246,20 +256,9 @@ def derive_seed(root: int, purpose: str, trial: int = 0) -> int:
 _SHARED_DETECTION = DetectionSpec(shear_nm=0.58, delay_fs=10000.0, total_counts=1_000_000, seed=7)
 
 
-def _scenario(
-    pulse: PulseSpec, compensate: bool = False, reconstruction: FtsiSettings = FtsiSettings()
-) -> RunConfig:
-    return RunConfig(
-        pulse=pulse,
-        interferometer=_SHARED_DETECTION,
-        reconstruction=reconstruction,
-        compensate_phi2=compensate,
-    )
+def _scenario(pulse: PulseSpec, compensate: bool = False) -> RunConfig:
+    return RunConfig(pulse=pulse, interferometer=_SHARED_DETECTION, compensate_phi2=compensate)
 
-
-# a slope kink at the shear scale (V / Lambda): concatenation sums dphi
-# exactly on the shear ladder, where the midpoint rule smooths the kink away
-_KINK_RECONSTRUCTION = FtsiSettings(integration_method="concatenation")
 
 PRESETS = {
     "quadratic": _scenario(
@@ -268,12 +267,8 @@ PRESETS = {
     "compensated": _scenario(
         PulseSpec(830.0, 8.0, "polynomial", poly_coeffs=(0.0, 8.7e4, 5.0e5)), compensate=True
     ),
-    "v-phase": _scenario(
-        PulseSpec(830.0, 8.0, "v_lambda", v_slope=1050.0), reconstruction=_KINK_RECONSTRUCTION
-    ),
-    "lambda-phase": _scenario(
-        PulseSpec(830.0, 8.0, "v_lambda", v_slope=-1100.0), reconstruction=_KINK_RECONSTRUCTION
-    ),
+    "v-phase": _scenario(PulseSpec(830.0, 8.0, "v_lambda", v_slope=1050.0)),
+    "lambda-phase": _scenario(PulseSpec(830.0, 8.0, "v_lambda", v_slope=-1100.0)),
 }
 
 

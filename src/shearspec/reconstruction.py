@@ -6,9 +6,8 @@ exp(i*omega*tau), unwrap.  That yields the shear phase difference
 
     dphi(omega) = phi(omega) - phi(omega + W),
 
-which integrates to phi(omega) either by the midpoint rule (finite
-difference centered between omega and omega+W) or by concatenation
-(exact summation on the ladder omega0 + k*W, interpolated between rungs).
+which integrates to phi(omega) by concatenation: exact summation on
+interleaved ladders of rungs W apart, whose offsets join them smoothly.
 The recovered spectrum is the fringe-free sum of both outputs.
 """
 
@@ -41,7 +40,7 @@ from .errors import (
 from .interferometer import Interferogram, ShearConfig
 
 FILTER_SHAPES = ("super_gaussian", "rectangular")
-INTEGRATION_METHODS = ("midpoint_integration", "concatenation")
+LADDERS = 4  # interleaved concatenation ladders in integrate_phase
 
 MIN_SIDEBAND_SNR = 3.0
 
@@ -77,7 +76,6 @@ class FtsiSettings:
     filter_shape: str = "super_gaussian"
     filter_order: int = 6
     amplitude_floor: float = 0.003
-    integration_method: str = "midpoint_integration"
     correct_envelope_bias: bool = True
 
     def __post_init__(self):
@@ -86,8 +84,6 @@ class FtsiSettings:
         _support_per_width(self.filter_shape, self.filter_order)  # checks shape and order
         if not 0 < self.amplitude_floor < 1:
             raise ValueError("amplitude_floor must lie in (0, 1)")
-        if self.integration_method not in INTEGRATION_METHODS:
-            raise ValueError(f"integration_method must be one of {INTEGRATION_METHODS}")
 
     def width(self, tau: float) -> float:
         """The window's half width for a record analysed at delay tau."""
@@ -365,53 +361,58 @@ def masked_fit(values, weights, grid: SpectralGrid, mask, basis, min_bins: int, 
 
 
 def integrate_phase(
-    dphi: np.ndarray,
-    shear: float,
-    grid: SpectralGrid,
-    method: str = "midpoint_integration",
+    dphi: np.ndarray, shear: float, grid: SpectralGrid, weights: np.ndarray
 ) -> np.ndarray:
     """Integrate dphi(omega) = phi(omega) - phi(omega+W) to phi(omega).
 
-    midpoint_integration: the finite difference -dphi(omega)/W estimates
-    phi' at the midpoint omega + W/2, so phi'(omega) = -dphi(omega - W/2)/W
-    (linearly interpolated), integrated by the trapezoid rule.  Exact
-    through quadratic phase.
-
-    concatenation: phi on the ladder omega0 + k*W by exact summation of
-    -dphi, linearly interpolated between rungs.  Exact at the rungs for
-    any phase, preferred when the phase has structure at the shear scale.
-
-    Both anchor phi(omega0) = 0 at the grid center.
+    Concatenation on LADDERS interleaved ladders W/LADDERS apart, each with
+    rungs W apart, laid over the span of bins with weight > 0.  Each ladder
+    is summed exactly, phi(x + W) = phi(x) - dphi(x), so it is exact at its
+    rungs for any phase, a slope kink included.  The ladders' constant
+    offsets minimize the weighted squared second difference of the merged
+    lattice (one least-squares solve over LADDERS - 1 columns).  The grid is
+    filled by linear interpolation, continued beyond the lattice with the
+    edge slope -dphi/W, and anchored at phi(omega0) = 0.  phi is linear in
+    dphi; time and memory are O(lattice nodes) plus the grid interpolation.
     """
     dphi = np.asarray(dphi, dtype=float)
-    if dphi.shape != (grid.n_points,):
-        raise ValueError("dphi length does not match the grid")
-    if shear == 0.0:
-        raise ConfigError("shear must be nonzero to integrate the phase difference")
-    if method not in INTEGRATION_METHODS:
-        raise ValueError(f"integration method must be one of {INTEGRATION_METHODS}")
+    weights = np.asarray(weights, dtype=float)
+    if dphi.shape != (grid.n_points,) or weights.shape != (grid.n_points,):
+        raise ValueError("dphi/weights length does not match the grid")
+    if not abs(shear) >= 0.25 * grid.omega_step:  # zero too; keeps the lattice O(n_points)
+        raise ConfigError(
+            f"shear {shear:g} rad/fs is below a quarter bin: too small to integrate the phase"
+        )
+    used = np.flatnonzero(weights > 0)
+    if used.size == 0:
+        raise ValueError("integration needs at least one bin with weight > 0")
     omegas = grid.omegas
-    omega0 = grid.omega_center
+    first, last = omegas[used[0]], omegas[used[-1]]
+    rungs = int(math.ceil((last - first) / abs(shear) + 0.25))  # the last node reaches `last`
+    # nodes run from the span's edge in the direction of the shear: node j + LADDERS
+    # is node j + W, so each ladder is a column of the (rungs, LADDERS) reshape
+    start = first if shear > 0 else last
+    nodes = start + (shear / LADDERS) * np.arange(rungs * LADDERS)
+    dphi_nodes = np.interp(nodes, omegas, dphi)
+    steps = -dphi_nodes.reshape(rungs, LADDERS)[:-1]  # phi(x + W) - phi(x) down each ladder
+    summed = np.concatenate([np.zeros((1, LADDERS)), np.cumsum(steps, axis=0)]).ravel()
 
-    if method == "midpoint_integration":
-        deriv = -np.interp(omegas - 0.5 * shear, omegas, dphi) / shear
-        steps = 0.5 * (deriv[1:] + deriv[:-1]) * grid.omega_step
-        phase = np.concatenate([[0.0], np.cumsum(steps)])
-        return phase - phase[grid.n_points // 2]
+    # phi = summed + the offset of each node's ladder; ladder 0's offset is 0
+    ladder = (np.arange(summed.size)[:, None] % LADDERS == np.arange(1, LADDERS)).astype(float)
+    design = ladder[:-2] - 2.0 * ladder[1:-1] + ladder[2:]
+    target = -(summed[:-2] - 2.0 * summed[1:-1] + summed[2:])
+    sw = np.sqrt(np.interp(nodes[1:-1], omegas, weights))
+    offsets, _, _, _ = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)
+    phi_nodes = summed + ladder @ offsets
 
-    lo = (omegas[0] - omega0) / shear
-    hi = (omegas[-1] - omega0) / shear
-    k_min = int(math.ceil(min(lo, hi)))
-    k_max = int(math.floor(max(lo, hi)))
-    ks = np.arange(k_min, k_max + 1)
-    nodes = omega0 + ks * shear
-    dphi_at = np.interp(nodes, omegas, dphi)
-    zero = -k_min  # index of ks == 0; each sum runs outward from phi = 0 there
-    up = np.cumsum(np.concatenate([[0.0], -dphi_at[zero:-1]]))  # phi(x + W) = phi(x) - dphi(x)
-    down = np.cumsum(np.concatenate([[0.0], dphi_at[:zero][::-1]]))  # phi(x) = phi(x + W) + dphi(x)
-    phi_nodes = np.concatenate([down[:0:-1], up])
-    order = np.argsort(nodes)
-    return np.interp(omegas, nodes[order], phi_nodes[order])
+    if shear < 0:
+        nodes, phi_nodes, dphi_nodes = nodes[::-1], phi_nodes[::-1], dphi_nodes[::-1]
+    # beyond the lattice, phi runs on at the edge slope -dphi/W to a node past the grid
+    edges = nodes[[0, -1]] + np.array([-1.0, 1.0]) * (omegas[-1] - omegas[0] + abs(shear))
+    at_edges = phi_nodes[[0, -1]] - dphi_nodes[[0, -1]] / shear * (edges - nodes[[0, -1]])
+    phase = np.interp(omegas, np.concatenate([edges[:1], nodes, edges[1:]]),
+                      np.concatenate([at_edges[:1], phi_nodes, at_edges[1:]]))
+    return phase - phase[grid.n_points // 2]
 
 
 def fit_phase_polynomial(
@@ -481,7 +482,7 @@ def reconstruct(
     grid = interf.grid
     spectrum = recover_spectrum(interf)
     dphi, diag = extract_phase_difference(interf, settings, config.delay)
-    phase = integrate_phase(dphi, config.shear, grid, settings.integration_method)
+    phase = integrate_phase(dphi, config.shear, grid, spectrum * diag.valid_mask)
     fit = fit_phase_polynomial(phase, spectrum, grid, 3, diag.valid_mask)
 
     envelope = spectrum
@@ -545,8 +546,7 @@ def result_to_dict(result: ReconstructionResult) -> dict:
     }
 
 
-def result_from_dict(data: dict) -> ReconstructionResult:
-    what = "reconstruction result"
+def result_from_dict(data: dict, what: str = "reconstruction result") -> ReconstructionResult:
     names = dict(_RESULT_ARRAYS)
     if isinstance(data, dict) and "phase_difference" not in data:
         del names["phase_difference"]  # files written before the field existed
@@ -554,6 +554,8 @@ def result_from_dict(data: dict) -> ReconstructionResult:
     arrays.setdefault("phase_difference", np.zeros(grid.n_points))
     try:
         fit = fit_from_dict(data["coefficients"])
+        if not isinstance(data["diagnostics"], dict):
+            raise TypeError("'diagnostics' must be an object")
         diagnostics = dict(data["diagnostics"])
         return ReconstructionResult(grid, **arrays, coefficients=fit, diagnostics=diagnostics)
     except (KeyError, TypeError, ValueError) as exc:
@@ -565,4 +567,4 @@ def save_result(result: ReconstructionResult, path) -> None:
 
 
 def load_result(path) -> ReconstructionResult:
-    return result_from_dict(read_json(path))
+    return result_from_dict(read_json(path), f"reconstruction result {path}")

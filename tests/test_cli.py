@@ -233,11 +233,11 @@ def test_reconstruct_help_lists_the_settings_flags(capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     for flag in ("--filter-width", "--filter-order", "--filter-shape",
-                 "--amplitude-floor", "--integration-method", "--no-envelope-correction"):
+                 "--amplitude-floor", "--no-envelope-correction"):
         assert flag in text, flag
     assert "--correct-envelope-bias" not in text
+    assert "--integration-method" not in text
     assert "{super_gaussian,rectangular}" in text
-    assert "{midpoint_integration,concatenation}" in text
 
 
 @pytest.mark.parametrize(
@@ -421,7 +421,8 @@ def test_v_phase_echo_carries_reconstruction_settings(tmp_path):
     assert main(argv) == 0
     echo = json.loads((run / "config_echo.json").read_text(encoding="utf-8"))
     assert ss.FtsiSettings(**echo["reconstruction"]) == ss.preset("v-phase").reconstruction
-    assert echo["reconstruction"]["integration_method"] == "concatenation"
+    assert ss.FtsiSettings(**echo["reconstruction"]) == ss.FtsiSettings()
+    assert "integration_method" not in echo["reconstruction"]
     assert main(
         [
             "reconstruct",
@@ -654,3 +655,23 @@ def test_analyze_string_mask_exits_4(tmp_path, capsys):
     bad.write_text(json.dumps(result), encoding="utf-8")
     assert main(["analyze", str(bad), "--out", str(tmp_path / "ana"), "--quiet"]) == 4
     assert "valid_mask" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, edit, message",
+    [("valid_mask", lambda mask: [False] * len(mask), "not enough weighted bins"),
+     ("diagnostics", lambda diag: [list(pair) for pair in diag.items()],
+      "'diagnostics' must be an object")],
+    ids=["mask without valid bins", "diagnostics as pairs"],
+)
+def test_analyze_malformed_result_exits_4_naming_the_file(tmp_path, capsys, key, edit, message):
+    run = tmp_path / "run"
+    assert main(["pipeline", "--preset", "quadratic", "--noiseless", "--out", str(run),
+                 "--quiet"]) == 0
+    result = json.loads((run / "result.json").read_text(encoding="utf-8"))
+    result[key] = edit(result[key])
+    bad = tmp_path / "result.json"
+    bad.write_text(json.dumps(result), encoding="utf-8")
+    assert main(["analyze", str(bad), "--out", str(tmp_path / "ana"), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err

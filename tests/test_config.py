@@ -266,3 +266,21 @@ def test_old_echo_with_retired_keys_runs(tmp_path, capsys):
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / key)]) == 2
         assert f"{key!r} is retired" in capsys.readouterr().err
         assert not (tmp_path / key).exists()
+
+
+@pytest.mark.parametrize("value", ["midpoint_integration", "concatenation", None])
+def test_retired_integration_method_loads_and_leaves_the_echo(value):
+    # every pulse has one integrator; an old echo's method is a no-op
+    cfg = ss.config_from_dict(raw_config(**{"reconstruction.integration_method": value}))
+    assert cfg == ss.config_from_dict(raw_config())
+    assert "integration_method" not in ss.config_to_dict(cfg)["reconstruction"]
+
+
+@pytest.mark.parametrize("value", ["simpson", 1, True])
+def test_retired_integration_method_at_another_value_is_refused(tmp_path, capsys, value):
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(raw_config(**{"reconstruction.integration_method": value})),
+                    encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 2
+    assert "'integration_method' is retired" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
