@@ -17,7 +17,7 @@ from .core import (
     wavelength_to_omega,
     wigner,
 )
-from .synthesis import PulseSpec, default_grid, synthesize
+from .synthesis import PulseSpec, synthesize
 from .interferometer import (
     Interferogram,
     ShearConfig,

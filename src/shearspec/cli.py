@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from dataclasses import fields, replace
-from typing import get_type_hints
 
 import numpy as np
 
@@ -56,7 +55,6 @@ from .interferometer import (
     save_interferogram_csv,
 )
 from .reconstruction import (
-    FILTER_SHAPES,
     FtsiSettings,
     calibrate_delay,
     coarse_delay_guess,
@@ -157,9 +155,7 @@ def cmd_simulate(args) -> int:
 def _reconstruct_settings(args, base) -> FtsiSettings:
     """The config's settings, else the defaults, with the settings flags applied."""
     flags = {f.name: getattr(args, f.name) for f in fields(FtsiSettings)
-             if getattr(args, f.name, None) is not None}
-    if args.no_envelope_correction:
-        flags["correct_envelope_bias"] = False
+             if getattr(args, f.name) is not None}
     try:
         return replace(ftsi_settings(base) if base else FtsiSettings(), **flags)
     except ValueError as exc:
@@ -455,16 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--center-nm", type=float, help="carrier wavelength for --shear-nm")
     p_rec.add_argument("--calibrate-from", metavar="CSV",
                        help="zero-shear record; fit tau from its fringe slope")
-    # one flag per FtsiSettings field, typed by its hint (filter_width's float | None as
-    # float); the bool is --no-envelope-correction
-    extra = {"filter_width": {"type": float, "help": "HWHM, fs (default: from the delay)"},
-             "filter_shape": {"choices": FILTER_SHAPES}}
-    hints = get_type_hints(FtsiSettings)
-    for name in (f.name for f in fields(FtsiSettings) if hints[f.name] is not bool):
-        kwargs = {"type": hints[name], **extra.get(name, {})}
-        p_rec.add_argument("--" + name.replace("_", "-"), **kwargs)
-    p_rec.add_argument("--no-envelope-correction", action="store_true",
-                       help="keep the -shear/2 envelope centroid bias")
+    # one flag per FtsiSettings field, each a float
+    helps = {"filter_width": "HWHM, fs (default: from the delay)"}
+    for f in fields(FtsiSettings):
+        p_rec.add_argument("--" + f.name.replace("_", "-"), type=float, help=helps.get(f.name))
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_ana = sub.add_parser("analyze", help="profile a reconstruction result")

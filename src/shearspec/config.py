@@ -137,6 +137,9 @@ _RETIRED = {
     ("reconstruction", "integration_method"): (
         ("midpoint_integration", "concatenation"), "one integrator serves every pulse"
     ),
+    ("reconstruction", "filter_shape"): (("super_gaussian",), "the window is a super-Gaussian"),
+    ("reconstruction", "filter_order"): ((6, 6.0), "the window's order is 6"),
+    ("reconstruction", "correct_envelope_bias"): ((True,), "the envelope bias is always corrected"),
 }
 
 

@@ -39,21 +39,14 @@ from .errors import (
 )
 from .interferometer import Interferogram, ShearConfig
 
-FILTER_SHAPES = ("super_gaussian", "rectangular")
 LADDERS = 4  # interleaved concatenation ladders in integrate_phase
 
 MIN_SIDEBAND_SNR = 3.0
 
-
-def _support_per_width(shape: str, order: int) -> float:
-    """support_half_width / filter_width of a window; a bad shape or order raises."""
-    if shape not in FILTER_SHAPES:
-        raise ValueError(f"filter_shape must be one of {FILTER_SHAPES}")
-    if order < 1:
-        raise ValueError("filter_order must be >= 1")
-    if shape == "rectangular":
-        return 1.0
-    return (math.log(1000.0) / math.log(2.0)) ** (1.0 / (2.0 * order))
+# the sideband window exp(-ln2 * ((t-c)/width)^(2*FILTER_ORDER)), a super-Gaussian
+FILTER_ORDER = 6
+# support half width / width: beyond it the window passes less than 1e-3
+_SUPPORT_PER_WIDTH = (math.log(1000.0) / math.log(2.0)) ** (1.0 / (2.0 * FILTER_ORDER))
 
 
 @dataclass(frozen=True)
@@ -63,25 +56,19 @@ class FtsiSettings:
     The sideband filter is re-centred on the detected peak inside the search
     window [tau - width, tau + width] around the delay tau the record is
     analysed at.  filter_width (fs) is the half width at half maximum of the
-    super-Gaussian window exp(-ln2 * ((t-c)/width)^(2*order)), or the half
-    width of the rectangular window.  None takes width(tau): the widest
-    window of its shape and order whose support_half_width(tau) is 2*tau/3,
-    so it ends tau/3 short of t = 0, the edge of the DC / mirror-sideband
-    region (~0.55*tau for the default order-6 super-Gaussian, wide enough for
-    a kink's sideband tails).  amplitude_floor masks bins whose summed-output
-    intensity falls below floor * max before unwrapping.
+    order-FILTER_ORDER super-Gaussian window.  None takes width(tau): the
+    widest window whose support_half_width(tau) is 2*tau/3, so it ends tau/3
+    short of t = 0, the edge of the DC / mirror-sideband region (~0.55*tau,
+    wide enough for a kink's sideband tails).  amplitude_floor masks bins
+    whose summed-output intensity falls below floor * max before unwrapping.
     """
 
     filter_width: float | None = None
-    filter_shape: str = "super_gaussian"
-    filter_order: int = 6
     amplitude_floor: float = 0.003
-    correct_envelope_bias: bool = True
 
     def __post_init__(self):
-        if self.filter_width is not None and not self.filter_width > 0:
-            raise ValueError("filter_width must be positive")
-        _support_per_width(self.filter_shape, self.filter_order)  # checks shape and order
+        if self.filter_width is not None and not 0 < self.filter_width < math.inf:
+            raise ValueError("filter_width must be positive and finite")
         if not 0 < self.amplitude_floor < 1:
             raise ValueError("amplitude_floor must lie in (0, 1)")
 
@@ -89,20 +76,18 @@ class FtsiSettings:
         """The window's half width for a record analysed at delay tau."""
         if self.filter_width is not None:
             return self.filter_width
-        return (2.0 * tau / 3.0) / _support_per_width(self.filter_shape, self.filter_order)
+        return (2.0 * tau / 3.0) / _SUPPORT_PER_WIDTH
 
     def support_half_width(self, tau: float) -> float:
         """Half width beyond which the window at delay tau passes less than 1e-3."""
-        return self.width(tau) * _support_per_width(self.filter_shape, self.filter_order)
+        return self.width(tau) * _SUPPORT_PER_WIDTH
 
     def window(self, t: np.ndarray, center: float, width: float) -> np.ndarray:
         x = (t - center) / width
-        if self.filter_shape == "rectangular":
-            return (np.abs(x) <= 1.0).astype(float)
         # exp underflows to exactly 0.0 past ln2 * |x|^(2k) = 746: evaluate below 760 only
-        inside = np.abs(x) < (760.0 / math.log(2.0)) ** (1.0 / (2 * self.filter_order))
+        inside = np.abs(x) < (760.0 / math.log(2.0)) ** (1.0 / (2 * FILTER_ORDER))
         w = np.zeros_like(x)
-        w[inside] = np.exp(-math.log(2.0) * x[inside] ** (2 * self.filter_order))
+        w[inside] = np.exp(-math.log(2.0) * x[inside] ** (2 * FILTER_ORDER))
         return w
 
 
@@ -164,7 +149,7 @@ def recover_spectrum(interf: Interferogram) -> np.ndarray:
     """Fringe-free spectral envelope: plus+minus, normalized to unit integral.
 
     Estimates [S(omega) + S(omega+W)]/2, so the centroid carries a -W/2
-    bias relative to S(omega); reconstruct() optionally corrects it.
+    bias relative to S(omega); reconstruct() corrects it.
     """
     total = _record_total(interf)
     return (interf.plus + interf.minus) / (total * interf.grid.omega_step)
@@ -477,7 +462,7 @@ def reconstruct(
 
     config.delay is taken as the calibrated carrier delay; config.shear as
     the calibrated shear.  The recovered envelope's -W/2 centroid bias is
-    corrected by resampling when settings.correct_envelope_bias is set.
+    corrected by resampling.
     """
     grid = interf.grid
     spectrum = recover_spectrum(interf)
@@ -485,12 +470,9 @@ def reconstruct(
     phase = integrate_phase(dphi, config.shear, grid, spectrum * diag.valid_mask)
     fit = fit_phase_polynomial(phase, spectrum, grid, 3, diag.valid_mask)
 
-    envelope = spectrum
-    corrected = bool(settings.correct_envelope_bias and config.shear != 0.0)
-    if corrected:
-        envelope = np.interp(grid.omegas - 0.5 * config.shear, grid.omegas, spectrum)
-        envelope = envelope / (float(np.sum(envelope)) * grid.omega_step)
-    amplitude = np.sqrt(envelope)
+    # integrate_phase refused a zero shear, so there is a -W/2 bias to undo
+    envelope = np.interp(grid.omegas - 0.5 * config.shear, grid.omegas, spectrum)
+    amplitude = np.sqrt(envelope / (float(np.sum(envelope)) * grid.omega_step))
 
     diagnostics = {
         "visibility": diag.visibility,
@@ -499,7 +481,7 @@ def reconstruct(
         "shear_rad_per_fs_used": float(config.shear),
         "sideband_time_fs": diag.sideband_time_fs,
         "envelope_bias_rad_per_fs": -0.5 * config.shear,
-        "envelope_bias_corrected": corrected,
+        "envelope_bias_corrected": True,
     }
     return ReconstructionResult(
         grid=grid,

@@ -120,12 +120,3 @@ def synthesize(spec: PulseSpec, grid: SpectralGrid) -> SpectralMode:
         phase = np.interp(omegas, np.asarray(spec.table_omega), np.asarray(spec.table_phase))
 
     return normalize(grid, amp * np.exp(1j * phase), anchor=True)
-
-
-def default_grid(spec: PulseSpec, span_factor: float = 10.0, n_points: int = 4096) -> SpectralGrid:
-    """Grid centered on the pulse carrier spanning span_factor x FWHM."""
-    if not span_factor >= 4.0:
-        raise ValueError("span_factor below 4 cannot contain the pulse")
-    from .core import make_grid
-
-    return make_grid(spec.omega_center, span_factor * spec.fwhm_omega, n_points)

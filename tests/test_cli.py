@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,49 +207,40 @@ def test_center_nm_refused_for_a_shear_in_rad_per_fs(tmp_path, capsys, source):
     assert not rec.exists()
 
 
-def test_reconstruct_without_envelope_correction(tmp_path):
-    sim, rec = tmp_path / "sim", tmp_path / "rec"
-    argv = ["simulate", "--preset", "quadratic", "--noiseless", "--out", str(sim), "--quiet"]
-    assert main(argv) == 0
-    echo = str(sim / "config_echo.json")
-    assert main(["reconstruct", str(sim / "interferogram.csv"), "--config", echo,
-                 "--no-envelope-correction", "--out", str(rec), "--quiet"]) == 0
-    got = ss.load_result(rec / "result.json")
-    assert got.diagnostics["envelope_bias_corrected"] is False
-
-    cfg = ss.load_config(echo)
-    record = ss.load_interferogram_csv(sim / "interferogram.csv")
-    settings = replace(cfg.reconstruction, correct_envelope_bias=False)
-    want = ss.reconstruct(record, ss.shear_config(cfg), settings)
-    for name in ("amplitude_abs", "phase_rad", "valid_mask", "phase_difference"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.coefficients == want.coefficients
-
-
 def test_reconstruct_help_lists_the_settings_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reconstruct", "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for flag in ("--filter-width", "--filter-order", "--filter-shape",
-                 "--amplitude-floor", "--no-envelope-correction"):
+    for flag in ("--filter-width", "--amplitude-floor"):
         assert flag in text, flag
-    assert "--correct-envelope-bias" not in text
-    assert "--integration-method" not in text
-    assert "{super_gaussian,rectangular}" in text
+    for retired in ("--filter-shape", "--filter-order", "--no-envelope-correction",
+                    "--correct-envelope-bias", "--integration-method"):
+        assert retired not in text, retired
 
 
 @pytest.mark.parametrize(
-    "flag", [["--filter-shape", "triangular"], ["--integration-method", "simpson"],
-             ["--filter-order", "4.5"], ["--filter-width", "wide"]],
-    ids=["shape", "method", "order", "width"],
+    "flag, named",
+    [(["--filter-width", "wide"], "--filter-width"), (["--filter-width", "0"], "filter_width"),
+     (["--filter-width", "inf"], "filter_width"),
+     (["--amplitude-floor", "1.5"], "amplitude_floor")],
+    ids=["width", "width-zero", "width-inf", "floor"],
 )
-def test_bad_settings_flag_exits_2_before_reading(tmp_path, flag):
-    # the record does not exist: reading it would exit 4
-    with pytest.raises(SystemExit) as exc:
-        main(["reconstruct", str(tmp_path / "none.csv"), "--shear-rad-per-fs", str(SHEAR),
-              "--tau-fs", "10000", *flag, "--out", str(tmp_path / "rec")])
-    assert exc.value.code == 2
+def test_bad_settings_flag_exits_2_before_reading(tmp_path, capsys, monkeypatch, flag, named):
+    # an argparse error raises SystemExit; a settings error makes main return 2
+    read = []
+    monkeypatch.setattr("shearspec.cli.load_interferogram_csv", read.append)
+    argv = ["reconstruct", str(tmp_path / "none.csv"), "--shear-rad-per-fs", str(SHEAR),
+            "--tau-fs", "10000", *flag, "--out", str(tmp_path / "rec")]
+    if named.startswith("--"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code = exc.value.code
+    else:
+        code = main(argv)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert read == []
 
 
 def test_reconstruct_with_calibration(tmp_path):
@@ -287,7 +277,7 @@ def test_reconstruct_with_calibration(tmp_path):
 
 
 def test_calibration_uses_the_record_settings(tmp_path):
-    # a noisy zero-shear record: the fitted delay depends on the window's order
+    # a noisy zero-shear record: the fitted delay depends on the window's width
     cal_cfg = write_config(tmp_path, "cal.json", **{"interferometer.shear_nm": None,
                                                     "interferometer.shear_rad_per_fs": 0.0})
     cal = tmp_path / "cal"
@@ -296,13 +286,14 @@ def test_calibration_uses_the_record_settings(tmp_path):
     argv = ["simulate", "--preset", "quadratic", "--noiseless", "--out", str(sim), "--quiet"]
     assert main(argv) == 0
     assert main(["reconstruct", str(sim / "interferogram.csv"), "--shear-nm", "0.58",
-                 "--center-nm", "830", "--tau-fs", "10000", "--filter-order", "2",
+                 "--center-nm", "830", "--tau-fs", "10000", "--filter-width", "3000",
                  "--calibrate-from", str(cal / "interferogram.csv"), "--out", str(rec),
                  "--quiet"]) == 0
     used = ss.load_result(rec / "result.json").diagnostics["tau_fs_used"]
     record = ss.load_interferogram_csv(cal / "interferogram.csv")
     zero_shear = ss.ShearConfig(0.0, TAU)
-    assert used == ss.calibrate_delay(record, zero_shear, ss.FtsiSettings(filter_order=2)).tau_fs
+    settings = ss.FtsiSettings(filter_width=3000.0)
+    assert used == ss.calibrate_delay(record, zero_shear, settings).tau_fs
     assert used != ss.calibrate_delay(record, zero_shear, ss.FtsiSettings()).tau_fs
 
 

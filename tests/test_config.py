@@ -64,7 +64,7 @@ REJECTED = {
     "unknown phase_kind": {"pulse.phase_kind": "cubic"},
     "two shear units": {"interferometer.shear_rad_per_fs": 0.001},
     "negative delay": {"interferometer.delay_fs": -5.0},
-    "bad reconstruction value": {"reconstruction.filter_shape": "triangular"},
+    "bad reconstruction value": {"reconstruction.amplitude_floor": 1.5},
     "retired filter_center": {"reconstruction.filter_center": 10000.0},
     "filter_width at the delay": {"reconstruction.filter_width": 10000.0},
     "grid too coarse for the fringes": {"grid.n_points": 1024},
@@ -153,9 +153,9 @@ def test_fractional_integers_rejected(tweaks):
         ss.config_from_dict(raw_config(**tweaks))
 
 
-def test_string_envelope_flag_rejected():
-    with pytest.raises(ConfigError, match="correct_envelope_bias"):
-        ss.config_from_dict(raw_config(**{"reconstruction.correct_envelope_bias": "no"}))
+def test_string_bool_flag_rejected():
+    with pytest.raises(ConfigError, match="noiseless"):
+        ss.config_from_dict(raw_config(**{"interferometer.noiseless": "no"}))
 
 
 def test_bool_filter_width_rejected():
@@ -175,12 +175,9 @@ def test_non_finite_numbers_rejected(tweaks):
 
 
 def test_reconstruction_overrides_are_typed():
-    cfg = ss.config_from_dict(
-        raw_config(**{"reconstruction.filter_width": 3000, "reconstruction.filter_order": 4.0})
-    )
-    assert cfg.reconstruction == ss.FtsiSettings(filter_width=3000.0, filter_order=4)
-    assert [type(cfg.reconstruction.filter_width), type(cfg.reconstruction.filter_order)] == [
-        float, int]
+    cfg = ss.config_from_dict(raw_config(**{"reconstruction.filter_width": 3000}))
+    assert cfg.reconstruction == ss.FtsiSettings(filter_width=3000.0)
+    assert type(cfg.reconstruction.filter_width) is float
     assert ss.ftsi_settings(cfg).filter_width == 3000.0
 
 
@@ -192,6 +189,16 @@ def test_grid_must_cover_the_pulse(tmp_path, capsys):
     for command in ("pipeline", "simulate"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
     assert "does not cover the pulse" in capsys.readouterr().err
+
+
+def test_build_grid_spans_span_factor_fwhm():
+    cfg = ss.config_from_dict(raw_config())
+    grid = ss.build_grid(cfg)
+    fwhm = ss.shear_nm_to_omega(8.0, 830.0)
+    assert grid.n_points == 4096
+    assert grid.span == pytest.approx(10.0 * fwhm, rel=1e-12)
+    # half-open interval: the first bin sits at center - span/2 exactly
+    assert grid.omegas[0] == pytest.approx(ss.wavelength_to_omega(830.0) - 5.0 * fwhm, rel=1e-12)
 
 
 def test_2048_points_resolve_the_fringes_at_10_ps():
@@ -268,19 +275,34 @@ def test_old_echo_with_retired_keys_runs(tmp_path, capsys):
         assert not (tmp_path / key).exists()
 
 
-@pytest.mark.parametrize("value", ["midpoint_integration", "concatenation", None])
-def test_retired_integration_method_loads_and_leaves_the_echo(value):
-    # every pulse has one integrator; an old echo's method is a no-op
-    cfg = ss.config_from_dict(raw_config(**{"reconstruction.integration_method": value}))
+# ---- retired reconstruction keys ---------------------------------------------
+
+def _retired_cases(values_by_key):
+    """(key, value) cases; integration_method's, the first retired, are named by value."""
+    cases = [(key, value) for key, values in values_by_key.items() for value in values]
+    ids = [str(value) if key == "integration_method" else f"{key}-{json.dumps(value)}"
+           for key, value in cases]
+    return pytest.mark.parametrize("key, value", cases, ids=ids)
+
+
+# one integrator, one order-6 super-Gaussian window, the envelope bias always corrected:
+# an old echo's value is a no-op (filter_order 6.0 loaded as 6 under the integral rule)
+@_retired_cases({"integration_method": ["midpoint_integration", "concatenation", None],
+                 "filter_shape": ["super_gaussian", None], "filter_order": [6, 6.0, None],
+                 "correct_envelope_bias": [True, None]})
+def test_retired_integration_method_loads_and_leaves_the_echo(key, value):
+    cfg = ss.config_from_dict(raw_config(**{f"reconstruction.{key}": value}))
     assert cfg == ss.config_from_dict(raw_config())
-    assert "integration_method" not in ss.config_to_dict(cfg)["reconstruction"]
+    assert key not in ss.config_to_dict(cfg)["reconstruction"]
 
 
-@pytest.mark.parametrize("value", ["simpson", 1, True])
-def test_retired_integration_method_at_another_value_is_refused(tmp_path, capsys, value):
+@_retired_cases({"integration_method": ["simpson", 1, True],
+                 "filter_shape": ["rectangular", True], "filter_order": [2, 6.5, "6", True],
+                 "correct_envelope_bias": [False, "true", 1]})
+def test_retired_integration_method_at_another_value_is_refused(tmp_path, capsys, key, value):
     path = tmp_path / "echo.json"
-    path.write_text(json.dumps(raw_config(**{"reconstruction.integration_method": value})),
+    path.write_text(json.dumps(raw_config(**{f"reconstruction.{key}": value})),
                     encoding="utf-8")
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 2
-    assert "'integration_method' is retired" in capsys.readouterr().err
+    assert f"{key!r} is retired" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()

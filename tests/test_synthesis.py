@@ -138,14 +138,3 @@ def test_apply_shear_headroom_guard(grid, quad_mode):
 def test_apply_shear_preserves_norm(grid, quad_mode):
     out = ss.apply_shear(quad_mode, -ss.shear_nm_to_omega(0.58, 830.0))
     assert np.sum(np.abs(out.amplitude) ** 2) * grid.omega_step == pytest.approx(1.0, rel=1e-9)
-
-
-def test_default_grid():
-    spec = ss.PulseSpec(830.0, 8.0)
-    g = ss.default_grid(spec)
-    assert g.n_points == 4096
-    assert g.span == pytest.approx(10.0 * FWHM_W, rel=1e-12)
-    # half-open interval: first bin sits at center - span/2 exactly
-    assert g.omegas[0] == pytest.approx(OMEGA0 - 5.0 * FWHM_W, rel=1e-12)
-    with pytest.raises(ValueError):
-        ss.default_grid(spec, span_factor=3.0)
