@@ -8,7 +8,6 @@ import numpy as np
 
 from .core import (
     SpectralMode,
-    TemporalMode,
     WignerMap,
     mode_overlap,
     normalize,
@@ -21,7 +20,6 @@ from .reconstruction import masked_fit
 class TemporalProfile:
     """Temporal intensity summary of a mode."""
 
-    temporal: TemporalMode
     fwhm_fs: float
     peak_count: int
     peak_times_fs: tuple
@@ -61,7 +59,7 @@ def _find_peaks(x: np.ndarray, y: np.ndarray, threshold: float) -> list:
 
 
 def temporal_profile(mode: SpectralMode, peak_threshold: float = 0.1) -> TemporalProfile:
-    """Temporal intensity, its FWHM (outermost half-max crossings), and peaks."""
+    """FWHM of the temporal intensity (outermost half-max crossings), and its peaks."""
     if not 0 < peak_threshold < 1:
         raise ValueError("peak_threshold must lie in (0, 1)")
     tmode = to_time_domain(mode)
@@ -69,7 +67,7 @@ def temporal_profile(mode: SpectralMode, peak_threshold: float = 0.1) -> Tempora
     times = tmode.times
     fwhm = _half_max_width(times, intensity)
     peaks = _find_peaks(times, intensity, peak_threshold)
-    return TemporalProfile(tmode, fwhm, len(peaks), tuple(peaks))
+    return TemporalProfile(fwhm, len(peaks), tuple(peaks))
 
 
 def transform_limit_ratio(mode: SpectralMode) -> float:

@@ -79,15 +79,6 @@ def _ensure_dir(path: str) -> str:
     return path
 
 
-def _with_overrides(cfg: RunConfig, seed, noiseless: bool, out) -> RunConfig:
-    """cfg with a run's --seed, --noiseless and --out applied (None or false: keep)."""
-    det = cfg.interferometer
-    seed = det.seed if seed is None else seed
-    det = replace(det, seed=seed, noiseless=det.noiseless or noiseless)
-    outputs = replace(cfg.outputs, directory=out or cfg.outputs.directory)
-    return replace(cfg, interferometer=det, outputs=outputs)
-
-
 def _resolve_run_config(args) -> RunConfig:
     """Merge preset/config file with command-line overrides; a noisy run needs a seed."""
     if args.config and args.preset:
@@ -98,7 +89,12 @@ def _resolve_run_config(args) -> RunConfig:
         cfg = preset(args.preset)
     else:
         raise ConfigError("a run needs --config PATH or --preset NAME")
-    cfg = _with_overrides(cfg, args.seed, args.noiseless, args.out)
+    # --seed, --noiseless and --out override the config; None or false keeps it
+    det = cfg.interferometer
+    det = replace(det, seed=det.seed if args.seed is None else args.seed,
+                  noiseless=det.noiseless or args.noiseless)
+    outputs = replace(cfg.outputs, directory=args.out or cfg.outputs.directory)
+    cfg = replace(cfg, interferometer=det, outputs=outputs)
     validate_config(cfg)
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
@@ -306,11 +302,14 @@ def _run_single(cfg: RunConfig, mode, ideal, sc: ShearConfig, settings, trial: i
 def _export_artifacts(outdir: str, truth, result) -> list:
     grid = result.grid
     rec_mode = result.mode()
+    # unwrapped and anchored at the grid centre, like the recovered phase
+    truth_phase = np.unwrap(truth.phase())
+    truth_phase -= truth_phase[grid.n_points // 2]
     tables = {  # file: header, row format, columns
         "spectrum.csv": ("omega_rad_per_fs,truth,recovered", "{!r},{!r},{!r}\n",
                          grid.omegas, truth.intensity(), rec_mode.intensity()),
         "phase.csv": ("omega_rad_per_fs,truth_rad,recovered_rad,valid", "{!r},{!r},{!r},{:d}\n",
-                      grid.omegas, truth.phase(), result.phase_rad, result.valid_mask),
+                      grid.omegas, truth_phase, result.phase_rad, result.valid_mask),
         "temporal.csv": ("t_fs,truth,recovered", "{!r},{!r},{!r}\n", grid.times,
                          to_time_domain(truth).intensity(), to_time_domain(rec_mode).intensity()),
     }
@@ -370,27 +369,7 @@ def _run_pipeline(cfg: RunConfig, trials: int):
 
 def cmd_pipeline(args) -> int:
     cfg = _resolve_run_config(args)
-    if args.compare:  # checked before either run writes a file
-        det = cfg.interferometer
-        compare_dir = os.path.join(cfg.outputs.directory, "compare", args.compare)
-        other = _with_overrides(preset(args.compare), det.seed, det.noiseless, compare_dir)
-        if build_grid(other) != build_grid(cfg):
-            raise ConfigError("--compare preset uses an incompatible grid")
     outdir, summary, first, files = _run_pipeline(cfg, args.trials)
-
-    if args.compare:
-        # one run: the comparison reads only its first result and v_slope_fs
-        _, other_summary, other_first, other_files = _run_pipeline(other, 1)
-        files += [f"compare/{args.compare}/{name}" for name in other_files]
-        rep = orthogonality_report(first.mode(), other_first.mode())
-        summary["compare"] = {
-            "preset": args.compare,
-            "overlap": rep.overlap,
-            "spectral_l1": rep.spectral_intensity_distance,
-            "temporal_l1": rep.temporal_intensity_distance,
-            "v_slope_fs": other_summary["v_slope_fs"],
-        }
-
     summary["files"] = sorted(files + ["summary.json"])
     write_json(summary, os.path.join(outdir, "summary.json"))
 
@@ -410,8 +389,6 @@ def cmd_pipeline(args) -> int:
     if "trials" in summary:
         tr = summary["trials"]
         rows.append(("trials", f"{tr['n']}: phi2 {tr['phi2_fs2_mean']:.4g} sd {tr['phi2_fs2_sd']:.2g}"))
-    if "compare" in summary:
-        rows.append(("compare_overlap", f"{summary['compare']['overlap']:.4f} vs {args.compare}"))
     for key, value in rows:
         _say(args, f"{key:<20s} {value}")
     return 0
@@ -460,15 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana = sub.add_parser("analyze", help="profile a reconstruction result")
     common(p_ana, config=False)
     p_ana.add_argument("result", help="result JSON path")
-    p_ana.add_argument("--truth", metavar="MODE", help="truth mode JSON for overlap")
+    p_ana.add_argument("--truth", metavar="MODE",
+                       help="mode to compare with: truth_mode.json or another run's result.json")
     p_ana.add_argument("--wigner", action="store_true", help="also export wigner.csv")
     p_ana.set_defaults(func=cmd_analyze)
 
     p_pipe = sub.add_parser("pipeline", help="simulate, reconstruct, analyze in one run")
     common(p_pipe, run=True)
-    p_pipe.add_argument(
-        "--compare", metavar="PRESET", help="also run PRESET and report the mutual overlap"
-    )
     p_pipe.set_defaults(func=cmd_pipeline)
     return parser
 

@@ -20,11 +20,12 @@ from .core import (
     write_json,
 )
 from .errors import ConfigError
-from .interferometer import ShearConfig
+from .interferometer import ShearConfig, check_shear
 from .reconstruction import FtsiSettings, check_delay
 from .synthesis import PulseSpec, check_coverage
 
 MAX_SEED = 2**64 - 1
+MAX_COUNTS = 2**53  # every count stays an exact float64 integer
 
 
 @dataclass(frozen=True)
@@ -171,8 +172,8 @@ def validate_config(cfg: RunConfig, where: str = "config") -> None:
         raise ConfigError(f"{where}.interferometer: seed must fit in 64 bits")
     if not det.delay_fs > 0:
         raise ConfigError(f"{where}: delay_fs must be positive")
-    if det.total_counts <= 0:
-        raise ConfigError(f"{where}: total_counts must be positive")
+    if not 0 < det.total_counts <= MAX_COUNTS:
+        raise ConfigError(f"{where}: total_counts must be positive and at most 2**53")
     if cfg.grid.center_nm is not None and not cfg.grid.center_nm > 0:
         raise ConfigError(f"{where}: grid center_nm must be positive")
     if not cfg.outputs.directory:
@@ -182,6 +183,7 @@ def validate_config(cfg: RunConfig, where: str = "config") -> None:
     try:
         grid = build_grid(cfg)
         check_coverage(cfg.pulse, grid)
+        check_shear(resolved_shear(cfg), grid)
         check_delay(cfg.reconstruction, grid, det.delay_fs)
     except (ValueError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{where}: {exc}") from None

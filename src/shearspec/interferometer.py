@@ -67,17 +67,22 @@ class Interferogram:
                 raise ValueError("counts records must hold integers")
 
 
+def check_shear(shear: float, grid: SpectralGrid) -> None:
+    """Raise ValueError unless |shear| leaves the grid headroom: below a quarter span."""
+    limit = 0.25 * grid.span
+    if abs(shear) >= limit:
+        raise ValueError(
+            f"shear {shear:g} rad/fs exceeds the grid headroom (|shear| < {limit:g})"
+        )
+
+
 def apply_shear(mode: SpectralMode, shear: float) -> SpectralMode:
     """Shift the spectrum by +shear in omega: psi~(omega) -> psi~(omega - shear).
 
     Implemented as multiplication by exp(-i*shear*t) in the time domain,
     which is exact for any shear, on-grid or not.
     """
-    limit = 0.25 * mode.grid.span
-    if abs(shear) >= limit:
-        raise ValueError(
-            f"shear {shear:g} rad/fs exceeds the grid headroom (|shear| < {limit:g})"
-        )
+    check_shear(shear, mode.grid)
     if shear == 0.0:
         return mode
     temporal = spectral_to_temporal_array(mode.amplitude, mode.grid)

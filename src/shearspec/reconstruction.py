@@ -529,11 +529,7 @@ def result_to_dict(result: ReconstructionResult) -> dict:
 
 
 def result_from_dict(data: dict, what: str = "reconstruction result") -> ReconstructionResult:
-    names = dict(_RESULT_ARRAYS)
-    if isinstance(data, dict) and "phase_difference" not in data:
-        del names["phase_difference"]  # files written before the field existed
-    grid, arrays = grid_arrays_from_dict(data, what, names)
-    arrays.setdefault("phase_difference", np.zeros(grid.n_points))
+    grid, arrays = grid_arrays_from_dict(data, what, _RESULT_ARRAYS)
     try:
         fit = fit_from_dict(data["coefficients"])
         if not isinstance(data["diagnostics"], dict):

@@ -360,50 +360,32 @@ def test_trial_records_regenerate_from_the_echo(tmp_path):
     assert {key: tr[key][2] for key in TRIAL_KEYS} == regenerated
 
 
-def test_summary_lists_the_compare_files(tmp_path):
-    # the compare preset runs once: its record sits in compare/PRESET/ itself
-    out = tmp_path / "run"
-    argv = ["pipeline", "--preset", "v-phase", "--compare", "lambda-phase", "--trials", "3",
-            "--out", str(out), "--quiet"]
-    assert main(argv) == 0
-    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
-    assert summary["files"] == written
-    assert "compare/lambda-phase/result.json" in written
-    assert not (out / "compare" / "lambda-phase" / "trial_000").exists()
-
-
-def test_compare_grid_is_checked_before_running(tmp_path, capsys):
-    cfg = write_config(tmp_path, **{"grid.n_points": 2048})
-    out = tmp_path / "run"
-    assert main(["pipeline", "--config", cfg, "--compare", "quadratic", "--out", str(out),
-                 "--quiet"]) == 2
-    assert "incompatible grid" in capsys.readouterr().err
-    assert not (out / "compare").exists()
-    assert not out.exists()
-
-
 def test_compare_presets(tmp_path):
-    out = tmp_path / "cmp"
-    assert main(
-        [
-            "pipeline",
-            "--preset",
-            "v-phase",
-            "--compare",
-            "lambda-phase",
-            "--noiseless",
-            "--out",
-            str(out),
-            "--quiet",
-        ]
-    ) == 0
-    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-    cmp_block = summary["compare"]
-    assert cmp_block["preset"] == "lambda-phase"
-    assert 0.001 < cmp_block["overlap"] < 0.02
-    assert cmp_block["spectral_l1"] < 0.05
-    assert (out / "compare" / "lambda-phase" / "result.json").is_file()
+    # the overlap of two runs: analyze one run's result.json against the other's
+    v, lam, ana = tmp_path / "v", tmp_path / "l", tmp_path / "ana"
+    for name, out in (("v-phase", v), ("lambda-phase", lam)):
+        argv = ["pipeline", "--preset", name, "--noiseless", "--out", str(out), "--quiet"]
+        assert main(argv) == 0
+    assert main(["analyze", str(v / "result.json"), "--truth", str(lam / "result.json"),
+                 "--out", str(ana), "--quiet"]) == 0
+    report = json.loads((ana / "report.json").read_text(encoding="utf-8"))
+    assert 0.001 < report["overlap_with_truth"] < 0.02
+    assert report["spectral_l1_vs_truth"] < 0.05
+    rep = ss.orthogonality_report(ss.load_result(v / "result.json").mode(),
+                                  ss.load_result(lam / "result.json").mode())
+    assert report["overlap_with_truth"] == rep.overlap
+    assert report["spectral_l1_vs_truth"] == rep.spectral_intensity_distance
+    assert report["temporal_l1_vs_truth"] == rep.temporal_intensity_distance
+
+
+def test_phase_csv_truth_is_unwrapped_like_the_recovery(tmp_path):
+    out = tmp_path / "run"
+    argv = ["pipeline", "--preset", "quadratic", "--noiseless", "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    _, truth, recovered, valid = np.loadtxt(out / "phase.csv", delimiter=",", skiprows=1).T
+    valid = valid == 1
+    assert valid.sum() > 100
+    assert np.max(np.abs(truth[valid] - recovered[valid])) < 0.01
 
 
 def test_v_phase_echo_carries_reconstruction_settings(tmp_path):
@@ -509,8 +491,10 @@ def test_exit_2_config_problems(tmp_path, capsys):
         ["analyze", "result.json", "--config", "run.json"],
         ["reconstruct", "record.csv", "--seed", "1"],
         ["reconstruct", "record.csv", "--filter-center", "10000"],
+        ["pipeline", "--preset", "v-phase", "--compare", "lambda-phase"],
     ],
-    ids=["analyze --seed", "analyze --config", "reconstruct --seed", "reconstruct --filter-center"],
+    ids=["analyze --seed", "analyze --config", "reconstruct --seed", "reconstruct --filter-center",
+         "pipeline --compare"],
 )
 def test_flags_a_command_would_ignore_are_refused(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -652,15 +636,19 @@ def test_analyze_string_mask_exits_4(tmp_path, capsys):
     "key, edit, message",
     [("valid_mask", lambda mask: [False] * len(mask), "not enough weighted bins"),
      ("diagnostics", lambda diag: [list(pair) for pair in diag.items()],
-      "'diagnostics' must be an object")],
-    ids=["mask without valid bins", "diagnostics as pairs"],
+      "'diagnostics' must be an object"),
+     ("phase_difference", None, "'phase_difference'")],
+    ids=["mask without valid bins", "diagnostics as pairs", "no phase_difference"],
 )
 def test_analyze_malformed_result_exits_4_naming_the_file(tmp_path, capsys, key, edit, message):
     run = tmp_path / "run"
     assert main(["pipeline", "--preset", "quadratic", "--noiseless", "--out", str(run),
                  "--quiet"]) == 0
     result = json.loads((run / "result.json").read_text(encoding="utf-8"))
-    result[key] = edit(result[key])
+    if edit is None:  # the key is missing
+        del result[key]
+    else:
+        result[key] = edit(result[key])
     bad = tmp_path / "result.json"
     bad.write_text(json.dumps(result), encoding="utf-8")
     assert main(["analyze", str(bad), "--out", str(tmp_path / "ana"), "--quiet"]) == 4

@@ -64,6 +64,8 @@ REJECTED = {
     "unknown phase_kind": {"pulse.phase_kind": "cubic"},
     "two shear units": {"interferometer.shear_rad_per_fs": 0.001},
     "negative delay": {"interferometer.delay_fs": -5.0},
+    "shear past the grid headroom": {"interferometer.shear_nm": 30},
+    "counts past 2**53": {"interferometer.total_counts": 1e22},
     "bad reconstruction value": {"reconstruction.amplitude_floor": 1.5},
     "retired filter_center": {"reconstruction.filter_center": 10000.0},
     "filter_width at the delay": {"reconstruction.filter_width": 10000.0},
@@ -81,6 +83,13 @@ REJECTED = {
 def test_rejected(tweaks):
     with pytest.raises(ConfigError):
         ss.config_from_dict(raw_config(**tweaks))
+
+
+def test_total_counts_may_reach_2_to_the_53():
+    cfg = ss.config_from_dict(raw_config(**{"interferometer.total_counts": 2**53}))
+    assert cfg.interferometer.total_counts == 2**53
+    with pytest.raises(ConfigError, match=r"at most 2\*\*53"):
+        ss.config_from_dict(raw_config(**{"interferometer.total_counts": 2**53 + 1}))
 
 
 def test_messages():
@@ -211,8 +220,11 @@ def test_2048_points_resolve_the_fringes_at_10_ps():
     "tweaks, message",
     [({"grid.n_points": 1024}, "fringes not resolvable"),
      (_tabulated([1.0, -0.5]), "table_amplitude"), (_tabulated([0.0, 0.0]), "table_amplitude"),
-     (_tabulated([1.0, 1.0], omega=[1.0, 1.1]), "overlap the grid")],
-    ids=["coarse grid", "negative table", "zero table", "table off the grid"],
+     (_tabulated([1.0, 1.0], omega=[1.0, 1.1]), "overlap the grid"),
+     ({"interferometer.shear_nm": 30}, "grid headroom"),
+     ({"interferometer.total_counts": 1e22}, "at most 2**53")],
+    ids=["coarse grid", "negative table", "zero table", "table off the grid", "shear 30 nm",
+         "counts 1e22"],
 )
 def test_rejected_before_any_file_is_written(tmp_path, capsys, command, tweaks, message):
     path = tmp_path / "run.json"

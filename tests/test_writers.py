@@ -44,9 +44,11 @@ def ref_artifacts(outdir, truth, result):
         fh.write("omega_rad_per_fs,truth,recovered\n")
         for w, a, b in zip(grid.omegas, truth.intensity(), rec_mode.intensity()):
             fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r}\n")
+    truth_phase = np.unwrap(truth.phase())  # anchored at the grid centre, like the recovery
+    truth_phase = truth_phase - truth_phase[grid.n_points // 2]
     with open(outdir / "phase.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("omega_rad_per_fs,truth_rad,recovered_rad,valid\n")
-        for w, a, b, v in zip(grid.omegas, truth.phase(), result.phase_rad, result.valid_mask):
+        for w, a, b, v in zip(grid.omegas, truth_phase, result.phase_rad, result.valid_mask):
             fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r},{int(v)}\n")
     tm_truth = ss.to_time_domain(truth)
     tm_rec = ss.to_time_domain(rec_mode)
