@@ -4,7 +4,6 @@ from .core import (
     C_NM_PER_FS,
     SpectralGrid,
     SpectralMode,
-    TemporalMode,
     WignerMap,
     load_mode,
     make_grid,
@@ -12,7 +11,6 @@ from .core import (
     normalize,
     save_mode,
     shear_nm_to_omega,
-    to_spectral_domain,
     to_time_domain,
     wavelength_to_omega,
     wigner,
@@ -31,7 +29,6 @@ from .interferometer import (
 )
 from .reconstruction import (
     DelayCalibration,
-    FringeDiagnostics,
     FtsiSettings,
     PhaseFit,
     ReconstructionResult,

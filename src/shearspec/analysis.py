@@ -62,9 +62,8 @@ def temporal_profile(mode: SpectralMode, peak_threshold: float = 0.1) -> Tempora
     """FWHM of the temporal intensity (outermost half-max crossings), and its peaks."""
     if not 0 < peak_threshold < 1:
         raise ValueError("peak_threshold must lie in (0, 1)")
-    tmode = to_time_domain(mode)
-    intensity = tmode.intensity()
-    times = tmode.times
+    intensity = np.abs(to_time_domain(mode)) ** 2
+    times = mode.grid.times
     fwhm = _half_max_width(times, intensity)
     peaks = _find_peaks(times, intensity, peak_threshold)
     return TemporalProfile(fwhm, len(peaks), tuple(peaks))
@@ -97,9 +96,9 @@ def orthogonality_report(a: SpectralMode, b: SpectralMode) -> OrthogonalityRepor
     ov = mode_overlap(a, b)  # ValueError if the grids differ
     dw = a.grid.omega_step
     l1_spec = float(np.sum(np.abs(a.intensity() - b.intensity())) * dw)
-    ta = to_time_domain(a)
-    tb = to_time_domain(b)
-    l1_temp = float(np.sum(np.abs(ta.intensity() - tb.intensity())) * ta.time_step)
+    ta = np.abs(to_time_domain(a)) ** 2
+    tb = np.abs(to_time_domain(b)) ** 2
+    l1_temp = float(np.sum(np.abs(ta - tb)) * a.grid.time_step)
     return OrthogonalityReport(ov, l1_spec, l1_temp)
 
 

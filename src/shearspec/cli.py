@@ -311,7 +311,7 @@ def _export_artifacts(outdir: str, truth, result) -> list:
         "phase.csv": ("omega_rad_per_fs,truth_rad,recovered_rad,valid", "{!r},{!r},{!r},{:d}\n",
                       grid.omegas, truth_phase, result.phase_rad, result.valid_mask),
         "temporal.csv": ("t_fs,truth,recovered", "{!r},{!r},{!r}\n", grid.times,
-                         to_time_domain(truth).intensity(), to_time_domain(rec_mode).intensity()),
+                         np.abs(to_time_domain(truth)) ** 2, np.abs(to_time_domain(rec_mode)) ** 2),
     }
     for name, table in tables.items():
         write_columns(os.path.join(outdir, name), *table)

@@ -208,6 +208,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     return config_from_dict(raw, where=str(path))
 
 

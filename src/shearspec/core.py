@@ -176,26 +176,6 @@ class SpectralMode:
         return np.angle(self.amplitude)
 
 
-@dataclass(frozen=True)
-class TemporalMode:
-    """Complex temporal amplitude on the dual grid of a SpectralGrid."""
-
-    time_start: float
-    time_step: float
-    amplitude: np.ndarray
-
-    def __post_init__(self):
-        if freeze_field(self, "amplitude", np.complex128).ndim != 1:
-            raise ValueError("temporal amplitude must be one-dimensional")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.time_start + self.time_step * np.arange(len(self.amplitude))
-
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.amplitude) ** 2
-
-
 def normalize(grid: SpectralGrid, values: np.ndarray, anchor: bool = True) -> SpectralMode:
     """Build a unit-norm SpectralMode from raw complex samples.
 
@@ -235,22 +215,9 @@ def temporal_to_spectral_array(values: np.ndarray, grid: SpectralGrid) -> np.nda
     return post * ift
 
 
-def to_time_domain(mode: SpectralMode) -> TemporalMode:
-    """Transform a spectral mode to its temporal amplitude."""
-    arr = spectral_to_temporal_array(mode.amplitude, mode.grid)
-    return TemporalMode(mode.grid.time_start, mode.grid.time_step, arr)
-
-
-def to_spectral_domain(tmode: TemporalMode, grid: SpectralGrid) -> SpectralMode:
-    """Transform a temporal mode back onto its originating grid."""
-    if len(tmode.amplitude) != grid.n_points:
-        raise ValueError("temporal mode length does not match grid")
-    if not math.isclose(tmode.time_step, grid.time_step, rel_tol=1e-9):
-        raise ValueError("temporal step does not match the dual of the grid")
-    if not math.isclose(tmode.time_start, grid.time_start, rel_tol=0, abs_tol=1e-9 * grid.time_step):
-        raise ValueError("temporal origin does not match the dual of the grid")
-    arr = temporal_to_spectral_array(tmode.amplitude, grid)
-    return SpectralMode(grid, arr)
+def to_time_domain(mode: SpectralMode) -> np.ndarray:
+    """Temporal amplitude psi(t) of a spectral mode on mode.grid.times."""
+    return spectral_to_temporal_array(mode.amplitude, mode.grid)
 
 
 def mode_overlap(a: SpectralMode, b: SpectralMode) -> float:
@@ -369,12 +336,14 @@ def write_json(data: dict, path) -> None:
 
 
 def read_json(path):
-    """Parse a JSON file; text that is not JSON raises DataFormatError."""
+    """Parse a JSON file; bytes that are not UTF-8 JSON raise DataFormatError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def write_columns(path, header: str, fmt: str, *columns) -> None:

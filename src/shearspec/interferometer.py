@@ -190,27 +190,30 @@ def _exact_step(omegas: np.ndarray, estimate: float) -> float:
 def load_interferogram_csv(path) -> Interferogram:
     """Parse an interferogram CSV.  Malformed input reports the line number."""
     omegas, plus, minus = [], [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise DataFormatError(
-                f"{path}:1: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                omegas.append(float(row[0]))
-                plus.append(float(row[1]))
-                minus.append(float(row[2]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: empty file") from None
+            if [h.strip() for h in header] != CSV_HEADER:
+                raise DataFormatError(
+                    f"{path}:1: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise DataFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+                try:
+                    omegas.append(float(row[0]))
+                    plus.append(float(row[1]))
+                    minus.append(float(row[2]))
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
     n = len(omegas)
     if n < 8 or (n & (n - 1)) != 0:
         raise DataFormatError(f"{path}: row count {n} is not a power of two >= 8")

@@ -92,17 +92,6 @@ class FtsiSettings:
 
 
 @dataclass(frozen=True)
-class FringeDiagnostics:
-    visibility: float
-    sideband_snr: float
-    sideband_time_fs: float
-    valid_mask: np.ndarray
-
-    def __post_init__(self):
-        freeze_field(self, "valid_mask", bool)
-
-
-@dataclass(frozen=True)
 class DelayCalibration:
     tau_fs: float
     stderr_fs: float
@@ -245,12 +234,13 @@ def _bridge(omegas: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndar
 
 def extract_phase_difference(
     interf: Interferogram, settings: FtsiSettings, tau: float
-) -> tuple[np.ndarray, FringeDiagnostics]:
+) -> tuple[np.ndarray, np.ndarray, dict]:
     """Measure dphi(omega) = phi(omega) - phi(omega+W) from the fringe record.
 
     tau is the calibrated delay, used for the sideband search and carrier
     removal; the filter itself locks onto the detected peak.  Returns dphi
-    on the full grid (bridged outside the valid mask) plus diagnostics.
+    on the full grid (bridged outside the valid mask), the valid mask, and
+    the fringe numbers {"visibility", "sideband_snr", "sideband_time_fs"}.
     """
     grid = interf.grid
     _record_total(interf)
@@ -270,10 +260,8 @@ def extract_phase_difference(
 
     s = interf.plus + interf.minus
     vis = float(np.median(2.0 * np.abs(z[mask]) / s[mask]))
-    diag = FringeDiagnostics(
-        visibility=vis, sideband_snr=float(snr), sideband_time_fs=t_pk, valid_mask=mask
-    )
-    return dphi, diag
+    fringe = {"visibility": vis, "sideband_snr": float(snr), "sideband_time_fs": t_pk}
+    return dphi, mask, fringe
 
 
 def calibrate_delay(
@@ -466,20 +454,18 @@ def reconstruct(
     """
     grid = interf.grid
     spectrum = recover_spectrum(interf)
-    dphi, diag = extract_phase_difference(interf, settings, config.delay)
-    phase = integrate_phase(dphi, config.shear, grid, spectrum * diag.valid_mask)
-    fit = fit_phase_polynomial(phase, spectrum, grid, 3, diag.valid_mask)
+    dphi, mask, fringe = extract_phase_difference(interf, settings, config.delay)
+    phase = integrate_phase(dphi, config.shear, grid, spectrum * mask)
+    fit = fit_phase_polynomial(phase, spectrum, grid, 3, mask)
 
     # integrate_phase refused a zero shear, so there is a -W/2 bias to undo
     envelope = np.interp(grid.omegas - 0.5 * config.shear, grid.omegas, spectrum)
     amplitude = np.sqrt(envelope / (float(np.sum(envelope)) * grid.omega_step))
 
     diagnostics = {
-        "visibility": diag.visibility,
-        "sideband_snr": diag.sideband_snr,
+        **fringe,
         "tau_fs_used": float(config.delay),
         "shear_rad_per_fs_used": float(config.shear),
-        "sideband_time_fs": diag.sideband_time_fs,
         "envelope_bias_rad_per_fs": -0.5 * config.shear,
         "envelope_bias_corrected": True,
     }
@@ -487,7 +473,7 @@ def reconstruct(
         grid=grid,
         amplitude_abs=amplitude,
         phase_rad=phase,
-        valid_mask=diag.valid_mask,
+        valid_mask=mask,
         phase_difference=dphi,
         coefficients=fit,
         diagnostics=diagnostics,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -654,3 +658,42 @@ def test_analyze_malformed_result_exits_4_naming_the_file(tmp_path, capsys, key,
     assert main(["analyze", str(bad), "--out", str(tmp_path / "ana"), "--quiet"]) == 4
     err = capsys.readouterr().err
     assert str(bad) in err and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["reconstruct", "BAD", "--shear-rad-per-fs", str(SHEAR), "--tau-fs", "10000"], 4),
+     (["analyze", "BAD"], 4),
+     (["analyze", "RESULT", "--truth", "BAD"], 4),
+     (["pipeline", "--config", "BAD"], 2),
+     (["reconstruct", "RECORD", "--config", "BAD"], 2)],
+    ids=["reconstruct record", "analyze result", "analyze truth", "pipeline config",
+         "reconstruct config"],
+)
+def test_file_that_is_not_utf8_exits_naming_it(tmp_path, capsys, quad_record, shear_cfg,
+                                               settings, argv, code):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    ss.save_result(ss.reconstruct(quad_record, shear_cfg, settings), tmp_path / "result.json")
+    ss.save_interferogram_csv(quad_record, tmp_path / "record.csv")
+    paths = {"BAD": bad, "RESULT": tmp_path / "result.json", "RECORD": tmp_path / "record.csv"}
+    out = tmp_path / "out"
+    assert main([str(paths.get(a, a)) for a in argv] + ["--out", str(out), "--quiet"]) == code
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_entry_point_returns_the_exit_code(tmp_path):
+    src = str(Path(ss.__file__).resolve().parents[1])
+    pythonpath = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "shearspec", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+
+    missing = run("analyze", "missing.json", "--out", "out")
+    assert missing.returncode == 4
+    assert "missing.json" in missing.stderr
+    helped = run("--help")
+    assert helped.returncode == 0 and "pipeline" in helped.stdout

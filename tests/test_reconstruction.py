@@ -63,7 +63,7 @@ def test_recover_spectrum_is_summed_outputs(quad_record, quad_mode):
 
 
 def test_extract_phase_difference_analytic(quad_record, settings, grid):
-    dphi, diag = ss.extract_phase_difference(quad_record, settings, TAU)
+    dphi, mask, fringe = ss.extract_phase_difference(quad_record, settings, TAU)
     x = grid.omegas - OMEGA0
     p2, p3 = 8.7e4, 5.0e5
     pred = -p2 * (SHEAR * x + SHEAR**2 / 2.0) - p3 * (
@@ -71,10 +71,21 @@ def test_extract_phase_difference_analytic(quad_record, settings, grid):
     ) / 6.0
     core = np.abs(x) < 2.0 * SIGMA
     assert np.max(np.abs(dphi[core] - pred[core])) < 1e-9
-    assert np.all(diag.valid_mask[core])
-    assert diag.visibility == pytest.approx(0.98944, abs=1e-3)
-    assert diag.sideband_time_fs == pytest.approx(TAU, abs=300.0)
-    assert diag.sideband_snr > 1e6
+    assert np.all(mask[core])
+    assert fringe["visibility"] == pytest.approx(0.98944, abs=1e-3)
+    assert fringe["sideband_time_fs"] == pytest.approx(TAU, abs=300.0)
+    assert fringe["sideband_snr"] > 1e6
+
+
+def test_reconstruct_passes_fringe_numbers_through(quad_record, shear_cfg, settings):
+    rec = ss.detect_counts(quad_record, 1_000_000, 3)
+    dphi, mask, fringe = ss.extract_phase_difference(rec, settings, TAU)
+    out = ss.reconstruct(rec, shear_cfg, settings)
+    assert set(fringe) == {"visibility", "sideband_snr", "sideband_time_fs"}
+    for key, value in fringe.items():
+        assert out.diagnostics[key] == value
+    assert np.array_equal(out.valid_mask, mask) and not mask.all()
+    assert np.array_equal(out.phase_difference, dphi)
 
 
 def test_filter_collision(quad_record):

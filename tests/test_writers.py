@@ -50,11 +50,11 @@ def ref_artifacts(outdir, truth, result):
         fh.write("omega_rad_per_fs,truth_rad,recovered_rad,valid\n")
         for w, a, b, v in zip(grid.omegas, truth_phase, result.phase_rad, result.valid_mask):
             fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r},{int(v)}\n")
-    tm_truth = ss.to_time_domain(truth)
-    tm_rec = ss.to_time_domain(rec_mode)
+    truth_t = np.abs(ss.to_time_domain(truth)) ** 2
+    rec_t = np.abs(ss.to_time_domain(rec_mode)) ** 2
     with open(outdir / "temporal.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("t_fs,truth,recovered\n")
-        for t, a, b in zip(grid.times, tm_truth.intensity(), tm_rec.intensity()):
+        for t, a, b in zip(grid.times, truth_t, rec_t):
             fh.write(f"{float(t)!r},{float(a)!r},{float(b)!r}\n")
 
 
