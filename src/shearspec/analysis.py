@@ -69,10 +69,15 @@ def temporal_profile(mode: SpectralMode, peak_threshold: float = 0.1) -> Tempora
     return TemporalProfile(fwhm, len(peaks), tuple(peaks))
 
 
-def transform_limit_ratio(mode: SpectralMode) -> float:
-    """Temporal FWHM relative to the zero-phase (transform-limited) version."""
+def transform_limit_ratio(mode: SpectralMode, profile: TemporalProfile | None = None) -> float:
+    """Temporal FWHM relative to the zero-phase (transform-limited) version.
+
+    profile is temporal_profile(mode), computed here unless the caller has it.
+    """
+    if profile is None:
+        profile = temporal_profile(mode)
     flat = normalize(mode.grid, np.abs(mode.amplitude), anchor=False)
-    actual = temporal_profile(mode).fwhm_fs
+    actual = profile.fwhm_fs
     limit = temporal_profile(flat).fwhm_fs
     if limit <= 0:
         raise ValueError("transform-limited profile has no measurable width")

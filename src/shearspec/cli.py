@@ -228,7 +228,7 @@ def _analysis_report(result, mode, truth=None) -> dict:
         "fwhm_fs": prof.fwhm_fs,
         "peak_count": prof.peak_count,
         "peak_times_fs": [float(t) for t in prof.peak_times_fs],
-        "transform_limit_ratio": transform_limit_ratio(mode),
+        "transform_limit_ratio": transform_limit_ratio(mode, prof),
         "coefficients": fit_to_dict(result.coefficients),
         "diagnostics": {k: v for k, v in sorted(result.diagnostics.items())},
     }

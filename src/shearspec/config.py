@@ -201,8 +201,9 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def load_config(path) -> RunConfig:
+    """Parse and validate a config file; a leading UTF-8 byte-order mark is skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None

@@ -336,9 +336,12 @@ def write_json(data: dict, path) -> None:
 
 
 def read_json(path):
-    """Parse a JSON file; bytes that are not UTF-8 JSON raise DataFormatError."""
+    """Parse a JSON file; bytes that are not UTF-8 JSON raise DataFormatError.
+
+    A leading UTF-8 byte-order mark is skipped.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc

@@ -188,10 +188,13 @@ def _exact_step(omegas: np.ndarray, estimate: float) -> float:
 
 
 def load_interferogram_csv(path) -> Interferogram:
-    """Parse an interferogram CSV.  Malformed input reports the line number."""
+    """Parse an interferogram CSV.  Malformed input reports the line number.
+
+    A leading UTF-8 byte-order mark is skipped.
+    """
     omegas, plus, minus = [], [], []
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

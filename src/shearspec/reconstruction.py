@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,9 @@ MIN_SIDEBAND_SNR = 3.0
 FILTER_ORDER = 6
 # support half width / width: beyond it the window passes less than 1e-3
 _SUPPORT_PER_WIDTH = (math.log(1000.0) / math.log(2.0)) ** (1.0 / (2.0 * FILTER_ORDER))
+# |x| below which the window is evaluated: past ln2 * |x|^(2k) = 746 exp underflows
+# to exactly 0.0, so evaluating below 760 only leaves every value unchanged
+_WINDOW_REACH = (760.0 / math.log(2.0)) ** (1.0 / (2 * FILTER_ORDER))
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,7 @@ class FtsiSettings:
 
     def window(self, t: np.ndarray, center: float, width: float) -> np.ndarray:
         x = (t - center) / width
-        # exp underflows to exactly 0.0 past ln2 * |x|^(2k) = 746: evaluate below 760 only
-        inside = np.abs(x) < (760.0 / math.log(2.0)) ** (1.0 / (2 * FILTER_ORDER))
+        inside = np.abs(x) < _WINDOW_REACH
         w = np.zeros_like(x)
         w[inside] = np.exp(-math.log(2.0) * x[inside] ** (2 * FILTER_ORDER))
         return w
@@ -178,25 +181,85 @@ def check_delay(settings: FtsiSettings, grid: SpectralGrid, tau: float) -> None:
         raise ConfigError(f"filter_width {width:g} fs must be below the delay {tau:g} fs")
 
 
-def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float):
-    """Filter the +tau sideband of the difference record; return (Z(omega), snr, t_peak)."""
+class _Sideband(NamedTuple):
+    """The filtered +tau sideband Z(omega) and the time bins that found it."""
+
+    z: np.ndarray
+    snr: float
+    t_peak: float
+    search: slice  # bins with |t - tau| <= width, searched for the peak
+    edge: int  # bin nearest t_peak - width, the window's inner half maximum
+    window: slice  # bins the window is evaluated on
+
+
+def _run(t: np.ndarray, inside, lo: float, hi: float) -> slice:
+    """The bins k of the ascending axis t where inside(t[k]) holds, as a slice.
+
+    inside must hold on one contiguous run of bins whose ends lie within a
+    bin of lo and hi.  searchsorted places the ends there, and each end then
+    steps to where inside itself changes, so the run is exactly the one a
+    boolean mask over t would select, at O(log N) cost.
+    """
+    i = int(np.searchsorted(t, lo))
+    j = int(np.searchsorted(t, hi, side="right"))
+    while i > 0 and inside(t[i - 1]):
+        i -= 1
+    while i < j and not inside(t[i]):
+        i += 1
+    while j < t.size and inside(t[j]):
+        j += 1
+    while j > i and not inside(t[j - 1]):
+        j -= 1
+    return slice(i, j)
+
+
+def _mirrored_median(half: np.ndarray, unpaired) -> float:
+    """Median of `half` taken twice plus the optional value `unpaired`; 0.0 if empty.
+
+    Doubling a sample leaves its median unchanged.  An odd extra value moves
+    it only for an even count: to the extra value, clipped to the middle two.
+    """
+    n = half.size
+    if n == 0:
+        return 0.0 if unpaired is None else float(unpaired)
+    if n % 2 or unpaired is None:
+        return float(np.median(half))
+    lo, hi = np.partition(half, (n // 2 - 1, n // 2))[n // 2 - 1 : n // 2 + 1]
+    return float(min(max(unpaired, lo), hi))
+
+
+def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float) -> _Sideband:
+    """Filter the +tau sideband of the difference record.
+
+    Every bin the search needs lies at t > 0, as tau - width > 0 by
+    check_delay.  The record is real, so |f| is even in t: the half t < 0
+    repeats the half t > 0 but for its end bin t = -T/2, and the median of
+    |f| off the sideband over the whole axis comes from the half t >= 0.
+    """
     grid = interf.grid
     check_delay(settings, grid, tau)
     w = settings.width(tau)
     f = _fringe_transform(interf)
     t = grid.times
-    mag = np.abs(f)
-    search = np.abs(t - tau) <= w
-    if not np.any(search):
+    half = grid.n_points // 2  # t[half] = 0
+    mag = np.abs(f[half:])
+    pos = t[half:]
+    search = _run(pos, lambda x: abs(x - tau) <= w, tau - w, tau + w)
+    if search.start == search.stop:
         raise ConfigError("filter window lies outside the grid's time span")
-    i_pk = int(np.flatnonzero(search)[np.argmax(mag[search])])
-    t_pk = float(t[i_pk])
+    i_pk = search.start + int(np.argmax(mag[search]))
+    t_pk = float(pos[i_pk])
     peak = float(mag[i_pk])
 
     if peak <= 0.0:
         raise LowVisibilityError("record shows no sideband energy in the filter window")
-    off = (np.abs(t) >= 2.0 * w) & (np.abs(np.abs(t) - abs(t_pk)) >= 2.0 * w)
-    floor = float(np.median(mag[off])) if np.any(off) else 0.0
+    # off the sideband: 2w or more from both t = 0 and the peak
+    near = _run(pos, lambda x: abs(x - t_pk) < 2.0 * w, t_pk - 2.0 * w, t_pk + 2.0 * w)
+    first = int(np.searchsorted(pos, 2.0 * w))
+    off = np.concatenate([mag[first : max(first, near.start)], mag[max(first, near.stop) :]])
+    t_end = abs(float(t[0]))  # t[0] = -T/2, the one bin with no mirror
+    unpaired = abs(f[0]) if t_end >= 2.0 * w and abs(t_end - t_pk) >= 2.0 * w else None
+    floor = _mirrored_median(off, unpaired)
     snr = peak / floor if floor > 0 else math.inf
     if snr < MIN_SIDEBAND_SNR:
         raise LowVisibilityError(
@@ -209,27 +272,27 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
             f"filter support [{t_pk - support:.0f}, {t_pk + support:.0f}] fs reaches "
             "into the DC / mirror-sideband region"
         )
-    i_edge = int(np.argmin(np.abs(t - (t_pk - w))))
+    # t_pk - w > 0, so the bin nearest it is the last one below it or the next
+    lo = max(int(np.searchsorted(pos, t_pk - w)) - 1, 0)
+    i_edge = lo + int(np.argmin(np.abs(pos[lo : lo + 2] - (t_pk - w))))
     if mag[i_edge] > 0.5 * peak:
         raise FilterCollisionError(
             "sideband is not isolated: record magnitude at the filter edge exceeds "
             "half the sideband peak"
         )
 
-    z = temporal_to_spectral_array(f * settings.window(t, t_pk, w), grid)
-    return z, snr, t_pk
+    reach = _WINDOW_REACH * w
+    window = _run(t, lambda x: abs((x - t_pk) / w) < _WINDOW_REACH, t_pk - reach, t_pk + reach)
+    filtered = np.zeros_like(f)
+    filtered[window] = f[window] * settings.window(t[window], t_pk, w)
+    z = temporal_to_spectral_array(filtered, grid)
+    search = slice(search.start + half, search.stop + half)
+    return _Sideband(z, snr, t_pk, search, i_edge + half, window)
 
 
 def _amplitude_mask(interf: Interferogram, settings: FtsiSettings) -> np.ndarray:
     s = interf.plus + interf.minus
     return s >= settings.amplitude_floor * float(np.max(s))
-
-
-def _bridge(omegas: np.ndarray, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Unwrap over valid bins, linearly bridge masked gaps, extend wings flat."""
-    idx = np.flatnonzero(mask)
-    unwrapped = np.unwrap(values[idx])
-    return np.interp(omegas, omegas[idx], unwrapped)
 
 
 def extract_phase_difference(
@@ -245,12 +308,17 @@ def extract_phase_difference(
     grid = interf.grid
     _record_total(interf)
     mask = _amplitude_mask(interf, settings)
-    if int(mask.sum()) < 8:
+    idx = np.flatnonzero(mask)
+    if idx.size < 8:
         raise DegenerateInputError("fewer than 8 bins above the amplitude floor")
 
-    z, snr, t_pk = _isolate_sideband(interf, settings, tau)
-    zc = z * np.exp(-1j * grid.omegas * tau)
-    dphi = _bridge(grid.omegas, np.angle(zc), mask)
+    sb = _isolate_sideband(interf, settings, tau)
+    z = sb.z[idx]
+    omegas = grid.omegas[idx]
+    # the carrier exp(i*omega*tau) comes off as a phase; unwrapping over the valid
+    # bins takes up the 2*pi jumps, then masked gaps are bridged linearly and the
+    # wings extended flat
+    dphi = np.interp(grid.omegas, omegas, np.unwrap(np.angle(z) - omegas * tau))
     # Unwrapping leaves a global 2*pi*k ambiguity in dphi, which the record
     # shares: shifting the pulse by 2*pi/shear in time changes nothing
     # measurable.  Pin the branch so dphi at the grid centre lies in
@@ -258,9 +326,9 @@ def extract_phase_difference(
     center = dphi[grid.n_points // 2]
     dphi = dphi - 2.0 * math.pi * np.round(center / (2.0 * math.pi))
 
-    s = interf.plus + interf.minus
-    vis = float(np.median(2.0 * np.abs(z[mask]) / s[mask]))
-    fringe = {"visibility": vis, "sideband_snr": float(snr), "sideband_time_fs": t_pk}
+    s = interf.plus[idx] + interf.minus[idx]
+    vis = float(np.median(2.0 * np.abs(z) / s))
+    fringe = {"visibility": vis, "sideband_snr": float(sb.snr), "sideband_time_fs": sb.t_peak}
     return dphi, mask, fringe
 
 
@@ -278,21 +346,21 @@ def calibrate_delay(
         raise ValueError("delay calibration expects a zero-shear record")
     _record_total(interf)
     try:
-        z, snr, _ = _isolate_sideband(interf, settings, config.delay)
+        sb = _isolate_sideband(interf, settings, config.delay)
     except (LowVisibilityError, FilterCollisionError) as exc:
         raise CalibrationError(f"no resolvable carrier fringes: {exc}") from exc
     mask = _amplitude_mask(interf, settings)
     idx = np.flatnonzero(mask)
     if idx.size < 4:
         raise CalibrationError("too few bins above the amplitude floor")
-    theta = np.unwrap(np.angle(z[idx]))
+    z = sb.z[idx]
     x = interf.grid.omegas[idx]
     design = np.column_stack([x, np.ones_like(x)])
-    coef, err = _weighted_lstsq(design, theta, np.abs(z[idx]) ** 2)
+    coef, err = _weighted_lstsq(design, np.unwrap(np.angle(z)), np.abs(z) ** 2)
     tau = float(coef[0])
     if tau <= 0:
         raise CalibrationError(f"fitted delay {tau:.1f} fs is not positive")
-    return DelayCalibration(tau_fs=tau, stderr_fs=float(err[0]), sideband_snr=float(snr))
+    return DelayCalibration(tau_fs=tau, stderr_fs=float(err[0]), sideband_snr=float(sb.snr))
 
 
 def _weighted_lstsq(design: np.ndarray, y: np.ndarray, weights: np.ndarray):
@@ -388,6 +456,14 @@ def integrate_phase(
     return phase - phase[grid.n_points // 2]
 
 
+def _taylor_basis(x: np.ndarray, max_order: int) -> list:
+    """Columns x^n / n! for n = 0..max_order, each the running product of the last."""
+    columns = [np.ones_like(x)]
+    for n in range(1, max_order + 1):
+        columns.append(columns[-1] * x / n)
+    return columns
+
+
 def fit_phase_polynomial(
     phase: np.ndarray,
     weights: np.ndarray,
@@ -410,8 +486,7 @@ def fit_phase_polynomial(
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     coef, err = masked_fit(
-        phase, weights, grid, mask,
-        lambda x: [x**n / math.factorial(n) for n in range(0, max_order + 1)],
+        phase, weights, grid, mask, lambda x: _taylor_basis(x, max_order),
         max_order + 2, "the requested order",
     )
     return PhaseFit(tuple(float(c) for c in coef[1:]), tuple(float(e) for e in err[1:]))
@@ -440,7 +515,10 @@ class ReconstructionResult:
             freeze_field(self, name, dtype, self.grid.n_points)
 
     def mode(self) -> SpectralMode:
-        return SpectralMode(self.grid, self.amplitude_abs * np.exp(1j * self.phase_rad))
+        amplitude = np.empty(self.grid.n_points, dtype=np.complex128)
+        np.multiply(self.amplitude_abs, np.cos(self.phase_rad), out=amplitude.real)
+        np.multiply(self.amplitude_abs, np.sin(self.phase_rad), out=amplitude.imag)
+        return SpectralMode(self.grid, amplitude)
 
 
 def reconstruct(

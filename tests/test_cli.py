@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import shearspec as ss
+from shearspec import analysis, cli
 from shearspec.cli import main
 from shearspec.reconstruction import fit_to_dict
 
@@ -681,6 +682,56 @@ def test_file_that_is_not_utf8_exits_naming_it(tmp_path, capsys, quad_record, sh
     assert main([str(paths.get(a, a)) for a in argv] + ["--out", str(out), "--quiet"]) == code
     assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_utf8_byte_order_mark_is_skipped(tmp_path):
+    run = tmp_path / "run"
+    assert main(["pipeline", "--preset", "quadratic", "--out", str(run), "--quiet"]) == 0
+
+    def with_bom(name):
+        path = tmp_path / f"bom_{name}"
+        path.write_bytes(b"\xef\xbb\xbf" + (run / name).read_bytes())
+        return str(path)
+
+    echo = str(run / "config_echo.json")
+    argvs = {
+        "record": ["reconstruct", with_bom("interferogram.csv"), "--config", echo],
+        "echo": ["pipeline", "--config", with_bom("config_echo.json")],
+    }
+    for what, argv in argvs.items():
+        assert main(argv + ["--out", str(tmp_path / what), "--quiet"]) == 0, what
+        assert (tmp_path / what / "result.json").read_bytes() == (run / "result.json").read_bytes()
+    # result.json and truth_mode.json: analyze reports the same bytes
+    assert main(["analyze", str(run / "result.json"), "--truth", str(run / "truth_mode.json"),
+                 "--out", str(tmp_path / "plain"), "--quiet"]) == 0
+    assert main(["analyze", with_bom("result.json"), "--truth", with_bom("truth_mode.json"),
+                 "--out", str(tmp_path / "bom"), "--quiet"]) == 0
+    report = (tmp_path / "plain" / "report.json").read_bytes()
+    assert (tmp_path / "bom" / "report.json").read_bytes() == report
+
+
+@pytest.mark.parametrize("command", ["pipeline", "analyze"])
+def test_analysis_report_takes_two_temporal_profiles(tmp_path, monkeypatch, command):
+    # one of the mode, reused by transform_limit_ratio, and one of its
+    # transform-limited twin
+    run = tmp_path / "run"
+    if command == "analyze":
+        assert main(["pipeline", "--preset", "quadratic", "--out", str(run), "--quiet"]) == 0
+    profiled = []
+
+    def counted(mode, *args, **kwargs):
+        profiled.append(mode)
+        return ss.temporal_profile(mode, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "temporal_profile", counted)
+    monkeypatch.setattr(cli, "temporal_profile", counted)
+    argv = {"pipeline": ["pipeline", "--preset", "quadratic", "--out", str(run)],
+            "analyze": ["analyze", str(run / "result.json"), "--out", str(tmp_path / "ana")]}
+    assert main(argv[command] + ["--quiet"]) == 0
+    assert len(profiled) == 2
+    report = tmp_path / ("ana/report.json" if command == "analyze" else "run/summary.json")
+    ratio = json.loads(report.read_text(encoding="utf-8"))["transform_limit_ratio"]
+    assert ratio == ss.transform_limit_ratio(profiled[0])
 
 
 def test_python_dash_m_entry_point_returns_the_exit_code(tmp_path):

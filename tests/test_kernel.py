@@ -1,0 +1,145 @@
+"""The record-to-phase kernel against the formulas it replaced.
+
+The reference functions below are the package's earlier implementations of
+the sideband isolation, the phase difference, the Taylor fit and the
+reconstructed mode: boolean masks over the whole time axis, an argmin for
+the filter edge, the full-axis noise median, the complex carrier
+exp(-i*omega*tau) and the basis x**n / n!.  The kernel must find the same
+bins and agree with them to the last digits, on every preset at two sizes.
+"""
+
+import functools
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import shearspec as ss
+from shearspec import reconstruction as rc
+from shearspec.core import spectral_to_temporal_array, temporal_to_spectral_array
+
+PRESETS = ("quadratic", "compensated", "v-phase", "lambda-phase")
+
+
+# ---- reference kernel ----------------------------------------------------------
+
+def ref_isolate_sideband(interf, settings, tau):
+    """Returns (z, snr, t_pk, search mask, edge bin, window mask)."""
+    grid = interf.grid
+    w = settings.width(tau)
+    f = spectral_to_temporal_array(interf.plus - interf.minus, grid)
+    t = grid.times
+    mag = np.abs(f)
+    search = np.abs(t - tau) <= w
+    i_pk = int(np.flatnonzero(search)[np.argmax(mag[search])])
+    t_pk = float(t[i_pk])
+    peak = float(mag[i_pk])
+    off = (np.abs(t) >= 2.0 * w) & (np.abs(np.abs(t) - abs(t_pk)) >= 2.0 * w)
+    floor = float(np.median(mag[off])) if np.any(off) else 0.0
+    snr = peak / floor if floor > 0 else math.inf
+    i_edge = int(np.argmin(np.abs(t - (t_pk - w))))
+    x = (t - t_pk) / w
+    inside = np.abs(x) < (760.0 / math.log(2.0)) ** (1.0 / (2 * rc.FILTER_ORDER))
+    window = np.zeros_like(x)
+    window[inside] = np.exp(-math.log(2.0) * x[inside] ** (2 * rc.FILTER_ORDER))
+    z = temporal_to_spectral_array(f * window, grid)
+    return z, snr, t_pk, search, i_edge, inside
+
+
+def ref_extract_phase_difference(interf, settings, tau):
+    grid = interf.grid
+    s = interf.plus + interf.minus
+    mask = s >= settings.amplitude_floor * float(np.max(s))
+    z, snr, t_pk, _, _, _ = ref_isolate_sideband(interf, settings, tau)
+    zc = z * np.exp(-1j * grid.omegas * tau)
+    idx = np.flatnonzero(mask)
+    dphi = np.interp(grid.omegas, grid.omegas[idx], np.unwrap(np.angle(zc)[idx]))
+    center = dphi[grid.n_points // 2]
+    dphi = dphi - 2.0 * math.pi * np.round(center / (2.0 * math.pi))
+    vis = float(np.median(2.0 * np.abs(z[mask]) / s[mask]))
+    return dphi, mask, {"visibility": vis, "sideband_snr": snr, "sideband_time_fs": t_pk}
+
+
+def ref_fit_phase_polynomial(phase, weights, grid, max_order, mask):
+    return rc.masked_fit(
+        phase, weights, grid, mask,
+        lambda x: [x**n / math.factorial(n) for n in range(0, max_order + 1)],
+        max_order + 2, "the requested order",
+    )[0][1:]
+
+
+def ref_mode_amplitude(result):
+    return result.amplitude_abs * np.exp(1j * result.phase_rad)
+
+
+# ---- the records ---------------------------------------------------------------
+
+@functools.cache
+def case(name, n):
+    """The preset's counts record at n points, with its shear config and settings."""
+    cfg = ss.preset(name)
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=n))
+    truth = ss.synthesize(cfg.pulse, ss.build_grid(cfg))
+    sc = ss.shear_config(cfg)
+    ideal = ss.ideal_interferogram(truth, sc)
+    rec = ss.detect_counts(ideal, cfg.interferometer.total_counts, cfg.interferometer.seed)
+    return rec, sc, ss.ftsi_settings(cfg)
+
+
+PARAMS = pytest.mark.parametrize("n", [4096, 65536])
+NAMES = pytest.mark.parametrize("name", PRESETS)
+
+
+@NAMES
+@PARAMS
+def test_sideband_bins_are_the_masks(name, n):
+    rec, sc, st = case(name, n)
+    sb = rc._isolate_sideband(rec, st, sc.delay)
+    _, _, t_pk, search, edge, inside = ref_isolate_sideband(rec, st, sc.delay)
+    bins = np.arange(n)
+    assert sb.t_peak == t_pk
+    assert np.array_equal(bins[sb.search], np.flatnonzero(search))
+    assert sb.edge == edge
+    assert np.array_equal(bins[sb.window], np.flatnonzero(inside))
+
+
+@NAMES
+@PARAMS
+def test_phase_difference_matches_the_reference(name, n):
+    rec, sc, st = case(name, n)
+    dphi, mask, fringe = rc.extract_phase_difference(rec, st, sc.delay)
+    ref_dphi, ref_mask, ref_fringe = ref_extract_phase_difference(rec, st, sc.delay)
+    assert np.array_equal(mask, ref_mask)
+    assert np.max(np.abs(dphi - ref_dphi)[mask]) <= 1e-9
+    assert fringe["sideband_snr"] == pytest.approx(ref_fringe["sideband_snr"], rel=1e-4)
+    assert fringe["visibility"] == pytest.approx(ref_fringe["visibility"], rel=1e-12)
+    assert fringe["sideband_time_fs"] == ref_fringe["sideband_time_fs"]
+
+
+@NAMES
+@PARAMS
+def test_reconstruction_matches_the_reference(name, n):
+    rec, sc, st = case(name, n)
+    out = ss.reconstruct(rec, sc, st)
+    ref_dphi, mask, _ = ref_extract_phase_difference(rec, st, sc.delay)
+    spectrum = rc.recover_spectrum(rec)
+    phase = rc.integrate_phase(ref_dphi, sc.shear, rec.grid, spectrum * mask)
+    want = ref_fit_phase_polynomial(phase, spectrum, rec.grid, 3, mask)
+    # phi1 of a pulse with no group delay is a fraction of a fs, so it gets an
+    # absolute floor: 1e-8 fs tilts the phase by 3e-10 rad across the valid bins
+    for got, ref, floor in zip(out.coefficients.coefficients, want, (1e-8, 0.0, 0.0)):
+        assert got == pytest.approx(ref, rel=1e-9, abs=floor)
+    amplitude = out.mode().amplitude
+    ref_amplitude = ref_mode_amplitude(out)
+    assert np.max(np.abs(amplitude - ref_amplitude)) <= 1e-12 * np.max(np.abs(ref_amplitude))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 101, 1000])
+def test_mirrored_median_is_the_median_of_the_whole_axis(size):
+    rng = np.random.default_rng(size)
+    half = rng.random(size)
+    for unpaired in (None, -1.0, 0.5, 2.0, *half[:2]):
+        whole = np.concatenate([half, half] + ([] if unpaired is None else [[unpaired]]))
+        want = float(np.median(whole)) if whole.size else 0.0
+        assert rc._mirrored_median(half, unpaired) == want, unpaired
