@@ -9,9 +9,11 @@ import numpy as np
 from .core import (
     SpectralMode,
     WignerMap,
+    column_text,
     mode_overlap,
     normalize,
     to_time_domain,
+    write_columns,
 )
 from .reconstruction import masked_fit
 
@@ -126,13 +128,12 @@ def v_phase_slope(
 def save_wigner_csv(wmap: WignerMap, path) -> None:
     """Long-format CSV: t_fs,omega_rad_per_fs,w_value (one row per cell, t slowest).
 
-    Floats are written by repr, each axis value once: a row joins the t
-    value, a precomputed ",omega," cell and the value for every frequency.
+    Each axis value is formatted once; the t column repeats each t cell and
+    the omega column tiles the omega cells, both by reference.
     """
-    cells = [f",{w!r}," for w in wmap.omega_axis.tolist()]
-    rows = (
-        "".join([f"{t}{cell}{v!r}\n" for cell, v in zip(cells, values)])
-        for t, values in zip(map(repr, wmap.t_axis.tolist()), wmap.values.tolist())
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t_fs,omega_rad_per_fs,w_value\n" + "".join(rows))
+    t_text = column_text(wmap.t_axis)
+    omega_text = column_text(wmap.omega_axis)
+    per_t = len(omega_text)
+    write_columns(path, "t_fs,omega_rad_per_fs,w_value",
+                  [t for t in t_text for _ in range(per_t)],
+                  omega_text * len(t_text), wmap.values.ravel())

@@ -305,12 +305,12 @@ def _export_artifacts(outdir: str, truth, result) -> list:
     # unwrapped and anchored at the grid centre, like the recovered phase
     truth_phase = np.unwrap(truth.phase())
     truth_phase -= truth_phase[grid.n_points // 2]
-    tables = {  # file: header, row format, columns
-        "spectrum.csv": ("omega_rad_per_fs,truth,recovered", "{!r},{!r},{!r}\n",
-                         grid.omegas, truth.intensity(), rec_mode.intensity()),
-        "phase.csv": ("omega_rad_per_fs,truth_rad,recovered_rad,valid", "{!r},{!r},{!r},{:d}\n",
-                      grid.omegas, truth_phase, result.phase_rad, result.valid_mask),
-        "temporal.csv": ("t_fs,truth,recovered", "{!r},{!r},{!r}\n", grid.times,
+    tables = {  # file: header, columns
+        "spectrum.csv": ("omega_rad_per_fs,truth,recovered",
+                         grid.omega_text, truth.intensity(), rec_mode.intensity()),
+        "phase.csv": ("omega_rad_per_fs,truth_rad,recovered_rad,valid",
+                      grid.omega_text, truth_phase, result.phase_rad, result.valid_mask),
+        "temporal.csv": ("t_fs,truth,recovered", grid.time_text,
                          np.abs(to_time_domain(truth)) ** 2, np.abs(to_time_domain(rec_mode)) ** 2),
     }
     for name, table in tables.items():

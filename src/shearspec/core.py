@@ -107,6 +107,11 @@ class SpectralGrid:
     def omegas(self) -> np.ndarray:
         return _read_only(self.omega_start + self.omega_step * np.arange(self.n_points))
 
+    @cached_property
+    def omega_text(self) -> tuple:
+        """`omegas` as CSV cell text, repr of each value, formatted once per grid."""
+        return tuple(map(repr, self.omegas.tolist()))
+
     @property
     def time_step(self) -> float:
         return 2.0 * math.pi / (self.n_points * self.omega_step)
@@ -118,6 +123,11 @@ class SpectralGrid:
     @cached_property
     def times(self) -> np.ndarray:
         return _read_only(self.time_start + self.time_step * np.arange(self.n_points))
+
+    @cached_property
+    def time_text(self) -> tuple:
+        """`times` as CSV cell text, like `omega_text`."""
+        return tuple(map(repr, self.times.tolist()))
 
     @cached_property
     def _transform_factors(self) -> tuple:
@@ -255,8 +265,9 @@ def wigner(mode: SpectralMode, t_axis: np.ndarray, omega_axis: np.ndarray) -> "W
     with a = 0 off the grid.  Every p is a multiple of N/L, L = N/gcd(N, all
     p mod N), so the phase factor repeats every L lags: the lag products are
     summed block by block onto L columns, and one L-point inverse FFT gives
-    every t.  Cost O(len(omega_axis)*N) time and O(N + len(omega_axis)*L)
-    memory; axes without a common stride get L = N.
+    every t.  Rows outside the mode's nonzero support are left zero.  Cost
+    O(len(omega_axis)*N) time and O(N + len(omega_axis)*L) memory; axes
+    without a common stride get L = N.
     """
     grid = mode.grid
     n = grid.n_points
@@ -277,11 +288,19 @@ def wigner(mode: SpectralMode, t_axis: np.ndarray, omega_axis: np.ndarray) -> "W
     padded[n // 2 : n // 2 + n] = mode.amplitude
     ahead = sliding_window_view(np.conj(padded), period)
     behind = sliding_window_view(padded[::-1], period)
+    # a row outside the first..last nonzero amplitude bin is exactly zero: each
+    # lag product there has a factor off that support, so only the rows inside
+    # are summed
+    support = np.flatnonzero(mode.amplitude)
+    rows = np.flatnonzero((j >= support[0]) & (j <= support[-1]))
+    jin = j[rows]
     folded = np.zeros((len(j), period), dtype=np.complex128)
+    inside = folded if len(rows) == len(j) else np.zeros((len(rows), period), dtype=np.complex128)
     for c0 in range(0, n, period):
-        block = ahead[j + c0]
-        block *= behind[(n - 1 + c0) - j]
-        folded += block
+        block = ahead[jin + c0]
+        block *= behind[(n - 1 + c0) - jin]
+        inside += block
+    folded[rows] = inside
     # e^{2 pi i m p/n} = (-1)^p e^{2 pi i c p/n}, and c p/n = (c mod L)(p/stride)/L mod 1
     w = np.fft.ifft(folded, axis=1, out=folded)[:, p // stride]
     w *= np.where(p % 2 == 0, 1.0, -1.0) * (period * grid.omega_step / math.pi)
@@ -349,17 +368,49 @@ def read_json(path):
         raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def write_columns(path, header: str, fmt: str, *columns) -> None:
-    """Write equal-length arrays as text rows, `fmt.format(*row)` per row.
+WRITE_BLOCK_ROWS = 4096  # rows joined into one string per write
 
-    `fmt` carries the row's separators and its newline; `{!r}` writes a
-    float round-trip exactly.  Each column becomes Python scalars through
-    one tolist() call rather than a conversion per cell; what remains is
-    the cost of float.__repr__ itself.
+
+def column_text(column) -> list:
+    """CSV cell text of one column: repr of each float or int, 0/1 for a bool.
+
+    An array becomes Python scalars through one tolist() call, then repr
+    per value, the float.__repr__ floor that round-trips exactly.  Any
+    other sequence is taken to hold str already and passes as given.
     """
-    rows = map(fmt.format, *(c.tolist() for c in columns))
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype == bool:
+        return list(map(("0", "1").__getitem__, column.tolist()))
+    return list(map(repr, column.tolist()))
+
+
+def write_columns(path, header: str, *columns) -> None:
+    """Write equal-length columns as comma-separated text rows under `header`.
+
+    Each column becomes cell text once (`column_text`), so a column that
+    is already text, such as `SpectralGrid.omega_text`, is not formatted
+    again.  The cells of a block of at most WRITE_BLOCK_ROWS rows are laid
+    into one list by a strided slice assignment per column, between
+    preset "," and "\n" separators, and written with one "".join: no
+    per-row format string, and memory bounded by the block rather than
+    the table.
+    """
+    texts = [column_text(c) for c in columns]
+    n = len(texts[0])
+    if any(len(t) != n for t in texts):
+        raise ValueError(f"columns differ in length: {[len(t) for t in texts]}")
+    k = 2 * len(texts)  # list slots per row: each cell and the separator after it
+    row = [","] * k
+    row[-1] = "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n" + "".join(rows))
+        fh.write(header + "\n")
+        for start in range(0, n, WRITE_BLOCK_ROWS):
+            stop = min(start + WRITE_BLOCK_ROWS, n)
+            cells = row * (stop - start)
+            for i, text in enumerate(texts):
+                cells[2 * i :: k] = text[start:stop]
+            fh.write("".join(cells))
 
 
 # ---- mode serialization -----------------------------------------------------

@@ -13,6 +13,7 @@ difference record carries the fringe term the reconstruction works on.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,7 +160,7 @@ def save_interferogram_csv(interf: Interferogram, path) -> None:
     plus, minus = interf.plus, interf.minus
     if interf.kind == "counts":
         plus, minus = plus.astype(np.int64), minus.astype(np.int64)
-    write_columns(path, ",".join(CSV_HEADER), "{!r},{!r},{!r}\n", interf.grid.omegas, plus, minus)
+    write_columns(path, ",".join(CSV_HEADER), interf.grid.omega_text, plus, minus)
 
 
 def _exact_step(omegas: np.ndarray, estimate: float) -> float:
@@ -187,12 +188,52 @@ def _exact_step(omegas: np.ndarray, estimate: float) -> float:
     return estimate
 
 
+def _bulk_columns(fh) -> np.ndarray | None:
+    """The body as a (3, rows) array parsed in one C pass, else None.
+
+    np.loadtxt takes the rows the writer writes, with LF, CRLF or CR line
+    ends and blank lines, and parses floats as float() does.  It refuses
+    whitespace-only lines and quoted or odd cells, and a table that is not
+    3 columns is refused here: every file taken is one the row loop reads to
+    the same bits (tests/test_interferometer.py probes the cases).
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data"
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:  # includes UnicodeDecodeError
+        return None
+    if table.shape[0] == 0 or table.shape[1] != 3:
+        return None
+    return table.T
+
+
+def _row_columns(reader, path) -> tuple:
+    """The body as three lists of floats, one csv row at a time; each
+    malformed row raises DataFormatError naming its line."""
+    omegas, plus, minus = [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise DataFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        try:
+            omegas.append(float(row[0]))
+            plus.append(float(row[1]))
+            minus.append(float(row[2]))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    return omegas, plus, minus
+
+
 def load_interferogram_csv(path) -> Interferogram:
     """Parse an interferogram CSV.  Malformed input reports the line number.
 
-    A leading UTF-8 byte-order mark is skipped.
+    A leading UTF-8 byte-order mark is skipped.  The body is read by
+    np.loadtxt; a file it refuses is read again row by row, which accepts
+    what csv and float() accept (quoted cells, say) and names the line of
+    the first malformed row.
     """
-    omegas, plus, minus = [], [], []
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -204,19 +245,15 @@ def load_interferogram_csv(path) -> Interferogram:
                 raise DataFormatError(
                     f"{path}:1: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
                 )
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise DataFormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-                try:
-                    omegas.append(float(row[0]))
-                    plus.append(float(row[1]))
-                    minus.append(float(row[2]))
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            columns = _bulk_columns(fh)
+            if columns is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                columns = _row_columns(reader, path)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    omegas, plus, minus = columns
     n = len(omegas)
     if n < 8 or (n & (n - 1)) != 0:
         raise DataFormatError(f"{path}: row count {n} is not a power of two >= 8")

@@ -515,9 +515,13 @@ class ReconstructionResult:
             freeze_field(self, name, dtype, self.grid.n_points)
 
     def mode(self) -> SpectralMode:
-        amplitude = np.empty(self.grid.n_points, dtype=np.complex128)
-        np.multiply(self.amplitude_abs, np.cos(self.phase_rad), out=amplitude.real)
-        np.multiply(self.amplitude_abs, np.sin(self.phase_rad), out=amplitude.imag)
+        # cos/sin only where the amplitude is nonzero; the empty wings, whose
+        # bridged phases reach hundreds of rad, stay +0.0
+        amplitude = np.zeros(self.grid.n_points, dtype=np.complex128)
+        lit = self.amplitude_abs > 0
+        r, phase = self.amplitude_abs[lit], self.phase_rad[lit]
+        amplitude.real[lit] = r * np.cos(phase)
+        amplitude.imag[lit] = r * np.sin(phase)
         return SpectralMode(self.grid, amplitude)
 
 

@@ -260,6 +260,60 @@ def test_wigner_fold_matches_unfolded_sum(mode_16k):
     assert np.max(np.abs(wmap.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def ref_wigner_every_row(mode, t_axis, omega_axis):
+    """core.wigner as it was before it skipped the rows off the mode's
+    support: the same fold, summed over every requested frequency."""
+    grid = mode.grid
+    n = grid.n_points
+    j = np.rint((omega_axis - grid.omega_start) / grid.omega_step).astype(np.intp)
+    p = np.rint(t_axis / (0.5 * grid.time_step)).astype(np.intp) % n
+    stride = math.gcd(n, *p.tolist())
+    period = n // stride
+    padded = np.zeros(2 * n, dtype=np.complex128)
+    padded[n // 2 : n // 2 + n] = mode.amplitude
+    ahead = np.lib.stride_tricks.sliding_window_view(np.conj(padded), period)
+    behind = np.lib.stride_tricks.sliding_window_view(padded[::-1], period)
+    folded = np.zeros((len(j), period), dtype=np.complex128)
+    for c0 in range(0, n, period):
+        block = ahead[j + c0]
+        block *= behind[(n - 1 + c0) - j]
+        folded += block
+    w = np.fft.ifft(folded, axis=1, out=folded)[:, p // stride]
+    w *= np.where(p % 2 == 0, 1.0, -1.0) * (period * grid.omega_step / math.pi)
+    return np.ascontiguousarray(w.real.T)
+
+
+def test_wigner_rows_off_the_support_match_every_row_sum(grid, quad_mode, quad_record,
+                                                        shear_cfg, settings):
+    n = grid.n_points
+    recovered = ss.reconstruct(ss.detect_counts(quad_record, 1_000_000, 2), shear_cfg,
+                               settings).mode()
+    cut = quad_mode.amplitude.copy()
+    cut[: n // 3] = cut[n // 2 + 40 :] = 0.0
+    clipped = ss.normalize(grid, cut, anchor=False)
+    half = 0.5 * grid.time_step
+    t_cli, om_cli = grid.times[n // 4 : 3 * n // 4 : 16], grid.omegas[::16]
+    odd_t = np.array([-n // 4, -64, 0, 37, 512]) * half  # fold length n
+    rng = np.random.default_rng(3)
+    shuffled = grid.omegas[rng.permutation(n)[:200]]
+
+    def with_edges(mode, om_axis):  # the bins just off and on each end of the support
+        support = np.flatnonzero(mode.amplitude)
+        return np.concatenate([om_axis, grid.omegas[support[[0, 0, -1, -1]] + [-1, 0, 0, 1]]])
+
+    cases = [(recovered, t_cli, with_edges(recovered, om_cli)),
+             (clipped, t_cli, with_edges(clipped, om_cli)),
+             (clipped, odd_t, with_edges(clipped, shuffled)),
+             (clipped, t_cli, grid.omegas[: n // 4 : 8])]  # every row off the support
+    for mode, t_axis, om_axis in cases:
+        support = np.flatnonzero(mode.amplitude)
+        j = np.rint((om_axis - grid.omega_start) / grid.omega_step)
+        assert np.any((j < support[0]) | (j > support[-1]))  # the axis runs past it
+        want = ref_wigner_every_row(mode, t_axis, om_axis)
+        assert ss.wigner(mode, t_axis, om_axis).values.tobytes() == want.tobytes()
+    assert not np.any(want)
+
+
 def test_wigner_memory_is_the_folded_map(mode_16k):
     # the unfolded lag products alone are 256 x 16384 complex, 67 MB
     t_axis, om_axis = cli_axes(mode_16k.grid)

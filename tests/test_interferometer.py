@@ -165,7 +165,106 @@ def test_csv_roundtrip_counts(tmp_path, quad_record):
     assert np.array_equal(back.plus, rec.plus)
 
 
-def test_csv_malformed_reports_line(tmp_path, quad_record):
+def _refuse(*args, **kwargs):
+    raise ValueError("refused")
+
+
+def _outcome(path):
+    try:
+        return ss.load_interferogram_csv(path)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+def assert_reads_like_row_loop(path, monkeypatch):
+    """The loader's outcome on `path` is the row loop's alone (np.loadtxt
+    refusing every file): the same record bit for bit, or the same error."""
+    got = _outcome(path)
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", _refuse)
+        want = _outcome(path)
+    if isinstance(want, str):
+        assert got == want
+        return got
+    assert isinstance(got, ss.Interferogram), got
+    geometry = [(r.grid.omega_start, r.grid.omega_step, r.grid.n_points) for r in (got, want)]
+    assert geometry[0] == geometry[1]
+    assert got.kind == want.kind
+    assert got.plus.tobytes() == want.plus.tobytes()
+    assert got.minus.tobytes() == want.minus.tobytes()
+    return got
+
+
+@pytest.fixture(scope="module")
+def counts_lines(tmp_path_factory, quad_record):
+    path = tmp_path_factory.mktemp("counts") / "rec.csv"
+    ss.save_interferogram_csv(ss.detect_counts(quad_record, 1_000_000, 3), path)
+    return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+def _edit_cell(line: str, column: int, cell: str) -> str:
+    cells = line.rstrip("\n").split(",")
+    cells[column] = cell
+    return ",".join(cells) + "\n"
+
+
+def test_csv_writer_output_takes_the_bulk_path(tmp_path, quad_record, counts_lines, monkeypatch):
+    shapes = []
+
+    def spy(*args, **kwargs):
+        table = real(*args, **kwargs)
+        shapes.append(table.shape)
+        return table
+
+    real = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", spy)
+    counts, ideal = tmp_path / "counts.csv", tmp_path / "ideal.csv"
+    counts.write_text("".join(counts_lines), encoding="utf-8")
+    ss.save_interferogram_csv(quad_record, ideal)
+    for path in (counts, ideal):
+        assert_reads_like_row_loop(path, monkeypatch)
+    assert shapes == [(quad_record.grid.n_points, 3)] * 2
+
+
+@pytest.mark.parametrize("variant", [
+    "crlf", "cr", "bom", "bom-crlf", "blank-lines", "no-final-newline", "spaces",
+    "quoted", "underscore", "unicode-digits",
+])
+def test_csv_variants_read_like_the_row_loop(tmp_path, counts_lines, variant, monkeypatch):
+    """Line ends, blank lines and cells csv and float() accept: the loader
+    returns the row loop's record, whichever path reads it."""
+    lines = list(counts_lines)
+    body = lines[1:]
+    prefix = ""
+    if variant in ("crlf", "bom-crlf"):
+        lines = [line.replace("\n", "\r\n") for line in lines]
+    if variant == "cr":
+        lines = [line.replace("\n", "\r") for line in lines]
+    if variant.startswith("bom"):
+        prefix = "\ufeff"
+    if variant == "blank-lines":
+        lines = [lines[0], "\n"] + body[:100] + ["\n", "\r\n"] + body[100:] + ["\n"]
+    if variant == "no-final-newline":
+        lines[-1] = lines[-1].rstrip("\n")
+    if variant == "spaces":
+        lines[5] = " " + lines[5].replace(",", " , ").replace("\n", " \n")
+    if variant == "quoted":
+        lines = [",".join(f'"{c}"' for c in line.rstrip("\n").split(",")) + "\n" for line in lines]
+    if variant == "underscore":
+        lines[7] = _edit_cell(lines[7], 1, "1_0")
+    if variant == "unicode-digits":
+        lines[7] = _edit_cell(lines[7], 2, "\u0661\u0660")  # Arabic-Indic 10
+    path = tmp_path / "rec.csv"
+    path.write_text(prefix + "".join(lines), encoding="utf-8", newline="")
+    got = assert_reads_like_row_loop(path, monkeypatch)
+    assert isinstance(got, ss.Interferogram) and got.kind == "counts"
+    if variant == "underscore":
+        assert got.plus[6] == 10.0
+    if variant == "unicode-digits":
+        assert got.minus[6] == 10.0
+
+
+def test_csv_malformed_reports_line(tmp_path, quad_record, counts_lines, monkeypatch):
     path = tmp_path / "rec.csv"
     ss.save_interferogram_csv(quad_record, path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -187,8 +286,35 @@ def test_csv_malformed_reports_line(tmp_path, quad_record):
     with pytest.raises(DataFormatError, match="empty"):
         ss.load_interferogram_csv(bad)
 
+    # rows np.loadtxt refuses, or would read otherwise, as the row loop reports them
+    body = counts_lines
+    malformed = {
+        "whitespace-only line": body[:6] + ["   \n"] + body[6:],
+        "tab-only line": body[:6] + ["\t\n"] + body[6:],
+        "trailing comma": body[:6] + [body[6].replace("\n", ",\n")] + body[7:],
+        "trailing commas": [body[0]] + [line.replace("\n", ",\n") for line in body[1:]],
+        "comment line": body[:6] + ["# note\n"] + body[6:],
+        "trailing comment": body[:6] + [body[6].replace("\n", " # note\n")] + body[7:],
+        "two columns": [body[0]] + [line.rsplit(",", 1)[0] + "\n" for line in body[1:]],
+        "one column": [body[0]] + [line.split(",", 1)[0] + "\n" for line in body[1:]],
+        "empty cell": body[:6] + [_edit_cell(body[6], 1, "")] + body[7:],
+        "hex cell": body[:6] + [_edit_cell(body[6], 1, "0x1p3")] + body[7:],
+        "CR inside a row": body[:6] + [body[6].replace(",", "\r,", 1)] + body[7:],
+        "CRLF, then a bad cell": [line.replace("\n", "\r\n") for line in body[:6]]
+        + [_edit_cell(body[6], 2, "abc")] + body[7:],
+    }
+    for name, rows in malformed.items():
+        bad.write_text("".join(rows), encoding="utf-8", newline="")
+        message = assert_reads_like_row_loop(bad, monkeypatch)
+        line = 2 if name in ("trailing commas", "two columns", "one column") else 7
+        assert isinstance(message, str) and f":{line}:" in message, (name, message)
+    bad.write_text(body[0], encoding="utf-8")  # a header and no rows
+    assert "row count 0" in assert_reads_like_row_loop(bad, monkeypatch)
+    bad.write_bytes(("".join(body[:6])).encode() + b"\xff,1,2\n")
+    assert "not UTF-8" in assert_reads_like_row_loop(bad, monkeypatch)
 
-def test_csv_rejects_bad_geometry(tmp_path, quad_record):
+
+def test_csv_rejects_bad_geometry(tmp_path, quad_record, monkeypatch):
     path = tmp_path / "rec.csv"
     ss.save_interferogram_csv(quad_record, path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -197,6 +323,14 @@ def test_csv_rejects_bad_geometry(tmp_path, quad_record):
     bad.write_text("".join(lines[:6]), encoding="utf-8")  # 5 rows
     with pytest.raises(DataFormatError, match="power of two"):
         ss.load_interferogram_csv(bad)
+    # the same rows in CRLF, CR-only, after a BOM, with blank lines, or one row
+    # with 4 columns: each as the row loop reads it
+    for text in ("".join(lines[:6]).replace("\n", "\r\n"), "".join(lines[:6]).replace("\n", "\r"),
+                 "\ufeff" + "".join(lines[:6]), "".join(lines[:3]) + "\n\n" + "".join(lines[3:8]),
+                 lines[0] + "1.0,2.0,3.0,4.0\n"):
+        bad.write_text(text, encoding="utf-8", newline="")
+        message = assert_reads_like_row_loop(bad, monkeypatch)
+        assert "power of two" in message or ":2: expected 3 columns" in message, message
 
     rows = [lines[0]] + [f"{1.0 + 0.01 * i * i!r},1.0,1.0\n" for i in range(8)]
     bad.write_text("".join(rows), encoding="utf-8")

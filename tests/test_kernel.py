@@ -133,6 +133,15 @@ def test_reconstruction_matches_the_reference(name, n):
     amplitude = out.mode().amplitude
     ref_amplitude = ref_mode_amplitude(out)
     assert np.max(np.abs(amplitude - ref_amplitude)) <= 1e-12 * np.max(np.abs(ref_amplitude))
+    # the bins with no amplitude are +0.0; the others are the whole-array
+    # |a| cos, |a| sin bit for bit
+    lit = out.amplitude_abs > 0
+    assert not lit.all()
+    assert not np.signbit(amplitude.view(float)[np.repeat(~lit, 2)]).any()
+    assert not np.any(amplitude[~lit])
+    r, phase = out.amplitude_abs, out.phase_rad
+    assert amplitude.real[lit].tobytes() == (r * np.cos(phase))[lit].tobytes()
+    assert amplitude.imag[lit].tobytes() == (r * np.sin(phase))[lit].tobytes()
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 101, 1000])

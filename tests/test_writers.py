@@ -12,11 +12,18 @@ import pytest
 
 import shearspec as ss
 from shearspec.cli import _export_artifacts
-from shearspec.core import mode_to_dict
+from shearspec.core import WRITE_BLOCK_ROWS, mode_to_dict, write_columns
 from shearspec.reconstruction import result_to_dict
 
 
 # ---- reference writers ---------------------------------------------------------
+
+def ref_write_columns(path, header, fmt, *columns):
+    """The earlier write_columns: one `fmt.format(*row)` per row, one join."""
+    rows = map(fmt.format, *(c if isinstance(c, list) else c.tolist() for c in columns))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n" + "".join(rows))
+
 
 def ref_interferogram_csv(interf, path):
     counts = interf.kind == "counts"
@@ -84,6 +91,41 @@ def counts_result(counts_record, shear_cfg, settings):
 
 
 # ---- CSV: byte equality ------------------------------------------------------------
+
+BLOCK = WRITE_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_write_columns_matches_format_rows(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e22, 1.5, -2.0, 0.1])
+    floats = np.resize(np.concatenate([special, rng.normal(size=16) * 1e3]), rows)
+    floats[rng.permutation(rows)[: rows // 3]] = rng.normal(size=rows // 3)
+    ints = rng.integers(-(2**40), 2**40, size=rows)
+    flags = rng.random(rows) < 0.5
+    text = [repr(v) for v in rng.random(rows)]
+    write_columns(tmp_path / "new.csv", "f,i,b,s", floats, ints, flags, text)
+    ref_write_columns(tmp_path / "ref.csv", "f,i,b,s", "{!r},{!r},{:d},{}\n",
+                      floats, ints, flags, text)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # one column, and a column of text that is a tuple, as SpectralGrid.omega_text is
+    write_columns(tmp_path / "new.csv", "s", tuple(text))
+    ref_write_columns(tmp_path / "ref.csv", "s", "{}\n", text)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_columns_refuses_unequal_lengths(tmp_path):
+    with pytest.raises(ValueError, match="differ in length"):
+        write_columns(tmp_path / "bad.csv", "a,b", np.zeros(3), np.zeros(4))
+
+
+def test_grid_text_is_the_repr_of_each_node(grid):
+    assert grid.omega_text == tuple(repr(w) for w in grid.omegas.tolist())
+    assert grid.time_text == tuple(repr(t) for t in grid.times.tolist())
+    # formatted once per grid, and a tuple, so no caller can edit the shared cells
+    assert grid.omega_text is grid.omega_text and isinstance(grid.omega_text, tuple)
+    assert grid.time_text is grid.time_text and isinstance(grid.time_text, tuple)
+
 
 @pytest.mark.parametrize("kind", ["ideal", "counts"])
 def test_interferogram_csv_matches_row_loop(tmp_path, kind, quad_record, counts_record):
