@@ -116,13 +116,13 @@ def v_phase_slope(
     mask: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Signed V-slope: WLS coefficient of |omega-omega0| in the basis
-    {|x|, x, 1}.  Positive for a V profile, negative for a Lambda.
+    {1, |x|, x}.  Positive for a V profile, negative for a Lambda.
     Returns (slope_fs, stderr_fs).
     """
     coef, err = masked_fit(
-        mode_phase, weights, grid, mask, lambda x: [np.abs(x), x, np.ones_like(x)], 5, "a V slope"
+        mode_phase, weights, grid, mask, lambda x: [np.ones_like(x), np.abs(x), x], 5, "a V slope"
     )
-    return float(coef[0]), float(err[0])
+    return float(coef[1]), float(err[1])
 
 
 def save_wigner_csv(wmap: WignerMap, path) -> None:

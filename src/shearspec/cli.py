@@ -299,9 +299,9 @@ def _run_single(cfg: RunConfig, mode, ideal, sc: ShearConfig, settings, trial: i
     return mode, (rec, reconstruct(rec, sc, settings)), stage1
 
 
-def _export_artifacts(outdir: str, truth, result) -> list:
+def _export_artifacts(outdir: str, truth, result, rec_mode) -> list:
+    """The three views of trial 0: `rec_mode` is result.mode(), built once per run."""
     grid = result.grid
-    rec_mode = result.mode()
     # unwrapped and anchored at the grid centre, like the recovered phase
     truth_phase = np.unwrap(truth.phase())
     truth_phase -= truth_phase[grid.n_points // 2]
@@ -346,7 +346,8 @@ def _run_pipeline(cfg: RunConfig, trials: int):
             per_trial.setdefault(key, []).append(float(value))
 
     det = cfg.interferometer
-    summary = dict(_analysis_report(first, first.mode(), truth), pulse=config_to_dict(cfg)["pulse"],
+    first_mode = first.mode()
+    summary = dict(_analysis_report(first, first_mode, truth), pulse=config_to_dict(cfg)["pulse"],
                    shear_rad_per_fs=resolved_shear(cfg), delay_fs=det.delay_fs,
                    noiseless=det.noiseless, seed=det.seed, total_counts=det.total_counts)
     if "stage1_phi2_fs2" in per_trial:
@@ -363,7 +364,7 @@ def _run_pipeline(cfg: RunConfig, trials: int):
             **per_trial,
         }
 
-    files += _export_artifacts(outdir, truth, first)
+    files += _export_artifacts(outdir, truth, first, first_mode)
     return outdir, summary, first, files
 
 

@@ -171,9 +171,10 @@ class SpectralMode:
 
     def __post_init__(self):
         amp = freeze_field(self, "amplitude", np.complex128, self.grid.n_points)
-        if not np.isfinite(amp).all():
-            raise ValueError("amplitude contains non-finite values")
-        nrm = float(np.sum(np.abs(amp) ** 2) * self.grid.omega_step)
+        # a sum of squares is finite only if every value is and none overflows
+        nrm = float(np.vdot(amp, amp).real * self.grid.omega_step)
+        if not math.isfinite(nrm):
+            raise ValueError("amplitude has non-finite values or an overflowing norm")
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"mode norm {nrm!r} deviates from 1 by more than {NORM_TOL}")
 
@@ -211,18 +212,26 @@ def spectral_to_temporal_array(values: np.ndarray, grid: SpectralGrid) -> np.nda
     """Raw omega -> t transform of one array under the package convention.
 
     psi(t_k) = (domega/sqrt(2*pi)) sum_j values_j exp(-i*omega_j*t_k) with
-    t_k the dual grid of `grid`.  Unitary together with its inverse.
+    t_k the dual grid of `grid`.  Unitary together with its inverse.  Each
+    transform allocates one complex array and applies the FFT and its
+    factors in place there.  Every product keeps the operand order of the
+    out-of-place formula post * fft(values * signs), and complex
+    multiplication is not bitwise commutative, so the bits are that
+    formula's.
     """
     signs, post, _, _ = grid._transform_factors
-    ft = np.fft.fft(np.asarray(values, dtype=np.complex128) * signs)
-    return post * ft
+    ft = np.multiply(values, signs, dtype=np.complex128)
+    np.fft.fft(ft, out=ft)
+    return np.multiply(post, ft, out=ft)
 
 
 def temporal_to_spectral_array(values: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Inverse of spectral_to_temporal_array."""
     _, _, pre, post = grid._transform_factors
-    ift = np.fft.ifft(np.asarray(values, dtype=np.complex128) * pre) * grid.n_points
-    return post * ift
+    ift = np.multiply(values, pre, dtype=np.complex128)
+    np.fft.ifft(ift, out=ift)
+    ift *= grid.n_points
+    return np.multiply(post, ift, out=ift)
 
 
 def to_time_domain(mode: SpectralMode) -> np.ndarray:
@@ -234,7 +243,7 @@ def mode_overlap(a: SpectralMode, b: SpectralMode) -> float:
     """|<a|b>|^2 on a shared grid; 1 for identical modes, 0 for orthogonal."""
     if a.grid != b.grid:
         raise ValueError("modes live on different grids")
-    inner = np.sum(np.conj(a.amplitude) * b.amplitude) * a.grid.omega_step
+    inner = np.vdot(a.amplitude, b.amplitude) * a.grid.omega_step
     return min(float(np.abs(inner) ** 2), 1.0)
 
 
@@ -290,13 +299,17 @@ def wigner(mode: SpectralMode, t_axis: np.ndarray, omega_axis: np.ndarray) -> "W
     behind = sliding_window_view(padded[::-1], period)
     # a row outside the first..last nonzero amplitude bin is exactly zero: each
     # lag product there has a factor off that support, so only the rows inside
-    # are summed
+    # are summed.  So is a lag |m| beyond half the support's width, in every
+    # row, so only the blocks of columns that reach a lag within it are
+    # summed.  The sums start at +0.0 and never become -0.0, so adding a
+    # skipped block's +-0.0 would change no bit.
     support = np.flatnonzero(mode.amplitude)
     rows = np.flatnonzero((j >= support[0]) & (j <= support[-1]))
     jin = j[rows]
+    reach = (support[-1] - support[0]) // 2
     folded = np.zeros((len(j), period), dtype=np.complex128)
     inside = folded if len(rows) == len(j) else np.zeros((len(rows), period), dtype=np.complex128)
-    for c0 in range(0, n, period):
+    for c0 in range((n // 2 - reach) // period * period, n // 2 + reach + 1, period):
         block = ahead[jin + c0]
         block *= behind[(n - 1 + c0) - jin]
         inside += block

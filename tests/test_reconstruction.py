@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shearspec.errors import (
     FilterCollisionError,
     LowVisibilityError,
 )
+from shearspec import reconstruction as rc
 from shearspec.cli import _run_single
 from shearspec.reconstruction import coarse_delay_guess
 
@@ -221,6 +223,87 @@ def test_fit_needs_enough_bins(grid):
     weights[:3] = 1.0
     with pytest.raises(ValueError):
         ss.fit_phase_polynomial(np.zeros(grid.n_points), weights, grid)
+
+
+def ref_wls_svd(columns, y, weights):
+    """The WLS solve the centred Gram solve replaced: an SVD lstsq of the
+    weighted design (constant column first), errors from sigma^2 pinv(A^T A)."""
+    sw = np.sqrt(weights)
+    a = np.column_stack([np.ones_like(y), *columns]) * sw[:, None]
+    b = y * sw
+    coef = np.linalg.lstsq(a, b, rcond=None)[0]
+    resid = b - a @ coef
+    cov = float(resid @ resid) / (len(y) - a.shape[1]) * np.linalg.pinv(a.T @ a)
+    return coef, np.sqrt(np.clip(np.diag(cov), 0.0, None))
+
+
+def exact_line_fit(x, y, weights):
+    """Slope and its standard error of the WLS line y = c + s*x, in exact
+    rational arithmetic on the float inputs, rounded once at the end."""
+    xs, ys, ws = ([Fraction(v) for v in a.tolist()] for a in (x, y, weights))
+    wsum = sum(ws)
+    x_mean = sum(w * v for w, v in zip(ws, xs)) / wsum
+    y_mean = sum(w * v for w, v in zip(ws, ys)) / wsum
+    dx = [v - x_mean for v in xs]
+    sxx = sum(w * d * d for w, d in zip(ws, dx))
+    slope = sum(w * d * v for w, d, v in zip(ws, dx, ys)) / sxx
+    rss = sum(w * (v - y_mean - slope * d) ** 2 for w, d, v in zip(ws, dx, ys))
+    return float(slope), math.sqrt(rss / (len(xs) - 2) / sxx)
+
+
+@pytest.mark.parametrize("n", [4096, 65536])
+@pytest.mark.parametrize("name", ["quadratic", "compensated", "v-phase", "lambda-phase"])
+def test_weighted_lstsq_matches_the_svd_solve(name, n):
+    # the Taylor and V-slope designs of each preset's counts record, on the
+    # bins fit_phase_polynomial and v_phase_slope fit
+    cfg = ss.preset(name)
+    cfg = replace(cfg, grid=replace(cfg.grid, n_points=n))
+    sc = ss.shear_config(cfg)
+    ideal = ss.ideal_interferogram(ss.synthesize(cfg.pulse, ss.build_grid(cfg)), sc)
+    rec = ss.detect_counts(ideal, cfg.interferometer.total_counts, cfg.interferometer.seed)
+    spectrum = rc.recover_spectrum(rec)
+    dphi, mask, _ = rc.extract_phase_difference(rec, ss.ftsi_settings(cfg), sc.delay)
+    phase = rc.integrate_phase(dphi, sc.shear, rec.grid, spectrum * mask)
+    use = np.flatnonzero((spectrum > 0) & mask)
+    x = rec.grid.omegas[use] - rec.grid.omega_center
+    for columns in (rc._taylor_basis(x, 3)[1:], [np.abs(x), x]):
+        coef, err = rc._weighted_lstsq(columns, phase[use], spectrum[use])
+        want_coef, want_err = ref_wls_svd(columns, phase[use], spectrum[use])
+        assert coef == pytest.approx(want_coef, rel=1e-10, abs=0)
+        assert err == pytest.approx(want_err, rel=1e-12, abs=0)
+    fit = ss.fit_phase_polynomial(phase, spectrum, rec.grid, 3, mask)
+    coef, err = rc._weighted_lstsq(rc._taylor_basis(x, 3)[1:], phase[use], spectrum[use])
+    assert fit == rc.PhaseFit(tuple(coef[1:]), tuple(err[1:]))
+
+
+def test_weighted_lstsq_fits_the_calibration_line_exactly(quad_mode, settings):
+    # calibrate_delay's (omega, 1) design: omega ~ 2.27 rad/fs spans only
+    # 0.06 rad/fs, and sigma^2 pinv(A^T A) of that uncentred design misses
+    # the exact errors by up to 2.5e-10 relative over seeds 0-9, so the
+    # errors are held to the exact fit; the coefficients to both
+    zero_shear = ss.ShearConfig(shear=0.0, delay=TAU)
+    rec = ss.detect_counts(ss.ideal_interferogram(quad_mode, zero_shear), 1_000_000,
+                           ss.derive_seed(7, "counts", 0))
+    sb = rc._isolate_sideband(rec, settings, TAU)
+    idx = np.flatnonzero(rc._amplitude_mask(rec.plus + rec.minus, settings))
+    x, y, w = rec.grid.omegas[idx], np.unwrap(np.angle(sb.z[idx])), np.abs(sb.z[idx]) ** 2
+    coef, err = rc._weighted_lstsq([x], y, w)
+    assert coef == pytest.approx(ref_wls_svd([x], y, w)[0], rel=1e-10, abs=0)
+    slope, slope_err = exact_line_fit(x, y, w)
+    assert coef[1] == pytest.approx(slope, rel=1e-12, abs=0)
+    assert err[1] == pytest.approx(slope_err, rel=1e-12, abs=0)
+    est = ss.calibrate_delay(rec, zero_shear, settings)
+    assert (est.tau_fs, est.stderr_fs) == (coef[1], err[1])
+
+
+def test_weighted_lstsq_without_residual_dof_has_nan_stderrs():
+    x = np.array([-1.0, 0.5, 2.0])
+    y = 1.0 + 2.0 * x - 0.5 * x**2
+    coef, err = rc._weighted_lstsq([x, x**2], y, np.array([1.0, 2.0, 0.5]))
+    assert coef == pytest.approx([1.0, 2.0, -0.5], rel=1e-12)
+    assert np.isnan(err).all() and err.shape == (3,)
+    coef, err = rc._weighted_lstsq([x[:2]], y[:2], np.ones(2))
+    assert np.isfinite(coef).all() and np.isnan(err).all()
 
 
 # ---- full reconstruction -------------------------------------------------------

@@ -152,7 +152,7 @@ def test_artifact_csvs_match_row_loop(tmp_path, quad_mode, counts_result):
     new, ref = tmp_path / "new", tmp_path / "ref"
     new.mkdir()
     ref.mkdir()
-    files = _export_artifacts(str(new), quad_mode, counts_result)
+    files = _export_artifacts(str(new), quad_mode, counts_result, counts_result.mode())
     ref_artifacts(ref, quad_mode, counts_result)
     assert files == ["spectrum.csv", "phase.csv", "temporal.csv"]
     assert not counts_result.valid_mask.all() and counts_result.valid_mask.any()
