@@ -11,7 +11,6 @@ from .core import (
     normalize,
     save_mode,
     shear_nm_to_omega,
-    to_time_domain,
     wavelength_to_omega,
     wigner,
 )

@@ -12,10 +12,12 @@ from .core import (
     column_text,
     mode_overlap,
     normalize,
-    to_time_domain,
+    spectral_to_temporal_array,
     write_columns,
 )
 from .reconstruction import masked_fit
+
+PEAK_THRESHOLD = 0.1  # a temporal peak reaches this fraction of the maximum
 
 
 @dataclass(frozen=True)
@@ -60,14 +62,13 @@ def _find_peaks(x: np.ndarray, y: np.ndarray, threshold: float) -> list:
     return (x[i] + shift * (x[i] - x[i - 1])).tolist()
 
 
-def temporal_profile(mode: SpectralMode, peak_threshold: float = 0.1) -> TemporalProfile:
-    """FWHM of the temporal intensity (outermost half-max crossings), and its peaks."""
-    if not 0 < peak_threshold < 1:
-        raise ValueError("peak_threshold must lie in (0, 1)")
-    intensity = np.abs(to_time_domain(mode)) ** 2
+def temporal_profile(mode: SpectralMode) -> TemporalProfile:
+    """FWHM of the temporal intensity (outermost half-max crossings), and its
+    peaks above PEAK_THRESHOLD of the maximum."""
+    intensity = np.abs(spectral_to_temporal_array(mode.amplitude, mode.grid)) ** 2
     times = mode.grid.times
     fwhm = _half_max_width(times, intensity)
-    peaks = _find_peaks(times, intensity, peak_threshold)
+    peaks = _find_peaks(times, intensity, PEAK_THRESHOLD)
     return TemporalProfile(fwhm, len(peaks), tuple(peaks))
 
 
@@ -103,8 +104,8 @@ def orthogonality_report(a: SpectralMode, b: SpectralMode) -> OrthogonalityRepor
     ov = mode_overlap(a, b)  # ValueError if the grids differ
     dw = a.grid.omega_step
     l1_spec = float(np.sum(np.abs(a.intensity() - b.intensity())) * dw)
-    ta = np.abs(to_time_domain(a)) ** 2
-    tb = np.abs(to_time_domain(b)) ** 2
+    ta = np.abs(spectral_to_temporal_array(a.amplitude, a.grid)) ** 2
+    tb = np.abs(spectral_to_temporal_array(b.amplitude, b.grid)) ** 2
     l1_temp = float(np.sum(np.abs(ta - tb)) * a.grid.time_step)
     return OrthogonalityReport(ov, l1_spec, l1_temp)
 
@@ -120,7 +121,7 @@ def v_phase_slope(
     Returns (slope_fs, stderr_fs).
     """
     coef, err = masked_fit(
-        mode_phase, weights, grid, mask, lambda x: [np.ones_like(x), np.abs(x), x], 5, "a V slope"
+        mode_phase, weights, grid, mask, lambda x: [np.abs(x), x], 5, "a V slope"
     )
     return float(coef[1]), float(err[1])
 

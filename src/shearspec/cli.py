@@ -41,7 +41,7 @@ from .core import (
     load_mode,
     save_mode,
     shear_nm_to_omega,
-    to_time_domain,
+    spectral_to_temporal_array,
     wigner,
     write_columns,
     write_json,
@@ -197,7 +197,7 @@ def cmd_reconstruct(args) -> int:
         cal = load_interferogram_csv(args.calibrate_from)
         # without a delay, search around the record's own sideband
         guess = coarse_delay_guess(cal) if tau is None else tau
-        calibration = calibrate_delay(cal, ShearConfig(0.0, guess), settings)
+        calibration = calibrate_delay(cal, settings, guess)
         tau = calibration.tau_fs
     if tau is None:
         raise ConfigError("delay must come from --tau-fs, --config, or --calibrate-from")
@@ -311,7 +311,8 @@ def _export_artifacts(outdir: str, truth, result, rec_mode) -> list:
         "phase.csv": ("omega_rad_per_fs,truth_rad,recovered_rad,valid",
                       grid.omega_text, truth_phase, result.phase_rad, result.valid_mask),
         "temporal.csv": ("t_fs,truth,recovered", grid.time_text,
-                         np.abs(to_time_domain(truth)) ** 2, np.abs(to_time_domain(rec_mode)) ** 2),
+                         *(np.abs(spectral_to_temporal_array(m.amplitude, grid)) ** 2
+                           for m in (truth, rec_mode))),
     }
     for name, table in tables.items():
         write_columns(os.path.join(outdir, name), *table)
@@ -365,25 +366,25 @@ def _run_pipeline(cfg: RunConfig, trials: int):
         }
 
     files += _export_artifacts(outdir, truth, first, first_mode)
-    return outdir, summary, first, files
+    return outdir, summary, files
 
 
 def cmd_pipeline(args) -> int:
     cfg = _resolve_run_config(args)
-    outdir, summary, first, files = _run_pipeline(cfg, args.trials)
+    outdir, summary, files = _run_pipeline(cfg, args.trials)
     summary["files"] = sorted(files + ["summary.json"])
     write_json(summary, os.path.join(outdir, "summary.json"))
 
-    fit = first.coefficients
+    co = summary["coefficients"]
     rows = [
         ("output", outdir),
-        ("phi2_fs2", f"{fit.coefficient(2):.4g} +- {fit.stderr(2):.2g}"),
-        ("phi3_fs3", f"{fit.coefficient(3):.4g} +- {fit.stderr(3):.2g}"),
+        ("phi2_fs2", f"{co['phi2_fs2']:.4g} +- {co['phi2_fs2_stderr']:.2g}"),
+        ("phi3_fs3", f"{co['phi3_fs3']:.4g} +- {co['phi3_fs3_stderr']:.2g}"),
         ("v_slope_fs", f"{summary['v_slope_fs']:.4g} +- {summary['v_slope_fs_stderr']:.2g}"),
         ("fwhm_fs", f"{summary['fwhm_fs']:.1f}"),
         ("peaks", " ".join(f"{t:.0f}" for t in summary["peak_times_fs"]) or "none"),
         ("overlap_with_truth", f"{summary['overlap_with_truth']:.4f}"),
-        ("visibility", f"{first.diagnostics['visibility']:.3f}"),
+        ("visibility", f"{summary['diagnostics']['visibility']:.3f}"),
     ]
     if "stage1_phi2_fs2" in summary:
         rows.insert(1, ("stage1_phi2_fs2", f"{summary['stage1_phi2_fs2']:.4g}"))
@@ -452,6 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out == "":  # every command takes --out; without the flag it is None
+            raise ConfigError("--out must be a non-empty directory path")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -187,6 +187,20 @@ class SpectralMode:
         return np.angle(self.amplitude)
 
 
+def polar_mode(grid: SpectralGrid, magnitude: np.ndarray, phase: np.ndarray) -> SpectralMode:
+    """The mode magnitude * exp(i*phase), which must be unit-norm.
+
+    cos and sin are taken only where the magnitude is nonzero; the empty
+    bins, whose phases may reach hundreds of rad, stay +0.0.
+    """
+    amplitude = np.zeros(grid.n_points, dtype=np.complex128)
+    lit = magnitude > 0
+    r, angle = magnitude[lit], phase[lit]
+    amplitude.real[lit] = r * np.cos(angle)
+    amplitude.imag[lit] = r * np.sin(angle)
+    return SpectralMode(grid, amplitude)
+
+
 def normalize(grid: SpectralGrid, values: np.ndarray, anchor: bool = True) -> SpectralMode:
     """Build a unit-norm SpectralMode from raw complex samples.
 
@@ -232,11 +246,6 @@ def temporal_to_spectral_array(values: np.ndarray, grid: SpectralGrid) -> np.nda
     np.fft.ifft(ift, out=ift)
     ift *= grid.n_points
     return np.multiply(post, ift, out=ift)
-
-
-def to_time_domain(mode: SpectralMode) -> np.ndarray:
-    """Temporal amplitude psi(t) of a spectral mode on mode.grid.times."""
-    return spectral_to_temporal_array(mode.amplitude, mode.grid)
 
 
 def mode_overlap(a: SpectralMode, b: SpectralMode) -> float:
@@ -337,17 +346,6 @@ class WignerMap:
         t, om, vals = (freeze_field(self, n, float) for n in ("t_axis", "omega_axis", "values"))
         if vals.shape != (len(t), len(om)):
             raise ValueError("Wigner value shape does not match the axes")
-
-    def time_marginal(self) -> np.ndarray:
-        """Int W domega, approximates |psi(t)|^2 on t_axis."""
-        return np.trapezoid(self.values, self.omega_axis, axis=1)
-
-    def frequency_marginal(self) -> np.ndarray:
-        """Int W dt, approximates |psi~(omega)|^2 on omega_axis."""
-        return np.trapezoid(self.values, self.t_axis, axis=0)
-
-    def total(self) -> float:
-        return float(np.trapezoid(self.time_marginal(), self.t_axis))
 
 
 # ---- writers -------------------------------------------------------------------
@@ -475,20 +473,20 @@ def mode_to_dict(mode: SpectralMode) -> dict:
     }
 
 
-def mode_from_dict(data: dict) -> SpectralMode:
-    grid, arr = grid_arrays_from_dict(
-        data, "mode record", {"amplitude_abs": float, "phase_rad": float}
-    )
-    return SpectralMode(grid, arr["amplitude_abs"] * np.exp(1j * arr["phase_rad"]))
-
-
 def save_mode(mode: SpectralMode, path) -> None:
     write_json(mode_to_dict(mode), path)
 
 
 def load_mode(path) -> SpectralMode:
-    data = read_json(path)
+    """Read a mode file: truth_mode.json, or a result.json, which holds the same keys.
+
+    A malformed record, or an amplitude that is not unit-norm, raises
+    DataFormatError naming the file.
+    """
+    grid, arr = grid_arrays_from_dict(
+        read_json(path), f"mode record {path}", {"amplitude_abs": float, "phase_rad": float}
+    )
     try:
-        return mode_from_dict(data)
+        return polar_mode(grid, arr["amplitude_abs"], arr["phase_rad"])
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

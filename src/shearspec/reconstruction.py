@@ -25,6 +25,7 @@ from .core import (
     freeze_field,
     grid_arrays_from_dict,
     grid_to_dict,
+    polar_mode,
     read_json,
     spectral_to_temporal_array,
     temporal_to_spectral_array,
@@ -348,21 +349,17 @@ def extract_phase_difference(
     return dphi, mask, fringe
 
 
-def calibrate_delay(
-    interf: Interferogram, config: ShearConfig, settings: FtsiSettings
-) -> DelayCalibration:
+def calibrate_delay(interf: Interferogram, settings: FtsiSettings, tau: float) -> DelayCalibration:
     """Fit the delay from a zero-shear record's sideband phase slope.
 
     The sideband phase of a zero-shear interferogram is omega*tau exactly,
     so a weighted straight-line fit over valid bins returns tau and its
     standard error.  The sideband is searched for around the expected
-    delay, config.delay; config.shear must be zero.
+    delay tau.
     """
-    if config.shear != 0.0:
-        raise ValueError("delay calibration expects a zero-shear record")
     _record_total(interf)
     try:
-        sb = _isolate_sideband(interf, settings, config.delay)
+        sb = _isolate_sideband(interf, settings, tau)
     except (LowVisibilityError, FilterCollisionError) as exc:
         raise CalibrationError(f"no resolvable carrier fringes: {exc}") from exc
     mask = _amplitude_mask(interf.plus + interf.minus, settings)
@@ -372,10 +369,10 @@ def calibrate_delay(
     z = sb.z[idx]
     x = interf.grid.omegas[idx]
     coef, err = _weighted_lstsq([x], np.unwrap(np.angle(z)), np.abs(z) ** 2)
-    tau = float(coef[1])
-    if tau <= 0:
-        raise CalibrationError(f"fitted delay {tau:.1f} fs is not positive")
-    return DelayCalibration(tau_fs=tau, stderr_fs=float(err[1]), sideband_snr=float(sb.snr))
+    fitted = float(coef[1])
+    if fitted <= 0:
+        raise CalibrationError(f"fitted delay {fitted:.1f} fs is not positive")
+    return DelayCalibration(tau_fs=fitted, stderr_fs=float(err[1]), sideband_snr=float(sb.snr))
 
 
 def _weighted_lstsq(columns, y: np.ndarray, weights: np.ndarray):
@@ -419,8 +416,8 @@ def masked_fit(values, weights, grid: SpectralGrid, mask, basis, min_bins: int, 
     """WLS fit of `values` about the grid center; returns (coefficients, stderrs).
 
     Fits the bins with weight > 0 that the optional mask keeps, at least
-    min_bins of them; basis(x) gives the design columns at x = omega - omega0,
-    the first of them the constant 1, which _weighted_lstsq implies.
+    min_bins of them; basis(x) gives the design columns at x = omega - omega0
+    but for the constant, which _weighted_lstsq implies and returns first.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -431,7 +428,7 @@ def masked_fit(values, weights, grid: SpectralGrid, mask, basis, min_bins: int, 
     if use.size < min_bins:
         raise ValueError(f"not enough weighted bins to fit {what}")
     x = grid.omegas[use] - grid.omega_center
-    return _weighted_lstsq(basis(x)[1:], values[use], weights[use])
+    return _weighted_lstsq(basis(x), values[use], weights[use])
 
 
 def integrate_phase(
@@ -489,26 +486,28 @@ def integrate_phase(
     return phase - phase[grid.n_points // 2]
 
 
-def _taylor_basis(x: np.ndarray, max_order: int) -> list:
-    """Columns x^n / n! for n = 0..max_order, each the running product of the last."""
-    columns = [np.ones_like(x)]
-    for n in range(1, max_order + 1):
+# phi_n key of order n = index + 1; each has a "<key>_stderr" twin
+_FIT_KEYS = ("phi1_fs", "phi2_fs2", "phi3_fs3")
+FIT_ORDER = len(_FIT_KEYS)
+
+
+def _taylor_basis(x: np.ndarray) -> list:
+    """Columns x^n / n! for n = 1..FIT_ORDER, each the running product of the last."""
+    columns = [x]
+    for n in range(2, FIT_ORDER + 1):
         columns.append(columns[-1] * x / n)
     return columns
 
 
 def fit_phase_polynomial(
-    phase: np.ndarray,
-    weights: np.ndarray,
-    grid: SpectralGrid,
-    max_order: int = 3,
-    mask: np.ndarray | None = None,
+    phase: np.ndarray, weights: np.ndarray, grid: SpectralGrid, mask: np.ndarray | None = None
 ) -> PhaseFit:
     """Weighted polynomial fit of phi about the grid center.
 
-    Basis (omega-omega0)^n / n! for n = 1..max_order; a constant term is
-    included in the fit and discarded (global phase is unphysical).
-    Weights are typically the recovered spectral intensity.
+    Basis (omega-omega0)^n / n! for n = 1..FIT_ORDER, the orders result.json
+    stores; a constant term is included in the fit and discarded (global
+    phase is unphysical).  Weights are typically the recovered spectral
+    intensity.
     """
     phase = np.asarray(phase, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -516,11 +515,8 @@ def fit_phase_polynomial(
         raise ValueError("phase/weights length does not match the grid")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
     coef, err = masked_fit(
-        phase, weights, grid, mask, lambda x: _taylor_basis(x, max_order),
-        max_order + 2, "the requested order",
+        phase, weights, grid, mask, _taylor_basis, FIT_ORDER + 2, "the phase polynomial"
     )
     return PhaseFit(tuple(float(c) for c in coef[1:]), tuple(float(e) for e in err[1:]))
 
@@ -548,14 +544,7 @@ class ReconstructionResult:
             freeze_field(self, name, dtype, self.grid.n_points)
 
     def mode(self) -> SpectralMode:
-        # cos/sin only where the amplitude is nonzero; the empty wings, whose
-        # bridged phases reach hundreds of rad, stay +0.0
-        amplitude = np.zeros(self.grid.n_points, dtype=np.complex128)
-        lit = self.amplitude_abs > 0
-        r, phase = self.amplitude_abs[lit], self.phase_rad[lit]
-        amplitude.real[lit] = r * np.cos(phase)
-        amplitude.imag[lit] = r * np.sin(phase)
-        return SpectralMode(self.grid, amplitude)
+        return polar_mode(self.grid, self.amplitude_abs, self.phase_rad)
 
 
 def reconstruct(
@@ -571,7 +560,7 @@ def reconstruct(
     spectrum = recover_spectrum(interf)
     dphi, mask, fringe = extract_phase_difference(interf, settings, config.delay)
     phase = integrate_phase(dphi, config.shear, grid, spectrum * mask)
-    fit = fit_phase_polynomial(phase, spectrum, grid, 3, mask)
+    fit = fit_phase_polynomial(phase, spectrum, grid, mask)
 
     # integrate_phase refused a zero shear, so there is a -W/2 bias to undo
     envelope = np.interp(grid.omegas - 0.5 * config.shear, grid.omegas, spectrum)
@@ -597,24 +586,12 @@ def reconstruct(
 
 # ---- result serialization ---------------------------------------------------
 
-# phi_n key of order n = index + 1; each has a "<key>_stderr" twin
-_FIT_KEYS = ("phi1_fs", "phi2_fs2", "phi3_fs3")
-
-
 def fit_to_dict(fit: PhaseFit) -> dict:
     out = {}
     for order, key in enumerate(_FIT_KEYS, start=1):
         out[key] = fit.coefficient(order)
         out[key + "_stderr"] = fit.stderr(order)
     return out
-
-
-def fit_from_dict(data: dict) -> PhaseFit:
-    """Inverse of fit_to_dict; KeyError, TypeError or ValueError if malformed."""
-    return PhaseFit(
-        tuple(float(data[key]) for key in _FIT_KEYS),
-        tuple(float(data[key + "_stderr"]) for key in _FIT_KEYS),
-    )
 
 
 def result_to_dict(result: ReconstructionResult) -> dict:
@@ -629,21 +606,22 @@ def result_to_dict(result: ReconstructionResult) -> dict:
     }
 
 
-def result_from_dict(data: dict, what: str = "reconstruction result") -> ReconstructionResult:
+def save_result(result: ReconstructionResult, path) -> None:
+    write_json(result_to_dict(result), path)
+
+
+def load_result(path) -> ReconstructionResult:
+    """Inverse of save_result; DataFormatError naming the file if malformed."""
+    what = f"reconstruction result {path}"
+    data = read_json(path)
     grid, arrays = grid_arrays_from_dict(data, what, _RESULT_ARRAYS)
     try:
-        fit = fit_from_dict(data["coefficients"])
+        coefficients = data["coefficients"]
+        fit = PhaseFit(tuple(float(coefficients[key]) for key in _FIT_KEYS),
+                       tuple(float(coefficients[key + "_stderr"]) for key in _FIT_KEYS))
         if not isinstance(data["diagnostics"], dict):
             raise TypeError("'diagnostics' must be an object")
         diagnostics = dict(data["diagnostics"])
         return ReconstructionResult(grid, **arrays, coefficients=fit, diagnostics=diagnostics)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed {what}: {exc}") from exc
-
-
-def save_result(result: ReconstructionResult, path) -> None:
-    write_json(result_to_dict(result), path)
-
-
-def load_result(path) -> ReconstructionResult:
-    return result_from_dict(read_json(path), f"reconstruction result {path}")

@@ -296,10 +296,9 @@ def test_calibration_uses_the_record_settings(tmp_path):
                  "--quiet"]) == 0
     used = ss.load_result(rec / "result.json").diagnostics["tau_fs_used"]
     record = ss.load_interferogram_csv(cal / "interferogram.csv")
-    zero_shear = ss.ShearConfig(0.0, TAU)
     settings = ss.FtsiSettings(filter_width=3000.0)
-    assert used == ss.calibrate_delay(record, zero_shear, settings).tau_fs
-    assert used != ss.calibrate_delay(record, zero_shear, ss.FtsiSettings()).tau_fs
+    assert used == ss.calibrate_delay(record, settings, TAU).tau_fs
+    assert used != ss.calibrate_delay(record, ss.FtsiSettings(), TAU).tau_fs
 
 
 @pytest.mark.parametrize("width, code", [(100, 3), (200, 0)])
@@ -659,6 +658,42 @@ def test_analyze_malformed_result_exits_4_naming_the_file(tmp_path, capsys, key,
     assert main(["analyze", str(bad), "--out", str(tmp_path / "ana"), "--quiet"]) == 4
     err = capsys.readouterr().err
     assert str(bad) in err and message in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda mode: mode["grid"].update(n_points=4096.5), "n_points"),
+     (lambda mode: mode.pop("phase_rad"), "'phase_rad'")],
+    ids=["non-integral n_points", "no phase_rad"],
+)
+def test_analyze_malformed_truth_exits_4_naming_the_file(tmp_path, capsys, edit, message):
+    run = tmp_path / "run"
+    assert main(["pipeline", "--preset", "quadratic", "--noiseless", "--out", str(run),
+                 "--quiet"]) == 0
+    truth = json.loads((run / "truth_mode.json").read_text(encoding="utf-8"))
+    edit(truth)
+    bad = tmp_path / "truth_mode.json"
+    bad.write_text(json.dumps(truth), encoding="utf-8")
+    assert main(["analyze", str(run / "result.json"), "--truth", str(bad),
+                 "--out", str(tmp_path / "ana"), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--preset", "quadratic"],
+     ["pipeline", "--preset", "quadratic"],
+     ["reconstruct", "none.csv", "--shear-rad-per-fs", str(SHEAR), "--tau-fs", "10000"],
+     ["analyze", "none.json"]],
+    ids=["simulate", "pipeline", "reconstruct", "analyze"],
+)
+def test_empty_out_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv):
+    # an empty --out is refused, not read as no flag: nothing lands in ./out
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "", "--quiet"]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

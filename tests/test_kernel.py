@@ -64,7 +64,7 @@ def ref_extract_phase_difference(interf, settings, tau):
 def ref_fit_phase_polynomial(phase, weights, grid, max_order, mask):
     return rc.masked_fit(
         phase, weights, grid, mask,
-        lambda x: [x**n / math.factorial(n) for n in range(0, max_order + 1)],
+        lambda x: [x**n / math.factorial(n) for n in range(1, max_order + 1)],
         max_order + 2, "the requested order",
     )[0][1:]
 

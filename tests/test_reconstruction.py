@@ -266,13 +266,13 @@ def test_weighted_lstsq_matches_the_svd_solve(name, n):
     phase = rc.integrate_phase(dphi, sc.shear, rec.grid, spectrum * mask)
     use = np.flatnonzero((spectrum > 0) & mask)
     x = rec.grid.omegas[use] - rec.grid.omega_center
-    for columns in (rc._taylor_basis(x, 3)[1:], [np.abs(x), x]):
+    for columns in (rc._taylor_basis(x), [np.abs(x), x]):
         coef, err = rc._weighted_lstsq(columns, phase[use], spectrum[use])
         want_coef, want_err = ref_wls_svd(columns, phase[use], spectrum[use])
         assert coef == pytest.approx(want_coef, rel=1e-10, abs=0)
         assert err == pytest.approx(want_err, rel=1e-12, abs=0)
-    fit = ss.fit_phase_polynomial(phase, spectrum, rec.grid, 3, mask)
-    coef, err = rc._weighted_lstsq(rc._taylor_basis(x, 3)[1:], phase[use], spectrum[use])
+    fit = ss.fit_phase_polynomial(phase, spectrum, rec.grid, mask)
+    coef, err = rc._weighted_lstsq(rc._taylor_basis(x), phase[use], spectrum[use])
     assert fit == rc.PhaseFit(tuple(coef[1:]), tuple(err[1:]))
 
 
@@ -292,7 +292,7 @@ def test_weighted_lstsq_fits_the_calibration_line_exactly(quad_mode, settings):
     slope, slope_err = exact_line_fit(x, y, w)
     assert coef[1] == pytest.approx(slope, rel=1e-12, abs=0)
     assert err[1] == pytest.approx(slope_err, rel=1e-12, abs=0)
-    est = ss.calibrate_delay(rec, zero_shear, settings)
+    est = ss.calibrate_delay(rec, settings, TAU)
     assert (est.tau_fs, est.stderr_fs) == (coef[1], err[1])
 
 
@@ -426,7 +426,7 @@ def test_amplitude_floor_masks_wings(quad_record, shear_cfg):
 def test_calibrate_noiseless_exact(quad_mode, settings):
     zero_shear = ss.ShearConfig(shear=0.0, delay=TAU)
     rec = ss.ideal_interferogram(quad_mode, zero_shear)
-    est = ss.calibrate_delay(rec, zero_shear, settings)
+    est = ss.calibrate_delay(rec, settings, TAU)
     assert est.tau_fs == pytest.approx(TAU, rel=1e-12)
     assert est.stderr_fs >= 0.0
     assert est.sideband_snr > 1e6
@@ -437,20 +437,15 @@ def test_calibrate_with_counts(quad_mode, settings):
     ideal = ss.ideal_interferogram(quad_mode, zero_shear)
     for seed in range(10):
         rec = ss.detect_counts(ideal, 1_000_000, ss.derive_seed(7, "counts", seed))
-        est = ss.calibrate_delay(rec, zero_shear, settings)
+        est = ss.calibrate_delay(rec, settings, TAU)
         assert abs(est.tau_fs - TAU) / TAU < 1e-3
-
-
-def test_calibrate_rejects_sheared_record(quad_record, shear_cfg, settings):
-    with pytest.raises(ValueError):
-        ss.calibrate_delay(quad_record, shear_cfg, settings)
 
 
 def test_calibrate_starved_counts(quad_mode, settings):
     zero_shear = ss.ShearConfig(shear=0.0, delay=TAU)
     starved = ss.detect_counts(ss.ideal_interferogram(quad_mode, zero_shear), 20, 1)
     with pytest.raises(CalibrationError):
-        ss.calibrate_delay(starved, zero_shear, settings)
+        ss.calibrate_delay(starved, settings, TAU)
 
 
 def test_coarse_delay_guess(quad_mode, quad_record):

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import shearspec as ss
-from shearspec.cli import _export_artifacts
-from shearspec.core import WRITE_BLOCK_ROWS, mode_to_dict, write_columns
+from shearspec.cli import _export_artifacts, main
+from shearspec.core import (
+    WRITE_BLOCK_ROWS, mode_to_dict, spectral_to_temporal_array, write_columns
+)
 from shearspec.reconstruction import result_to_dict
 
 
@@ -57,8 +59,8 @@ def ref_artifacts(outdir, truth, result):
         fh.write("omega_rad_per_fs,truth_rad,recovered_rad,valid\n")
         for w, a, b, v in zip(grid.omegas, truth_phase, result.phase_rad, result.valid_mask):
             fh.write(f"{float(w)!r},{float(a)!r},{float(b)!r},{int(v)}\n")
-    truth_t = np.abs(ss.to_time_domain(truth)) ** 2
-    rec_t = np.abs(ss.to_time_domain(rec_mode)) ** 2
+    truth_t = np.abs(spectral_to_temporal_array(truth.amplitude, grid)) ** 2
+    rec_t = np.abs(spectral_to_temporal_array(rec_mode.amplitude, grid)) ** 2
     with open(outdir / "temporal.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("t_fs,truth,recovered\n")
         for t, a, b in zip(grid.times, truth_t, rec_t):
@@ -196,6 +198,17 @@ def test_truth_mode_json_roundtrip(tmp_path, quad_mode):
 
     ref_json(mode_to_dict(quad_mode), tmp_path / "ref.json")
     assert raw == json.loads((tmp_path / "ref.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", ["quadratic", "compensated", "v-phase", "lambda-phase"])
+def test_result_json_read_as_a_mode_is_the_result_mode(tmp_path, name):
+    # analyze --truth reads a result.json as a mode file: the mode's bits,
+    # the signed zeros of its empty wings included, are result.mode()'s
+    assert main(["pipeline", "--preset", name, "--out", str(tmp_path), "--quiet"]) == 0
+    path = tmp_path / "result.json"
+    result = ss.load_result(path)
+    assert not (result.amplitude_abs > 0).all()
+    assert ss.load_mode(path).amplitude.tobytes() == result.mode().amplitude.tobytes()
 
 
 def test_old_layout_result_still_loads(tmp_path, counts_result):
