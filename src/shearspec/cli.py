@@ -230,7 +230,7 @@ def _analysis_report(result, mode, truth=None) -> dict:
         "peak_times_fs": [float(t) for t in prof.peak_times_fs],
         "transform_limit_ratio": transform_limit_ratio(mode, prof),
         "coefficients": fit_to_dict(result.coefficients),
-        "diagnostics": {k: v for k, v in sorted(result.diagnostics.items())},
+        "diagnostics": dict(result.diagnostics),
     }
     spectrum = result.amplitude_abs**2
     slope, slope_err = v_phase_slope(result.phase_rad, spectrum, result.grid, result.valid_mask)
@@ -310,7 +310,7 @@ def _export_artifacts(outdir: str, truth, result, rec_mode) -> list:
                          grid.omega_text, truth.intensity(), rec_mode.intensity()),
         "phase.csv": ("omega_rad_per_fs,truth_rad,recovered_rad,valid",
                       grid.omega_text, truth_phase, result.phase_rad, result.valid_mask),
-        "temporal.csv": ("t_fs,truth,recovered", grid.time_text,
+        "temporal.csv": ("t_fs,truth,recovered", grid.times,
                          *(np.abs(spectral_to_temporal_array(m.amplitude, grid)) ** 2
                            for m in (truth, rec_mode))),
     }

@@ -125,11 +125,6 @@ class SpectralGrid:
         return _read_only(self.time_start + self.time_step * np.arange(self.n_points))
 
     @cached_property
-    def time_text(self) -> tuple:
-        """`times` as CSV cell text, like `omega_text`."""
-        return tuple(map(repr, self.times.tolist()))
-
-    @cached_property
     def _transform_factors(self) -> tuple:
         """Both transforms' per-grid factors, built once per instance: (signs,
         forward post-factor, inverse pre-factor, inverse post-factor)."""

@@ -38,6 +38,7 @@ from .errors import (
     DegenerateInputError,
     FilterCollisionError,
     LowVisibilityError,
+    ReconstructionError,
 )
 from .interferometer import Interferogram, ShearConfig
 
@@ -196,48 +197,26 @@ class _Sideband(NamedTuple):
 def _run(t: np.ndarray, inside, lo: float, hi: float) -> slice:
     """The bins k of the ascending axis t where inside(t[k]) holds, as a slice.
 
-    inside must hold on one contiguous run of bins whose ends lie within a
-    bin of lo and hi.  searchsorted places the ends there, and each end then
-    steps to where inside itself changes, so the run is exactly the one a
-    boolean mask over t would select, at O(log N) cost.
+    inside is a vectorised predicate that holds on one contiguous run of
+    bins whose ends lie within a bin of lo and hi.  It is evaluated on the
+    searchsorted range widened by one bin each way, so the run is exactly
+    the one a boolean mask over t would select, at a cost of the run's length.
     """
-    i = int(np.searchsorted(t, lo))
-    j = int(np.searchsorted(t, hi, side="right"))
-    while i > 0 and inside(t[i - 1]):
-        i -= 1
-    while i < j and not inside(t[i]):
-        i += 1
-    while j < t.size and inside(t[j]):
-        j += 1
-    while j > i and not inside(t[j - 1]):
-        j -= 1
-    return slice(i, j)
-
-
-def _mirrored_median(half: np.ndarray, unpaired) -> float:
-    """Median of `half` taken twice plus the optional value `unpaired`; 0.0 if empty.
-
-    Doubling a sample leaves its median unchanged.  An odd extra value moves
-    it only for an even count: to the extra value, clipped to the middle two.
-    `half` is reordered in place, by one partition.
-    """
-    n = half.size
-    if n == 0:
-        return 0.0 if unpaired is None else float(unpaired)
-    if n % 2 or unpaired is None:
-        return float(np.median(half, overwrite_input=True))
-    half.partition((n // 2 - 1, n // 2))
-    lo, hi = half[n // 2 - 1 : n // 2 + 1]
-    return float(min(max(unpaired, lo), hi))
+    i = max(int(np.searchsorted(t, lo)) - 1, 0)
+    j = int(np.searchsorted(t, hi, side="right")) + 1
+    hits = np.flatnonzero(inside(t[i:j]))
+    if hits.size == 0:
+        return slice(i, i)
+    return slice(i + int(hits[0]), i + int(hits[-1]) + 1)
 
 
 def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float) -> _Sideband:
     """Filter the +tau sideband of the difference record.
 
     Every bin the search needs lies at t > 0, as tau - width > 0 by
-    check_delay.  The record is real, so |f| is even in t: the half t < 0
-    repeats the half t > 0 but for its end bin t = -T/2, and the median of
-    |f| off the sideband over the whole axis comes from the half t >= 0.
+    check_delay.  The record is real, so |f| is even in t and the noise
+    floor is the median of |f| over the bins t >= 0 that lie 2*width or
+    more from both t = 0 and the peak.
     """
     grid = interf.grid
     check_delay(settings, grid, tau)
@@ -247,7 +226,7 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
     half = grid.n_points // 2  # t[half] = 0
     mag = np.abs(f[half:])
     pos = t[half:]
-    search = _run(pos, lambda x: abs(x - tau) <= w, tau - w, tau + w)
+    search = _run(pos, lambda x: np.abs(x - tau) <= w, tau - w, tau + w)
     if search.start == search.stop:
         raise ConfigError("filter window lies outside the grid's time span")
     i_pk = search.start + int(np.argmax(mag[search]))
@@ -256,13 +235,10 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
 
     if peak <= 0.0:
         raise LowVisibilityError("record shows no sideband energy in the filter window")
-    # off the sideband: 2w or more from both t = 0 and the peak
-    near = _run(pos, lambda x: abs(x - t_pk) < 2.0 * w, t_pk - 2.0 * w, t_pk + 2.0 * w)
+    near = _run(pos, lambda x: np.abs(x - t_pk) < 2.0 * w, t_pk - 2.0 * w, t_pk + 2.0 * w)
     first = int(np.searchsorted(pos, 2.0 * w))
     off = np.concatenate([mag[first : max(first, near.start)], mag[max(first, near.stop) :]])
-    t_end = abs(float(t[0]))  # t[0] = -T/2, the one bin with no mirror
-    unpaired = abs(f[0]) if t_end >= 2.0 * w and abs(t_end - t_pk) >= 2.0 * w else None
-    floor = _mirrored_median(off, unpaired)
+    floor = float(np.median(off, overwrite_input=True)) if off.size else 0.0
     snr = peak / floor if floor > 0 else math.inf
     if snr < MIN_SIDEBAND_SNR:
         raise LowVisibilityError(
@@ -285,7 +261,7 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
         )
 
     reach = _WINDOW_REACH * w
-    window = _run(t, lambda x: abs((x - t_pk) / w) < _WINDOW_REACH, t_pk - reach, t_pk + reach)
+    window = _run(t, lambda x: np.abs((x - t_pk) / w) < _WINDOW_REACH, t_pk - reach, t_pk + reach)
     # f is filtered in place: zero off the window's support, windowed on it
     f[: window.start] = 0.0
     f[window.stop :] = 0.0
@@ -295,9 +271,20 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
     return _Sideband(z, snr, t_pk, search, i_edge + half, window)
 
 
-def _amplitude_mask(summed: np.ndarray, settings: FtsiSettings) -> np.ndarray:
-    """Bins whose summed-output record plus + minus reaches the amplitude floor."""
-    return summed >= settings.amplitude_floor * float(np.max(summed))
+def _valid_sideband(interf: Interferogram, settings: FtsiSettings, tau: float):
+    """The fringe stage's front end: (summed record, valid mask, valid bins, sideband).
+
+    The record must carry intensity, and at least 8 bins of its summed
+    output plus + minus must reach amplitude_floor * max: the valid bins,
+    on which the filtered +tau sideband is read.
+    """
+    _record_total(interf)
+    summed = interf.plus + interf.minus
+    mask = summed >= settings.amplitude_floor * float(np.max(summed))
+    idx = np.flatnonzero(mask)
+    if idx.size < 8:
+        raise DegenerateInputError("fewer than 8 bins above the amplitude floor")
+    return summed, mask, idx, _isolate_sideband(interf, settings, tau)
 
 
 def extract_phase_difference(
@@ -311,14 +298,7 @@ def extract_phase_difference(
     the fringe numbers {"visibility", "sideband_snr", "sideband_time_fs"}.
     """
     grid = interf.grid
-    _record_total(interf)
-    summed = interf.plus + interf.minus
-    mask = _amplitude_mask(summed, settings)
-    idx = np.flatnonzero(mask)
-    if idx.size < 8:
-        raise DegenerateInputError("fewer than 8 bins above the amplitude floor")
-
-    sb = _isolate_sideband(interf, settings, tau)
+    summed, mask, idx, sb = _valid_sideband(interf, settings, tau)
     z = sb.z[idx]
     omegas = grid.omegas[idx]
     # the carrier exp(i*omega*tau) comes off as a phase; unwrapping over the valid
@@ -357,15 +337,10 @@ def calibrate_delay(interf: Interferogram, settings: FtsiSettings, tau: float) -
     standard error.  The sideband is searched for around the expected
     delay tau.
     """
-    _record_total(interf)
     try:
-        sb = _isolate_sideband(interf, settings, tau)
-    except (LowVisibilityError, FilterCollisionError) as exc:
-        raise CalibrationError(f"no resolvable carrier fringes: {exc}") from exc
-    mask = _amplitude_mask(interf.plus + interf.minus, settings)
-    idx = np.flatnonzero(mask)
-    if idx.size < 4:
-        raise CalibrationError("too few bins above the amplitude floor")
+        _, _, idx, sb = _valid_sideband(interf, settings, tau)
+    except ReconstructionError as exc:
+        raise CalibrationError(f"calibration record unusable: {exc}") from exc
     z = sb.z[idx]
     x = interf.grid.omegas[idx]
     coef, err = _weighted_lstsq([x], np.unwrap(np.angle(z)), np.abs(z) ** 2)
@@ -415,12 +390,17 @@ def _weighted_lstsq(columns, y: np.ndarray, weights: np.ndarray):
 def masked_fit(values, weights, grid: SpectralGrid, mask, basis, min_bins: int, what: str):
     """WLS fit of `values` about the grid center; returns (coefficients, stderrs).
 
+    values and weights are per-bin arrays on the grid, weights non-negative.
     Fits the bins with weight > 0 that the optional mask keeps, at least
     min_bins of them; basis(x) gives the design columns at x = omega - omega0
     but for the constant, which _weighted_lstsq implies and returns first.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    if values.shape != (grid.n_points,) or weights.shape != (grid.n_points,):
+        raise ValueError(f"cannot fit {what}: values/weights length does not match the grid")
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
     use = weights > 0
     if mask is not None:
         use &= np.asarray(mask, dtype=bool)
@@ -509,12 +489,6 @@ def fit_phase_polynomial(
     phase is unphysical).  Weights are typically the recovered spectral
     intensity.
     """
-    phase = np.asarray(phase, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if phase.shape != (grid.n_points,) or weights.shape != (grid.n_points,):
-        raise ValueError("phase/weights length does not match the grid")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
     coef, err = masked_fit(
         phase, weights, grid, mask, _taylor_basis, FIT_ORDER + 2, "the phase polynomial"
     )

@@ -127,6 +127,20 @@ def test_v_phase_slope_needs_bins(grid):
         ss.v_phase_slope(np.zeros(grid.n_points), weights, grid)
 
 
+def test_v_phase_slope_checks_its_inputs(grid):
+    # the fit's input checks live in masked_fit, which the V slope shares
+    v = ss.synthesize(ss.PulseSpec(830.0, 8.0, "v_lambda", v_slope=1050.0), grid)
+    phase = np.unwrap(np.angle(v.amplitude))
+    weights = np.abs(v.amplitude) ** 2
+    with pytest.raises(ValueError, match="does not match the grid"):
+        ss.v_phase_slope(phase[:-1], weights, grid)
+    with pytest.raises(ValueError, match="does not match the grid"):
+        ss.v_phase_slope(phase, weights[:-1], grid)
+    negative = weights.copy()
+    negative[0] = -1.0
+    with pytest.raises(ValueError, match="non-negative"):
+        ss.v_phase_slope(phase, negative, grid)
+
 def test_wigner_csv_format(tmp_path, quad_mode, grid):
     n = grid.n_points
     t_axis = grid.times[n // 4 : 3 * n // 4 : 256]

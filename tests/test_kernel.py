@@ -3,7 +3,7 @@
 The reference functions below are the package's earlier implementations of
 the sideband isolation, the phase difference, the Taylor fit and the
 reconstructed mode: boolean masks over the whole time axis, an argmin for
-the filter edge, the full-axis noise median, the complex carrier
+the filter edge, the t >= 0 noise median, the complex carrier
 exp(-i*omega*tau) and the basis x**n / n!.  The kernel must find the same
 bins and agree with them to the last digits, on every preset at two sizes.
 """
@@ -35,7 +35,7 @@ def ref_isolate_sideband(interf, settings, tau):
     i_pk = int(np.flatnonzero(search)[np.argmax(mag[search])])
     t_pk = float(t[i_pk])
     peak = float(mag[i_pk])
-    off = (np.abs(t) >= 2.0 * w) & (np.abs(np.abs(t) - abs(t_pk)) >= 2.0 * w)
+    off = (t >= 2.0 * w) & (np.abs(t - t_pk) >= 2.0 * w)
     floor = float(np.median(mag[off])) if np.any(off) else 0.0
     snr = peak / floor if floor > 0 else math.inf
     i_edge = int(np.argmin(np.abs(t - (t_pk - w))))
@@ -112,7 +112,7 @@ def test_phase_difference_matches_the_reference(name, n):
     ref_dphi, ref_mask, ref_fringe = ref_extract_phase_difference(rec, st, sc.delay)
     assert np.array_equal(mask, ref_mask)
     assert np.max(np.abs(dphi - ref_dphi)[mask]) <= 1e-9
-    assert fringe["sideband_snr"] == pytest.approx(ref_fringe["sideband_snr"], rel=1e-4)
+    assert fringe["sideband_snr"] == ref_fringe["sideband_snr"]
     assert fringe["visibility"] == pytest.approx(ref_fringe["visibility"], rel=1e-12)
     assert fringe["sideband_time_fs"] == ref_fringe["sideband_time_fs"]
 
@@ -142,13 +142,3 @@ def test_reconstruction_matches_the_reference(name, n):
     r, phase = out.amplitude_abs, out.phase_rad
     assert amplitude.real[lit].tobytes() == (r * np.cos(phase))[lit].tobytes()
     assert amplitude.imag[lit].tobytes() == (r * np.sin(phase))[lit].tobytes()
-
-
-@pytest.mark.parametrize("size", [0, 1, 2, 7, 8, 101, 1000])
-def test_mirrored_median_is_the_median_of_the_whole_axis(size):
-    rng = np.random.default_rng(size)
-    half = rng.random(size)
-    for unpaired in (None, -1.0, 0.5, 2.0, *half[:2]):
-        whole = np.concatenate([half, half] + ([] if unpaired is None else [[unpaired]]))
-        want = float(np.median(whole)) if whole.size else 0.0
-        assert rc._mirrored_median(half, unpaired) == want, unpaired

@@ -284,8 +284,7 @@ def test_weighted_lstsq_fits_the_calibration_line_exactly(quad_mode, settings):
     zero_shear = ss.ShearConfig(shear=0.0, delay=TAU)
     rec = ss.detect_counts(ss.ideal_interferogram(quad_mode, zero_shear), 1_000_000,
                            ss.derive_seed(7, "counts", 0))
-    sb = rc._isolate_sideband(rec, settings, TAU)
-    idx = np.flatnonzero(rc._amplitude_mask(rec.plus + rec.minus, settings))
+    _, _, idx, sb = rc._valid_sideband(rec, settings, TAU)
     x, y, w = rec.grid.omegas[idx], np.unwrap(np.angle(sb.z[idx])), np.abs(sb.z[idx]) ** 2
     coef, err = rc._weighted_lstsq([x], y, w)
     assert coef == pytest.approx(ref_wls_svd([x], y, w)[0], rel=1e-10, abs=0)
@@ -447,6 +446,20 @@ def test_calibrate_starved_counts(quad_mode, settings):
     with pytest.raises(CalibrationError):
         ss.calibrate_delay(starved, settings, TAU)
 
+
+def test_calibrate_needs_eight_valid_bins(quad_mode, settings):
+    # five bins far above the rest leave only them over the amplitude floor;
+    # the difference record, and so its sideband, is unchanged
+    zero_shear = ss.ShearConfig(shear=0.0, delay=TAU)
+    rec = ss.ideal_interferogram(quad_mode, zero_shear)
+    center = quad_mode.grid.n_points // 2
+    spike = np.zeros(quad_mode.grid.n_points)
+    spike[center - 2 : center + 3] = 1e6 * float(np.max(rec.plus + rec.minus))
+    spiked = ss.Interferogram(rec.grid, rec.plus + spike, rec.minus + spike, "ideal")
+    assert int(np.sum(spiked.plus + spiked.minus >= settings.amplitude_floor
+                      * np.max(spiked.plus + spiked.minus))) == 5
+    with pytest.raises(CalibrationError, match="fewer than 8 bins"):
+        ss.calibrate_delay(spiked, settings, TAU)
 
 def test_coarse_delay_guess(quad_mode, quad_record):
     ideal = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=TAU))

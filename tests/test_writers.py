@@ -123,10 +123,8 @@ def test_write_columns_refuses_unequal_lengths(tmp_path):
 
 def test_grid_text_is_the_repr_of_each_node(grid):
     assert grid.omega_text == tuple(repr(w) for w in grid.omegas.tolist())
-    assert grid.time_text == tuple(repr(t) for t in grid.times.tolist())
     # formatted once per grid, and a tuple, so no caller can edit the shared cells
     assert grid.omega_text is grid.omega_text and isinstance(grid.omega_text, tuple)
-    assert grid.time_text is grid.time_text and isinstance(grid.time_text, tuple)
 
 
 @pytest.mark.parametrize("kind", ["ideal", "counts"])
