@@ -72,13 +72,11 @@ def temporal_profile(mode: SpectralMode) -> TemporalProfile:
     return TemporalProfile(fwhm, len(peaks), tuple(peaks))
 
 
-def transform_limit_ratio(mode: SpectralMode, profile: TemporalProfile | None = None) -> float:
+def transform_limit_ratio(mode: SpectralMode, profile: TemporalProfile) -> float:
     """Temporal FWHM relative to the zero-phase (transform-limited) version.
 
-    profile is temporal_profile(mode), computed here unless the caller has it.
+    profile is temporal_profile(mode), which the caller has already.
     """
-    if profile is None:
-        profile = temporal_profile(mode)
     flat = normalize(mode.grid, np.abs(mode.amplitude), anchor=False)
     actual = profile.fwhm_fs
     limit = temporal_profile(flat).fwhm_fs
@@ -111,14 +109,11 @@ def orthogonality_report(a: SpectralMode, b: SpectralMode) -> OrthogonalityRepor
 
 
 def v_phase_slope(
-    mode_phase: np.ndarray,
-    weights: np.ndarray,
-    grid,
-    mask: np.ndarray | None = None,
+    mode_phase: np.ndarray, weights: np.ndarray, grid, mask: np.ndarray
 ) -> tuple[float, float]:
     """Signed V-slope: WLS coefficient of |omega-omega0| in the basis
-    {1, |x|, x}.  Positive for a V profile, negative for a Lambda.
-    Returns (slope_fs, stderr_fs).
+    {1, |x|, x}, on the bins of mask.  Positive for a V profile, negative
+    for a Lambda.  Returns (slope_fs, stderr_fs).
     """
     coef, err = masked_fit(
         mode_phase, weights, grid, mask, lambda x: [np.abs(x), x], 5, "a V slope"

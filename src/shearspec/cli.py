@@ -57,7 +57,6 @@ from .interferometer import (
 from .reconstruction import (
     FtsiSettings,
     calibrate_delay,
-    coarse_delay_guess,
     fit_to_dict,
     load_result,
     reconstruct,
@@ -194,10 +193,8 @@ def cmd_reconstruct(args) -> int:
 
     calibration = None
     if args.calibrate_from:
-        cal = load_interferogram_csv(args.calibrate_from)
-        # without a delay, search around the record's own sideband
-        guess = coarse_delay_guess(cal) if tau is None else tau
-        calibration = calibrate_delay(cal, settings, guess)
+        # without a delay, calibrate_delay searches around the record's own sideband
+        calibration = calibrate_delay(load_interferogram_csv(args.calibrate_from), settings, tau)
         tau = calibration.tau_fs
     if tau is None:
         raise ConfigError("delay must come from --tau-fs, --config, or --calibrate-from")

@@ -16,10 +16,10 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .core import (
-    SpectralGrid, is_integral, is_number, make_grid, shear_nm_to_omega, wavelength_to_omega,
-    write_json,
+    SpectralGrid, is_integral, is_number, make_grid, read_json, shear_nm_to_omega,
+    wavelength_to_omega, write_json,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .interferometer import ShearConfig, check_shear
 from .reconstruction import FtsiSettings, check_delay
 from .synthesis import PulseSpec, check_coverage
@@ -201,16 +201,14 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a config file; a leading UTF-8 byte-order mark is skipped."""
+    """Parse and validate a config file, read by read_json; a file that cannot
+    be opened or parsed raises ConfigError naming it."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    except DataFormatError as exc:
+        raise ConfigError(str(exc)) from None
     return config_from_dict(raw, where=str(path))
 
 

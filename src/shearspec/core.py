@@ -183,11 +183,13 @@ class SpectralMode:
 
 
 def polar_mode(grid: SpectralGrid, magnitude: np.ndarray, phase: np.ndarray) -> SpectralMode:
-    """The mode magnitude * exp(i*phase), which must be unit-norm.
+    """The mode magnitude * exp(i*phase), which must be non-negative and unit-norm.
 
     cos and sin are taken only where the magnitude is nonzero; the empty
     bins, whose phases may reach hundreds of rad, stay +0.0.
     """
+    if np.any(magnitude < 0):
+        raise ValueError("amplitude magnitude must be non-negative")
     amplitude = np.zeros(grid.n_points, dtype=np.complex128)
     lit = magnitude > 0
     r, angle = magnitude[lit], phase[lit]

@@ -1,8 +1,12 @@
-"""Error taxonomy.
+"""Error taxonomy: one class per CLI exit code.
 
-Invalid arguments raise plain ValueError.  Everything that maps to a CLI
-exit code gets its own class so the entry point can translate without
-string matching.
+Invalid arguments raise plain ValueError.  The CLI maps the rest without
+string matching:
+
+    ConfigError          exit 2  run configuration malformed or inconsistent
+    ReconstructionError  exit 3  the record cannot support a reconstruction;
+                                 the message names the failed check
+    DataFormatError      exit 4  a file on disk could not be parsed
 """
 
 
@@ -15,23 +19,7 @@ class ConfigError(ShearspecError):
 
 
 class ReconstructionError(ShearspecError):
-    """Reconstruction quality failure (exit code 3)."""
-
-
-class LowVisibilityError(ReconstructionError):
-    """Fringe sideband indistinguishable from the noise floor."""
-
-
-class FilterCollisionError(ReconstructionError):
-    """Sideband filter would collect the DC / mirror-sideband region."""
-
-
-class CalibrationError(ReconstructionError):
-    """Delay calibration failed (no resolvable fringes)."""
-
-
-class DegenerateInputError(ReconstructionError):
-    """Record carries no usable signal (for example all-zero counts)."""
+    """The record cannot support a reconstruction (exit code 3)."""
 
 
 class DataFormatError(ShearspecError):

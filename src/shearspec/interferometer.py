@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .core import (
 )
 from .errors import DataFormatError
 
-INTERFEROGRAM_KINDS = ("ideal", "counts")
 CSV_HEADER = ["omega_rad_per_fs", "plus", "minus"]
 
 
@@ -55,17 +55,20 @@ class Interferogram:
     grid: SpectralGrid
     plus: np.ndarray
     minus: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in INTERFEROGRAM_KINDS:
-            raise ValueError(f"kind must be one of {INTERFEROGRAM_KINDS}, got {self.kind!r}")
         for name in ("plus", "minus"):
             arr = freeze_field(self, name, float, self.grid.n_points)
             if np.any(arr < 0) or not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be non-negative and finite")
-            if self.kind == "counts" and np.any(arr != np.round(arr)):
-                raise ValueError("counts records must hold integers")
+
+    @cached_property
+    def kind(self) -> str:
+        """A fact of the values: "counts" when both outputs hold whole numbers
+        and some intensity, else "ideal"."""
+        p, m = self.plus, self.minus
+        whole = np.all(p == np.round(p)) and np.all(m == np.round(m))
+        return "counts" if whole and p.sum() + m.sum() > 0 else "ideal"
 
 
 def check_shear(shear: float, grid: SpectralGrid) -> None:
@@ -126,7 +129,7 @@ def ideal_interferogram(mode: SpectralMode, config: ShearConfig) -> Interferogra
     delayed = apply_delay(mode, config.delay)
     sheared = apply_shear(mode, -config.shear)
     plus, minus = interfere(delayed, sheared)
-    return Interferogram(mode.grid, plus, minus, "ideal")
+    return Interferogram(mode.grid, plus, minus)
 
 
 def detect_counts(interf: Interferogram, total_counts: int, seed: int) -> Interferogram:
@@ -150,7 +153,7 @@ def detect_counts(interf: Interferogram, total_counts: int, seed: int) -> Interf
     means = np.concatenate([interf.plus, interf.minus]) * (total_counts / total)
     draws = rng.poisson(means)
     n = interf.grid.n_points
-    return Interferogram(interf.grid, draws[:n].astype(float), draws[n:].astype(float), "counts")
+    return Interferogram(interf.grid, draws[:n].astype(float), draws[n:].astype(float))
 
 
 # ---- CSV serialization ------------------------------------------------------
@@ -265,10 +268,7 @@ def load_interferogram_csv(path) -> Interferogram:
     if not (step > 0 and np.max(np.abs(np.diff(omegas) - step)) <= 1e-9 * abs(step)):
         raise DataFormatError(f"{path}: omega column is not finite and uniformly spaced")
     grid = SpectralGrid(float(omegas[0]), _exact_step(omegas, float(step)), n)
-    p = np.asarray(plus)
-    m = np.asarray(minus)
-    integral = np.all(p == np.round(p)) and np.all(m == np.round(m)) and (p.sum() + m.sum()) > 0
     try:
-        return Interferogram(grid, p, m, "counts" if integral else "ideal")
+        return Interferogram(grid, plus, minus)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc

@@ -31,15 +31,7 @@ from .core import (
     temporal_to_spectral_array,
     write_json,
 )
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    DataFormatError,
-    DegenerateInputError,
-    FilterCollisionError,
-    LowVisibilityError,
-    ReconstructionError,
-)
+from .errors import ConfigError, DataFormatError, ReconstructionError
 from .interferometer import Interferogram, ShearConfig
 
 LADDERS = 4  # interleaved concatenation ladders in integrate_phase
@@ -127,10 +119,10 @@ class PhaseFit:
 
 
 def _record_total(interf: Interferogram) -> float:
-    """Summed intensity over both outputs; DegenerateInputError if there is none."""
+    """Summed intensity over both outputs; ReconstructionError if there is none."""
     total = float(np.sum(interf.plus) + np.sum(interf.minus))
     if total <= 0:
-        raise DegenerateInputError("record carries no intensity")
+        raise ReconstructionError("record carries no intensity")
     return total
 
 
@@ -159,10 +151,10 @@ def coarse_delay_guess(interf: Interferogram) -> float:
     t = interf.grid.times
     sel = t > 4.0 * interf.grid.time_step
     if not np.any(sel):
-        raise DegenerateInputError("grid too small to locate a sideband")
+        raise ReconstructionError("grid too small to locate a sideband")
     i = int(np.flatnonzero(sel)[np.argmax(f[sel])])
     if f[i] <= 0:
-        raise LowVisibilityError("record shows no positive-time sideband")
+        raise ReconstructionError("record shows no positive-time sideband")
     return float(t[i])
 
 
@@ -234,20 +226,20 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
     peak = float(mag[i_pk])
 
     if peak <= 0.0:
-        raise LowVisibilityError("record shows no sideband energy in the filter window")
+        raise ReconstructionError("record shows no sideband energy in the filter window")
     near = _run(pos, lambda x: np.abs(x - t_pk) < 2.0 * w, t_pk - 2.0 * w, t_pk + 2.0 * w)
     first = int(np.searchsorted(pos, 2.0 * w))
     off = np.concatenate([mag[first : max(first, near.start)], mag[max(first, near.stop) :]])
     floor = float(np.median(off, overwrite_input=True)) if off.size else 0.0
     snr = peak / floor if floor > 0 else math.inf
     if snr < MIN_SIDEBAND_SNR:
-        raise LowVisibilityError(
+        raise ReconstructionError(
             f"sideband SNR {snr:.2f} below {MIN_SIDEBAND_SNR}: fringes not usable"
         )
 
     support = settings.support_half_width(tau)
     if t_pk - support <= 0.0:
-        raise FilterCollisionError(
+        raise ReconstructionError(
             f"filter support [{t_pk - support:.0f}, {t_pk + support:.0f}] fs reaches "
             "into the DC / mirror-sideband region"
         )
@@ -255,7 +247,7 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
     lo = max(int(np.searchsorted(pos, t_pk - w)) - 1, 0)
     i_edge = lo + int(np.argmin(np.abs(pos[lo : lo + 2] - (t_pk - w))))
     if mag[i_edge] > 0.5 * peak:
-        raise FilterCollisionError(
+        raise ReconstructionError(
             "sideband is not isolated: record magnitude at the filter edge exceeds "
             "half the sideband peak"
         )
@@ -283,7 +275,7 @@ def _valid_sideband(interf: Interferogram, settings: FtsiSettings, tau: float):
     mask = summed >= settings.amplitude_floor * float(np.max(summed))
     idx = np.flatnonzero(mask)
     if idx.size < 8:
-        raise DegenerateInputError("fewer than 8 bins above the amplitude floor")
+        raise ReconstructionError("fewer than 8 bins above the amplitude floor")
     return summed, mask, idx, _isolate_sideband(interf, settings, tau)
 
 
@@ -329,40 +321,48 @@ def extract_phase_difference(
     return dphi, mask, fringe
 
 
-def calibrate_delay(interf: Interferogram, settings: FtsiSettings, tau: float) -> DelayCalibration:
+def calibrate_delay(
+    interf: Interferogram, settings: FtsiSettings, tau: float | None
+) -> DelayCalibration:
     """Fit the delay from a zero-shear record's sideband phase slope.
 
     The sideband phase of a zero-shear interferogram is omega*tau exactly,
     so a weighted straight-line fit over valid bins returns tau and its
     standard error.  The sideband is searched for around the expected
-    delay tau.
+    delay tau, or, if tau is None, around the record's own strongest
+    sideband (coarse_delay_guess).  Every failure of the record says that
+    the calibration record is unusable.
     """
     try:
+        if tau is None:
+            tau = coarse_delay_guess(interf)
         _, _, idx, sb = _valid_sideband(interf, settings, tau)
     except ReconstructionError as exc:
-        raise CalibrationError(f"calibration record unusable: {exc}") from exc
+        raise ReconstructionError(f"calibration record unusable: {exc}") from exc
     z = sb.z[idx]
     x = interf.grid.omegas[idx]
     coef, err = _weighted_lstsq([x], np.unwrap(np.angle(z)), np.abs(z) ** 2)
     fitted = float(coef[1])
     if fitted <= 0:
-        raise CalibrationError(f"fitted delay {fitted:.1f} fs is not positive")
+        raise ReconstructionError(f"fitted delay {fitted:.1f} fs is not positive")
     return DelayCalibration(tau_fs=fitted, stderr_fs=float(err[1]), sideband_snr=float(sb.snr))
 
 
 def _weighted_lstsq(columns, y: np.ndarray, weights: np.ndarray):
     """WLS fit of y to a constant plus the k given columns.
 
-    Returns (coefficients, standard errors), the constant's first.  The
-    columns are centred on their weighted means, which takes the constant
-    out of their normal equations: one k x k solve of their weighted Gram
-    matrix G, scaled to a unit diagonal, gives their coefficients, and
-    sigma^2 G^-1 their covariance, with sigma^2 the weighted residual
-    variance, so the errors scale with the fit's actual scatter.  The
-    constant's coefficient and error follow from the means.  Centring keeps
-    the solve as accurate as an SVD of the design: an uncentred Gram solve
-    of calibrate_delay's (omega, 1) design, omega near 2.27 rad/fs across
-    0.06 rad/fs, missed a noiseless record's delay by 8e-10 relative.
+    Returns (coefficients, standard errors), the constant's first.  y needs
+    at least k + 2 points, which leaves a residual degree of freedom;
+    masked_fit and calibrate_delay demand that many or more.  The columns
+    are centred on their weighted means, which takes the constant out of
+    their normal equations: one k x k solve of their weighted Gram matrix
+    G, scaled to a unit diagonal, gives their coefficients, and sigma^2
+    G^-1 their covariance, with sigma^2 the weighted residual variance, so
+    the errors scale with the fit's actual scatter.  The constant's
+    coefficient and error follow from the means.  Centring keeps the solve
+    as accurate as an SVD of the design: an uncentred Gram solve of
+    calibrate_delay's (omega, 1) design, omega near 2.27 rad/fs across 0.06
+    rad/fs, missed a noiseless record's delay by 8e-10 relative.
     """
     wsum = float(np.sum(weights))
     k = len(columns)
@@ -378,11 +378,8 @@ def _weighted_lstsq(columns, y: np.ndarray, weights: np.ndarray):
     inverse /= np.outer(scale, scale)
     slopes = inverse @ (weighted @ yc)
     coef = np.concatenate([[means[k] - means[:k] @ slopes], slopes])
-    dof = len(y) - k - 1
-    if dof <= 0:
-        return coef, np.full(k + 1, np.nan)
     resid = yc - slopes @ design
-    sigma2 = float((resid * weights) @ resid) / dof
+    sigma2 = float((resid * weights) @ resid) / (len(y) - k - 1)
     var = np.concatenate([[1.0 / wsum + means[:k] @ inverse @ means[:k]], np.diag(inverse)])
     return coef, np.sqrt(sigma2 * np.clip(var, 0.0, None))
 
@@ -391,9 +388,9 @@ def masked_fit(values, weights, grid: SpectralGrid, mask, basis, min_bins: int, 
     """WLS fit of `values` about the grid center; returns (coefficients, stderrs).
 
     values and weights are per-bin arrays on the grid, weights non-negative.
-    Fits the bins with weight > 0 that the optional mask keeps, at least
-    min_bins of them; basis(x) gives the design columns at x = omega - omega0
-    but for the constant, which _weighted_lstsq implies and returns first.
+    Fits the bins with weight > 0 that the mask keeps, at least min_bins of
+    them; basis(x) gives the design columns at x = omega - omega0 but for
+    the constant, which _weighted_lstsq implies and returns first.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -401,10 +398,7 @@ def masked_fit(values, weights, grid: SpectralGrid, mask, basis, min_bins: int, 
         raise ValueError(f"cannot fit {what}: values/weights length does not match the grid")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    use = weights > 0
-    if mask is not None:
-        use &= np.asarray(mask, dtype=bool)
-    use = np.flatnonzero(use)
+    use = np.flatnonzero((weights > 0) & np.asarray(mask, dtype=bool))
     if use.size < min_bins:
         raise ValueError(f"not enough weighted bins to fit {what}")
     x = grid.omegas[use] - grid.omega_center
@@ -480,9 +474,9 @@ def _taylor_basis(x: np.ndarray) -> list:
 
 
 def fit_phase_polynomial(
-    phase: np.ndarray, weights: np.ndarray, grid: SpectralGrid, mask: np.ndarray | None = None
+    phase: np.ndarray, weights: np.ndarray, grid: SpectralGrid, mask: np.ndarray
 ) -> PhaseFit:
-    """Weighted polynomial fit of phi about the grid center.
+    """Weighted polynomial fit of phi about the grid center, on the bins of mask.
 
     Basis (omega-omega0)^n / n! for n = 1..FIT_ORDER, the orders result.json
     stores; a constant term is included in the fit and discarded (global

@@ -17,7 +17,7 @@ def test_transform_limited_profile():
     assert prof.fwhm_fs == pytest.approx(4.0 * math.log(2.0) / FWHM_W, rel=5e-3)
     assert prof.peak_count == 1
     assert prof.peak_times_fs[0] == pytest.approx(0.0, abs=1.0)
-    assert ss.transform_limit_ratio(mode) == pytest.approx(1.0, abs=1e-9)
+    assert ss.transform_limit_ratio(mode, prof) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_chirped_profile(grid):
@@ -27,7 +27,7 @@ def test_chirped_profile(grid):
     stretched = dt0 * math.sqrt(1.0 + (4.0 * math.log(2.0) * 8.7e4 / dt0**2) ** 2)
     assert prof.fwhm_fs == pytest.approx(stretched, rel=1e-3)
     assert prof.peak_count == 1
-    assert ss.transform_limit_ratio(mode) == pytest.approx(stretched / dt0, rel=2e-2)
+    assert ss.transform_limit_ratio(mode, prof) == pytest.approx(stretched / dt0, rel=2e-2)
 
 
 def test_v_profile_two_peaks(grid):
@@ -101,12 +101,15 @@ def test_orthogonality_displaced(grid):
 def test_v_phase_slope_exact(grid):
     v = ss.synthesize(ss.PulseSpec(830.0, 8.0, "v_lambda", v_slope=1050.0), grid)
     weights = np.abs(v.amplitude) ** 2
-    slope, err = ss.v_phase_slope(np.unwrap(np.angle(v.amplitude)), weights, grid)
+    every = np.ones(grid.n_points, dtype=bool)
+    slope, err = ss.v_phase_slope(np.unwrap(np.angle(v.amplitude)), weights, grid, every)
     assert slope == pytest.approx(1050.0, rel=1e-9)
     assert err < 1e-6
 
     lam = ss.synthesize(ss.PulseSpec(830.0, 8.0, "v_lambda", v_slope=-1100.0), grid)
-    slope2, _ = ss.v_phase_slope(np.unwrap(np.angle(lam.amplitude)), np.abs(lam.amplitude) ** 2, grid)
+    slope2, _ = ss.v_phase_slope(
+        np.unwrap(np.angle(lam.amplitude)), np.abs(lam.amplitude) ** 2, grid, every
+    )
     assert slope2 == pytest.approx(-1100.0, rel=1e-9)
 
 
@@ -115,7 +118,8 @@ def test_v_phase_slope_ignores_linear_part(grid):
     v = ss.synthesize(ss.PulseSpec(830.0, 8.0, "v_lambda", v_slope=700.0), grid)
     moved = ss.apply_delay(v, 400.0)
     slope, _ = ss.v_phase_slope(
-        np.unwrap(np.angle(moved.amplitude)), np.abs(moved.amplitude) ** 2, grid
+        np.unwrap(np.angle(moved.amplitude)), np.abs(moved.amplitude) ** 2, grid,
+        np.ones(grid.n_points, dtype=bool),
     )
     assert slope == pytest.approx(700.0, rel=1e-9)
 
@@ -124,7 +128,9 @@ def test_v_phase_slope_needs_bins(grid):
     weights = np.zeros(grid.n_points)
     weights[:3] = 1.0
     with pytest.raises(ValueError):
-        ss.v_phase_slope(np.zeros(grid.n_points), weights, grid)
+        ss.v_phase_slope(
+            np.zeros(grid.n_points), weights, grid, np.ones(grid.n_points, dtype=bool)
+        )
 
 
 def test_v_phase_slope_checks_its_inputs(grid):
@@ -132,14 +138,15 @@ def test_v_phase_slope_checks_its_inputs(grid):
     v = ss.synthesize(ss.PulseSpec(830.0, 8.0, "v_lambda", v_slope=1050.0), grid)
     phase = np.unwrap(np.angle(v.amplitude))
     weights = np.abs(v.amplitude) ** 2
+    every = np.ones(grid.n_points, dtype=bool)
     with pytest.raises(ValueError, match="does not match the grid"):
-        ss.v_phase_slope(phase[:-1], weights, grid)
+        ss.v_phase_slope(phase[:-1], weights, grid, every)
     with pytest.raises(ValueError, match="does not match the grid"):
-        ss.v_phase_slope(phase, weights[:-1], grid)
+        ss.v_phase_slope(phase, weights[:-1], grid, every)
     negative = weights.copy()
     negative[0] = -1.0
     with pytest.raises(ValueError, match="non-negative"):
-        ss.v_phase_slope(phase, negative, grid)
+        ss.v_phase_slope(phase, negative, grid, every)
 
 def test_wigner_csv_format(tmp_path, quad_mode, grid):
     n = grid.n_points

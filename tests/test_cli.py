@@ -452,6 +452,10 @@ def test_exit_2_config_problems(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
     assert "invalid JSON" in capsys.readouterr().err
 
+    missing = tmp_path / "missing.json"
+    assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "x")]) == 2
+    assert f"{missing}: No such file or directory" in capsys.readouterr().err
+
     cfg = write_config(tmp_path)
     assert main(
         ["simulate", "--config", cfg, "--preset", "quadratic", "--out", str(tmp_path / "y")]
@@ -598,6 +602,11 @@ def test_exit_4_data_problems(tmp_path, capsys):
     ) == 4
     assert "grid" in capsys.readouterr().err
 
+    # a directory where the result should be: the OSError exits 4
+    assert main(["analyze", str(rec), "--out", str(tmp_path / "ana")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(rec) in err
+
 
 def test_analyze_non_integral_grid_exits_4(tmp_path, capsys):
     run = tmp_path / "run"
@@ -641,8 +650,11 @@ def test_analyze_string_mask_exits_4(tmp_path, capsys):
     [("valid_mask", lambda mask: [False] * len(mask), "not enough weighted bins"),
      ("diagnostics", lambda diag: [list(pair) for pair in diag.items()],
       "'diagnostics' must be an object"),
-     ("phase_difference", None, "'phase_difference'")],
-    ids=["mask without valid bins", "diagnostics as pairs", "no phase_difference"],
+     ("phase_difference", None, "'phase_difference'"),
+     ("phase_rad", lambda phase: phase[:-1], "phase_rad needs 4096 finite values"),
+     ("amplitude_abs", lambda amp: [-1e-7] + amp[1:], "must be non-negative")],
+    ids=["mask without valid bins", "diagnostics as pairs", "no phase_difference",
+         "short phase_rad", "negative amplitude_abs"],
 )
 def test_analyze_malformed_result_exits_4_naming_the_file(tmp_path, capsys, key, edit, message):
     run = tmp_path / "run"
@@ -663,8 +675,11 @@ def test_analyze_malformed_result_exits_4_naming_the_file(tmp_path, capsys, key,
 @pytest.mark.parametrize(
     "edit, message",
     [(lambda mode: mode["grid"].update(n_points=4096.5), "n_points"),
-     (lambda mode: mode.pop("phase_rad"), "'phase_rad'")],
-    ids=["non-integral n_points", "no phase_rad"],
+     (lambda mode: mode.pop("phase_rad"), "'phase_rad'"),
+     (lambda mode: mode.update(amplitude_abs=[2.0 * a for a in mode["amplitude_abs"]]),
+      "mode norm"),
+     (lambda mode: mode["amplitude_abs"].__setitem__(0, -1e-7), "must be non-negative")],
+    ids=["non-integral n_points", "no phase_rad", "not unit-norm", "negative amplitude_abs"],
 )
 def test_analyze_malformed_truth_exits_4_naming_the_file(tmp_path, capsys, edit, message):
     run = tmp_path / "run"
@@ -766,7 +781,7 @@ def test_analysis_report_takes_two_temporal_profiles(tmp_path, monkeypatch, comm
     assert len(profiled) == 2
     report = tmp_path / ("ana/report.json" if command == "analyze" else "run/summary.json")
     ratio = json.loads(report.read_text(encoding="utf-8"))["transform_limit_ratio"]
-    assert ratio == ss.transform_limit_ratio(profiled[0])
+    assert ratio == ss.transform_limit_ratio(profiled[0], ss.temporal_profile(profiled[0]))
 
 
 def test_python_dash_m_entry_point_returns_the_exit_code(tmp_path):

@@ -105,7 +105,6 @@ def test_detect_counts_rejects_bad_input(quad_record):
         quad_record.grid,
         np.zeros(quad_record.grid.n_points),
         np.zeros(quad_record.grid.n_points),
-        "ideal",
     )
     with pytest.raises(ValueError):
         ss.detect_counts(zero, 1000, 1)
@@ -114,18 +113,14 @@ def test_detect_counts_rejects_bad_input(quad_record):
 def test_interferogram_validation(grid):
     n = grid.n_points
     with pytest.raises(ValueError):
-        ss.Interferogram(grid, np.zeros(n - 1), np.zeros(n), "ideal")
+        ss.Interferogram(grid, np.zeros(n - 1), np.zeros(n))
     with pytest.raises(ValueError):
-        ss.Interferogram(grid, -np.ones(n), np.ones(n), "ideal")
-    with pytest.raises(ValueError):
-        ss.Interferogram(grid, np.ones(n), np.ones(n), "raw")
-    with pytest.raises(ValueError):
-        ss.Interferogram(grid, 0.5 * np.ones(n), np.ones(n), "counts")
+        ss.Interferogram(grid, -np.ones(n), np.ones(n))
 
 
 def test_interferogram_stores_a_read_only_copy(grid):
     plus, minus = np.ones(grid.n_points), np.ones(grid.n_points)
-    rec = ss.Interferogram(grid, plus, minus, "ideal")
+    rec = ss.Interferogram(grid, plus, minus)
     plus[0] = 2.0  # the caller's array stays writable
     assert rec.plus[0] == 1.0
     assert minus.flags.writeable
@@ -152,7 +147,7 @@ def test_csv_roundtrip_rebuilds_exact_grid(tmp_path):
     for _ in range(20):
         n = int(rng.choice([8, 64, 4096]))
         g = ss.make_grid(rng.uniform(0.5, 5.0), rng.uniform(1e-3, 1.0), n)
-        rec = ss.Interferogram(g, np.ones(n), np.ones(n), "ideal")
+        rec = ss.Interferogram(g, np.ones(n), np.ones(n))
         ss.save_interferogram_csv(rec, path)
         back = ss.load_interferogram_csv(path).grid
         # the column can fit several steps an ulp apart; each rebuilds it exactly
@@ -166,6 +161,21 @@ def test_csv_roundtrip_counts(tmp_path, quad_record):
     back = ss.load_interferogram_csv(path)
     assert back.kind == "counts"
     assert np.array_equal(back.plus, rec.plus)
+
+
+def test_csv_roundtrip_keeps_kind_and_values(tmp_path, quad_record):
+    n = quad_record.grid.n_points
+    whole = ss.Interferogram(quad_record.grid, np.arange(n, dtype=float), np.ones(n))
+    empty = ss.Interferogram(quad_record.grid, np.zeros(n), np.zeros(n))
+    records = (whole, empty, ss.detect_counts(quad_record, 1_000_000, 3), quad_record)
+    # whole numbers with some intensity are counts, whatever built the record
+    assert [rec.kind for rec in records] == ["counts", "ideal", "counts", "ideal"]
+    path = tmp_path / "rec.csv"
+    for rec in records:
+        ss.save_interferogram_csv(rec, path)
+        back = ss.load_interferogram_csv(path)
+        assert back.kind == rec.kind
+        assert np.array_equal(back.plus, rec.plus) and np.array_equal(back.minus, rec.minus)
 
 
 def _refuse(*args, **kwargs):
