@@ -63,7 +63,6 @@ from .config import (
     load_config,
     preset,
     resolved_shear,
-    save_config,
     shear_config,
 )
 from . import errors

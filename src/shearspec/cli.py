@@ -31,9 +31,7 @@ from .config import (
     grid_center_nm,
     load_config,
     preset,
-    require_seed,
     resolved_shear,
-    save_config,
     shear_config,
     validate_config,
 )
@@ -97,14 +95,15 @@ def _resolve_run_config(args) -> RunConfig:
     validate_config(cfg)
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
-    require_seed(cfg)
+    if not cfg.interferometer.noiseless and cfg.interferometer.seed is None:
+        raise ConfigError("config: a seed is required when noiseless is false")
     return cfg
 
 
 def _start_run(cfg: RunConfig):
     """Output directory with config_echo.json, the truth mode and its ideal record."""
     outdir = _ensure_dir(cfg.outputs.directory)
-    save_config(cfg, os.path.join(outdir, "config_echo.json"))
+    write_json(config_to_dict(cfg), os.path.join(outdir, "config_echo.json"))
     mode = synthesize(cfg.pulse, build_grid(cfg))
     return outdir, mode, ideal_interferogram(mode, shear_config(cfg))
 

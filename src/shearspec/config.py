@@ -17,15 +17,14 @@ import numpy as np
 
 from .core import (
     SpectralGrid, is_integral, is_number, make_grid, read_json, shear_nm_to_omega,
-    wavelength_to_omega, write_json,
+    wavelength_to_omega,
 )
 from .errors import ConfigError, DataFormatError
-from .interferometer import ShearConfig, check_shear
+from .interferometer import MAX_COUNTS, ShearConfig, check_shear
 from .reconstruction import FtsiSettings, check_delay
 from .synthesis import PulseSpec, check_coverage
 
 MAX_SEED = 2**64 - 1
-MAX_COUNTS = 2**53  # every count stays an exact float64 integer
 
 
 @dataclass(frozen=True)
@@ -75,12 +74,6 @@ _EXPECTED = {
 }
 
 
-def _reject_unknown(block: dict, allowed, where: str) -> None:
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-
-
 def _typed(value, hint, where: str, name: str):
     """A non-null JSON value of field `name` as its type hint (X | None is X).
 
@@ -101,26 +94,20 @@ def _typed(value, hint, where: str, name: str):
     raise ConfigError(f"{where}: {name!r} must be {_EXPECTED[hint]}")
 
 
-def _checked(cls, block, where: str) -> dict:
-    """The non-null keys of a JSON object, checked against dataclass `cls`'s fields."""
+def _build(cls, block, where: str):
+    """An instance of dataclass `cls` from a JSON object: unknown keys, then types,
+    then missing required keys are refused; a null or absent key takes the default."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where}: must be an object")
-    _reject_unknown(block, [f.name for f in fields(cls)], where)
+    unknown = sorted(set(block) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
     hints = get_type_hints(cls)
-    kwargs = {}
-    for f in fields(cls):
-        value = block.get(f.name)
-        if value is not None:
-            kwargs[f.name] = _typed(value, hints[f.name], where, f.name)
-    return kwargs
-
-
-def _build(cls, block, where: str):
-    """An instance of dataclass `cls`; a null or absent key takes the field default."""
-    kwargs = _checked(cls, block, where)
+    kwargs = {f.name: _typed(block[f.name], hints[f.name], where, f.name)
+              for f in fields(cls) if block.get(f.name) is not None}
     for f in fields(cls):
         if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            kind = "block" if is_dataclass(get_type_hints(cls)[f.name]) else "key"
+            kind = "block" if is_dataclass(hints[f.name]) else "key"
             raise ConfigError(f"{where}: missing required {kind} {f.name!r}")
     try:
         return cls(**kwargs)
@@ -189,12 +176,6 @@ def validate_config(cfg: RunConfig, where: str = "config") -> None:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def require_seed(cfg: RunConfig, where: str = "config") -> None:
-    """Noise simulation without a seed is not reproducible; refuse it."""
-    if not cfg.interferometer.noiseless and cfg.interferometer.seed is None:
-        raise ConfigError(f"{where}: a seed is required when noiseless is false")
-
-
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical echo: every field explicit so the echo alone reproduces the run."""
     return asdict(cfg)
@@ -210,10 +191,6 @@ def load_config(path) -> RunConfig:
     except DataFormatError as exc:
         raise ConfigError(str(exc)) from None
     return config_from_dict(raw, where=str(path))
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    write_json(config_to_dict(cfg), path)
 
 
 # ---- resolution helpers ------------------------------------------------------

@@ -30,6 +30,7 @@ from .core import (
 from .errors import DataFormatError
 
 CSV_HEADER = ["omega_rad_per_fs", "plus", "minus"]
+MAX_COUNTS = 2**53  # every count stays an exact float64 integer
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,9 @@ class Interferogram:
     @cached_property
     def kind(self) -> str:
         """A fact of the values: "counts" when both outputs hold whole numbers
-        and some intensity, else "ideal"."""
+        up to MAX_COUNTS and some intensity, else "ideal"."""
         p, m = self.plus, self.minus
-        whole = np.all(p == np.round(p)) and np.all(m == np.round(m))
+        whole = all(np.all(a == np.round(a)) and a.max() <= MAX_COUNTS for a in (p, m))
         return "counts" if whole and p.sum() + m.sum() > 0 else "ideal"
 
 

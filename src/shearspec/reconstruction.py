@@ -55,7 +55,7 @@ class FtsiSettings:
     window [tau - width, tau + width] around the delay tau the record is
     analysed at.  filter_width (fs) is the half width at half maximum of the
     order-FILTER_ORDER super-Gaussian window.  None takes width(tau): the
-    widest window whose support_half_width(tau) is 2*tau/3, so it ends tau/3
+    widest window whose 1e-3 support half width is 2*tau/3, so it ends tau/3
     short of t = 0, the edge of the DC / mirror-sideband region (~0.55*tau,
     wide enough for a kink's sideband tails).  amplitude_floor masks bins
     whose summed-output intensity falls below floor * max before unwrapping.
@@ -75,17 +75,6 @@ class FtsiSettings:
         if self.filter_width is not None:
             return self.filter_width
         return (2.0 * tau / 3.0) / _SUPPORT_PER_WIDTH
-
-    def support_half_width(self, tau: float) -> float:
-        """Half width beyond which the window at delay tau passes less than 1e-3."""
-        return self.width(tau) * _SUPPORT_PER_WIDTH
-
-    def window(self, t: np.ndarray, center: float, width: float) -> np.ndarray:
-        x = (t - center) / width
-        inside = np.abs(x) < _WINDOW_REACH
-        w = np.zeros_like(x)
-        w[inside] = np.exp(-math.log(2.0) * x[inside] ** (2 * FILTER_ORDER))
-        return w
 
 
 @dataclass(frozen=True)
@@ -162,7 +151,8 @@ def check_delay(settings: FtsiSettings, grid: SpectralGrid, tau: float) -> None:
     """ConfigError unless a record on `grid` can be analysed at delay tau.
 
     The fringe period 2*pi/tau needs at least 4 samples, and the search
-    window [tau - width, tau + width] must stay clear of t = 0.
+    window [tau - width, tau + width] must stay clear of t = 0 and hold a
+    time bin, so a width below the time step passes if a bin falls inside.
     """
     if not tau > 0:
         raise ConfigError("tau must be positive")
@@ -173,6 +163,13 @@ def check_delay(settings: FtsiSettings, grid: SpectralGrid, tau: float) -> None:
     width = settings.width(tau)
     if not width < tau:
         raise ConfigError(f"filter_width {width:g} fs must be below the delay {tau:g} fs")
+    t = grid.times
+    k = int(np.searchsorted(t, tau))
+    if not np.any(np.abs(t[max(k - 1, 0) : k + 1] - tau) <= width):
+        raise ConfigError(
+            f"filter_width {width:g} fs leaves no time bin in the search window around "
+            f"tau = {tau:g} fs (time step {grid.time_step:g} fs)"
+        )
 
 
 class _Sideband(NamedTuple):
@@ -189,26 +186,24 @@ class _Sideband(NamedTuple):
 def _run(t: np.ndarray, inside, lo: float, hi: float) -> slice:
     """The bins k of the ascending axis t where inside(t[k]) holds, as a slice.
 
-    inside is a vectorised predicate that holds on one contiguous run of
-    bins whose ends lie within a bin of lo and hi.  It is evaluated on the
-    searchsorted range widened by one bin each way, so the run is exactly
-    the one a boolean mask over t would select, at a cost of the run's length.
+    inside is a vectorised predicate that holds on one non-empty contiguous
+    run of bins, whose ends lie within a bin of lo and hi.  Evaluated on the
+    searchsorted range widened by one bin each way, it selects exactly the
+    run a boolean mask over t would, at a cost of the run's length.
     """
     i = max(int(np.searchsorted(t, lo)) - 1, 0)
     j = int(np.searchsorted(t, hi, side="right")) + 1
     hits = np.flatnonzero(inside(t[i:j]))
-    if hits.size == 0:
-        return slice(i, i)
     return slice(i + int(hits[0]), i + int(hits[-1]) + 1)
 
 
 def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float) -> _Sideband:
     """Filter the +tau sideband of the difference record.
 
-    Every bin the search needs lies at t > 0, as tau - width > 0 by
-    check_delay.  The record is real, so |f| is even in t and the noise
-    floor is the median of |f| over the bins t >= 0 that lie 2*width or
-    more from both t = 0 and the peak.
+    check_delay puts the search window at t > 0 and a bin inside it.  The
+    record is real, so |f| is even in t and the noise floor is the median
+    of |f| over the bins t >= 0 that lie 2*width or more from both t = 0
+    and the peak.
     """
     grid = interf.grid
     check_delay(settings, grid, tau)
@@ -219,8 +214,6 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
     mag = np.abs(f[half:])
     pos = t[half:]
     search = _run(pos, lambda x: np.abs(x - tau) <= w, tau - w, tau + w)
-    if search.start == search.stop:
-        raise ConfigError("filter window lies outside the grid's time span")
     i_pk = search.start + int(np.argmax(mag[search]))
     t_pk = float(pos[i_pk])
     peak = float(mag[i_pk])
@@ -237,7 +230,7 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
             f"sideband SNR {snr:.2f} below {MIN_SIDEBAND_SNR}: fringes not usable"
         )
 
-    support = settings.support_half_width(tau)
+    support = w * _SUPPORT_PER_WIDTH
     if t_pk - support <= 0.0:
         raise ReconstructionError(
             f"filter support [{t_pk - support:.0f}, {t_pk + support:.0f}] fs reaches "
@@ -257,7 +250,7 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
     # f is filtered in place: zero off the window's support, windowed on it
     f[: window.start] = 0.0
     f[window.stop :] = 0.0
-    f[window] *= settings.window(t[window], t_pk, w)
+    f[window] *= np.exp(-math.log(2.0) * ((t[window] - t_pk) / w) ** (2 * FILTER_ORDER))
     z = temporal_to_spectral_array(f, grid)
     search = slice(search.start + half, search.stop + half)
     return _Sideband(z, snr, t_pk, search, i_edge + half, window)
@@ -489,7 +482,7 @@ def fit_phase_polynomial(
     return PhaseFit(tuple(float(c) for c in coef[1:]), tuple(float(e) for e in err[1:]))
 
 
-# per-bin arrays of a result and their dtypes
+# per-bin arrays of a result and their dtypes, the keys result_to_dict writes
 _RESULT_ARRAYS = {
     "amplitude_abs": float, "phase_rad": float, "valid_mask": bool, "phase_difference": float
 }
@@ -565,10 +558,7 @@ def fit_to_dict(fit: PhaseFit) -> dict:
 def result_to_dict(result: ReconstructionResult) -> dict:
     return {
         "grid": grid_to_dict(result.grid),
-        "amplitude_abs": result.amplitude_abs.tolist(),
-        "phase_rad": result.phase_rad.tolist(),
-        "phase_difference": result.phase_difference.tolist(),
-        "valid_mask": result.valid_mask.tolist(),
+        **{name: getattr(result, name).tolist() for name in _RESULT_ARRAYS},
         "coefficients": fit_to_dict(result.coefficients),
         "diagnostics": dict(result.diagnostics),
     }

@@ -301,15 +301,30 @@ def test_calibration_uses_the_record_settings(tmp_path):
     assert used != ss.calibrate_delay(record, ss.FtsiSettings(), TAU).tau_fs
 
 
-@pytest.mark.parametrize("width, code", [(100, 3), (200, 0)])
+# 1 fs around tau = 10 ps holds no bin of the 28.7 fs time step
+@pytest.mark.parametrize("width, code", [(100, 3), (200, 0), (1, 2)])
 def test_filter_width_must_isolate_the_sideband(tmp_path, capsys, width, code):
     sim = tmp_path / "sim"
     argv = ["simulate", "--preset", "quadratic", "--noiseless", "--out", str(sim), "--quiet"]
     assert main(argv) == 0
+    rec = tmp_path / "rec"
     assert main(["reconstruct", str(sim / "interferogram.csv"), "--config",
                  str(sim / "config_echo.json"), "--filter-width", str(width),
-                 "--out", str(tmp_path / "rec"), "--quiet"]) == code
-    assert ("sideband is not isolated" in capsys.readouterr().err) == (code == 3)
+                 "--out", str(rec), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert ("sideband is not isolated" in err) == (code == 3)
+    assert ("filter_width 1 fs leaves no time bin" in err) == (code == 2)
+    assert rec.exists() == (code == 0)
+
+
+def test_filter_width_below_one_time_step_reconstructs(tmp_path):
+    # 28 fs against the 28.7 fs time step: a bin falls in the search window
+    sim, rec = tmp_path / "sim", tmp_path / "rec"
+    argv = ["simulate", "--preset", "v-phase", "--noiseless", "--out", str(sim), "--quiet"]
+    assert main(argv) == 0
+    assert main(["reconstruct", str(sim / "interferogram.csv"), "--config",
+                 str(sim / "config_echo.json"), "--filter-width", "28",
+                 "--out", str(rec), "--quiet"]) == 0
 
 
 def test_trials_layout(tmp_path):

@@ -47,6 +47,9 @@ def test_grid_construction():
         ss.SpectralGrid(1.0, -0.1, 8)
     with pytest.raises(ValueError):
         ss.make_grid(1.0, 0.0, 8)
+    for start, step in ((math.nan, 0.1), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ss.SpectralGrid(start, step, 8)
 
 
 def test_grid_dual_time_axis():
@@ -169,6 +172,9 @@ def test_mode_overlap_limits(grid, quad_mode):
     mb = ss.normalize(grid, b, anchor=False)
     assert ss.mode_overlap(ma, mb) == pytest.approx(0.0, abs=1e-15)
     assert 0.0 <= ss.mode_overlap(ma, mb) <= 1.0
+    other = ss.make_grid(grid.omega_center, 2.0 * grid.span, grid.n_points)
+    with pytest.raises(ValueError, match="different grids"):
+        ss.mode_overlap(ma, ss.normalize(other, a, anchor=False))
 
 
 def test_normalize_unit_norm_and_anchor(grid):
@@ -361,6 +367,8 @@ def test_wigner_axes_must_lie_on_the_lattice(grid, quad_mode):
         ss.wigner(quad_mode, np.array([0.0, 0.25 * grid.time_step]), grid.omegas[::64])
     with pytest.raises(ValueError, match="omega_axis"):
         ss.wigner(quad_mode, np.array([0.0]), grid.omegas[::64] + 0.5 * grid.omega_step)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ss.wigner(quad_mode, np.zeros((1, 1)), grid.omegas[::64])
 
 
 @pytest.mark.parametrize("empty", ["t_axis", "omega_axis"])

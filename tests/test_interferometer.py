@@ -69,6 +69,8 @@ def test_fringe_spacing(grid):
 def test_shear_headroom(grid, quad_mode):
     with pytest.raises(ValueError):
         ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.26 * grid.span, delay=TAU))
+    with pytest.raises(ValueError, match="finite"):
+        ss.ShearConfig(shear=math.inf, delay=TAU)
 
 
 def test_detect_counts_deterministic(quad_record):
@@ -167,9 +169,10 @@ def test_csv_roundtrip_keeps_kind_and_values(tmp_path, quad_record):
     n = quad_record.grid.n_points
     whole = ss.Interferogram(quad_record.grid, np.arange(n, dtype=float), np.ones(n))
     empty = ss.Interferogram(quad_record.grid, np.zeros(n), np.zeros(n))
-    records = (whole, empty, ss.detect_counts(quad_record, 1_000_000, 3), quad_record)
-    # whole numbers with some intensity are counts, whatever built the record
-    assert [rec.kind for rec in records] == ["counts", "ideal", "counts", "ideal"]
+    huge = ss.Interferogram(quad_record.grid, np.full(n, 1e20), np.ones(n))
+    records = (whole, empty, ss.detect_counts(quad_record, 1_000_000, 3), quad_record, huge)
+    # whole numbers up to 2**53 with some intensity are counts, whatever built the record
+    assert [rec.kind for rec in records] == ["counts", "ideal", "counts", "ideal", "ideal"]
     path = tmp_path / "rec.csv"
     for rec in records:
         ss.save_interferogram_csv(rec, path)

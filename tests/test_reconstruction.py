@@ -24,9 +24,10 @@ def test_settings_for_delay_defaults():
     st = ss.FtsiSettings()
     assert [f.name for f in fields(st)] == ["filter_width", "amplitude_floor"]
     assert st.filter_width is None
-    assert st.support_half_width(TAU) == pytest.approx(2.0 * TAU / 3.0, rel=1e-12)
+    support = st.width(TAU) * rc._SUPPORT_PER_WIDTH
+    assert support == pytest.approx(2.0 * TAU / 3.0, rel=1e-12)
     # super-gaussian order 6: support where the window exceeds 1/1000
-    assert st.support_half_width(TAU) == pytest.approx(
+    assert support == pytest.approx(
         st.width(TAU) * (math.log(1000.0) / math.log(2.0)) ** (1.0 / 12.0), rel=1e-12
     )
 
@@ -209,6 +210,8 @@ def test_fit_exact_cubic(grid):
         assert fit.stderr(n) >= 0.0
     with pytest.raises(ValueError):
         fit.coefficient(4)
+    with pytest.raises(ValueError, match="order 4"):
+        fit.stderr(4)
 
 
 def test_fit_needs_enough_bins(grid):
@@ -346,14 +349,19 @@ def test_noiseless_quadratic_at_65536_points(quad_pulse, shear_cfg, settings):
 
 @pytest.mark.parametrize("n", [4096, 65536])
 def test_window_support_limited_matches_dense(n):
+    # the sideband stage evaluates the window only on the bins _run selects:
+    # the dense window is exactly 0.0 off them and the same on them
     t = ss.make_grid(OMEGA0, 10.0 * FWHM_W, n).times
-    st = ss.FtsiSettings()
-    for center in (t[0] + 0.3 * TAU, t[-1] - 0.3 * TAU, TAU):
-        dense = np.exp(-math.log(2.0) * ((t - center) / st.width(TAU)) ** 12)
+    w = ss.FtsiSettings().width(TAU)
+    reach = rc._WINDOW_REACH * w
+    for c in (t[0] + 0.3 * TAU, t[-1] - 0.3 * TAU, TAU):
+        dense = np.exp(-math.log(2.0) * ((t - c) / w) ** 12)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = st.window(t, center, st.width(TAU))
-        assert got.tobytes() == dense.tobytes(), center
+            on = rc._run(t, lambda x: np.abs((x - c) / w) < rc._WINDOW_REACH, c - reach, c + reach)
+            got = np.exp(-math.log(2.0) * ((t[on] - c) / w) ** (2 * rc.FILTER_ORDER))
+        assert not np.any(dense[: on.start]) and not np.any(dense[on.stop :]), c
+        assert got.tobytes() == dense[on].tobytes(), c
 
 
 def test_group_delay_branch(grid, shear_cfg, settings):

@@ -20,7 +20,7 @@ def test_pulse_spec_validation():
         ss.PulseSpec(830.0, 8.0, "tabulated", table_omega=(1.0,), table_phase=(0.0,))
     with pytest.raises(ValueError):
         ss.PulseSpec(830.0, 8.0, "tabulated", table_omega=(1.0, 2.0), table_phase=(0.0,))
-    for amplitude in ((1.0, -0.5), (0.0, 0.0)):
+    for amplitude in ((1.0, -0.5), (0.0, 0.0), (1.0,)):
         with pytest.raises(ValueError, match="table_amplitude"):
             ss.PulseSpec(830.0, 8.0, "tabulated", table_omega=(1.0, 2.0), table_phase=(0.0, 0.0),
                          table_amplitude=amplitude)
