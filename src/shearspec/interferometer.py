@@ -139,12 +139,12 @@ def detect_counts(interf: Interferogram, total_counts: int, seed: int) -> Interf
     Each bin of each output draws independently from Poisson with mean
     total_counts * p_i, where p_i is the bin's share of the summed
     two-output intensity; the expected total over both outputs is
-    total_counts.  Fixed seed gives a fixed record.
+    total_counts, at most MAX_COUNTS.  Fixed seed gives a fixed record.
     """
     if interf.kind != "ideal":
         raise ValueError("detect_counts expects an ideal interferogram")
-    if total_counts < 0:
-        raise ValueError("total_counts must be non-negative")
+    if not 0 <= total_counts <= MAX_COUNTS:
+        raise ValueError("total_counts must be non-negative and at most 2**53")
     if seed is None or seed < 0:
         raise ValueError("a non-negative integer seed is required")
     total = float(np.sum(interf.plus) + np.sum(interf.minus))

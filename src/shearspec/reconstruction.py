@@ -173,14 +173,14 @@ def check_delay(settings: FtsiSettings, grid: SpectralGrid, tau: float) -> None:
 
 
 class _Sideband(NamedTuple):
-    """The filtered +tau sideband Z(omega) and the time bins that found it."""
+    """The sideband stage's record: the filtered +tau sideband and its numbers."""
 
-    z: np.ndarray
-    snr: float
-    t_peak: float
-    search: slice  # bins with |t - tau| <= width, searched for the peak
-    edge: int  # bin nearest t_peak - width, the window's inner half maximum
-    window: slice  # bins the window is evaluated on
+    z: np.ndarray  # filtered sideband Z(omega) on the whole grid
+    valid: np.ndarray  # bins whose summed output reaches amplitude_floor * max
+    t_peak: float  # detected sideband time (fs), the window's centre
+    snr: float  # peak |F| over the noise floor
+    edge: float  # |F| at the bin nearest t_peak - width, the window's inner half maximum
+    visibility: float  # median of 2|Z| / (plus + minus) over the valid bins
 
 
 def _run(t: np.ndarray, inside, lo: float, hi: float) -> slice:
@@ -197,14 +197,21 @@ def _run(t: np.ndarray, inside, lo: float, hi: float) -> slice:
     return slice(i + int(hits[0]), i + int(hits[-1]) + 1)
 
 
-def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float) -> _Sideband:
-    """Filter the +tau sideband of the difference record.
+def _sideband(interf: Interferogram, settings: FtsiSettings, tau: float) -> _Sideband:
+    """The sideband stage: filter the +tau sideband of the difference record.
 
-    check_delay puts the search window at t > 0 and a bin inside it.  The
-    record is real, so |f| is even in t and the noise floor is the median
-    of |f| over the bins t >= 0 that lie 2*width or more from both t = 0
-    and the peak.
+    The record must carry intensity, and at least 8 bins of its summed
+    output plus + minus must reach amplitude_floor * max: the valid bins,
+    on which the sideband is read.  check_delay puts the search window at
+    t > 0 and a bin inside it.  The record is real, so |f| is even in t and
+    the noise floor is the median of |f| over the bins t >= 0 that lie
+    2*width or more from both t = 0 and the peak.
     """
+    _record_total(interf)
+    summed = interf.plus + interf.minus
+    valid = summed >= settings.amplitude_floor * float(np.max(summed))
+    if np.count_nonzero(valid) < 8:
+        raise ReconstructionError("fewer than 8 bins above the amplitude floor")
     grid = interf.grid
     check_delay(settings, grid, tau)
     w = settings.width(tau)
@@ -238,8 +245,8 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
         )
     # t_pk - w > 0, so the bin nearest it is the last one below it or the next
     lo = max(int(np.searchsorted(pos, t_pk - w)) - 1, 0)
-    i_edge = lo + int(np.argmin(np.abs(pos[lo : lo + 2] - (t_pk - w))))
-    if mag[i_edge] > 0.5 * peak:
+    edge = float(mag[lo + int(np.argmin(np.abs(pos[lo : lo + 2] - (t_pk - w))))])
+    if edge > 0.5 * peak:
         raise ReconstructionError(
             "sideband is not isolated: record magnitude at the filter edge exceeds "
             "half the sideband peak"
@@ -252,52 +259,39 @@ def _isolate_sideband(interf: Interferogram, settings: FtsiSettings, tau: float)
     f[window.stop :] = 0.0
     f[window] *= np.exp(-math.log(2.0) * ((t[window] - t_pk) / w) ** (2 * FILTER_ORDER))
     z = temporal_to_spectral_array(f, grid)
-    search = slice(search.start + half, search.stop + half)
-    return _Sideband(z, snr, t_pk, search, i_edge + half, window)
-
-
-def _valid_sideband(interf: Interferogram, settings: FtsiSettings, tau: float):
-    """The fringe stage's front end: (summed record, valid mask, valid bins, sideband).
-
-    The record must carry intensity, and at least 8 bins of its summed
-    output plus + minus must reach amplitude_floor * max: the valid bins,
-    on which the filtered +tau sideband is read.
-    """
-    _record_total(interf)
-    summed = interf.plus + interf.minus
-    mask = summed >= settings.amplitude_floor * float(np.max(summed))
-    idx = np.flatnonzero(mask)
-    if idx.size < 8:
-        raise ReconstructionError("fewer than 8 bins above the amplitude floor")
-    return summed, mask, idx, _isolate_sideband(interf, settings, tau)
+    ratio = np.abs(z[valid])
+    ratio *= 2.0
+    ratio /= summed[valid]
+    visibility = float(np.median(ratio, overwrite_input=True))
+    return _Sideband(z, valid, t_pk, snr, edge, visibility)
 
 
 def extract_phase_difference(
     interf: Interferogram, settings: FtsiSettings, tau: float
-) -> tuple[np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, _Sideband]:
     """Measure dphi(omega) = phi(omega) - phi(omega+W) from the fringe record.
 
     tau is the calibrated delay, used for the sideband search and carrier
     removal; the filter itself locks onto the detected peak.  Returns dphi
-    on the full grid (bridged outside the valid mask), the valid mask, and
-    the fringe numbers {"visibility", "sideband_snr", "sideband_time_fs"}.
+    on the full grid (bridged outside the valid bins) and the sideband
+    stage's record, whose `valid` mask dphi was read on.
     """
     grid = interf.grid
-    summed, mask, idx, sb = _valid_sideband(interf, settings, tau)
-    z = sb.z[idx]
+    sb = _sideband(interf, settings, tau)
+    idx = np.flatnonzero(sb.valid)
     omegas = grid.omegas[idx]
     # the carrier exp(i*omega*tau) comes off as a phase; unwrapping over the valid
     # bins takes up the 2*pi jumps, then masked gaps are bridged linearly and the
     # wings extended flat.  np.interp over the whole grid would return each
     # valid bin's own value and the end values in the wings, so only the gaps
     # inside the first..last valid bin are interpolated.
-    unwrapped = np.unwrap(np.angle(z) - omegas * tau)
+    unwrapped = np.unwrap(np.angle(sb.z[idx]) - omegas * tau)
     first, last = idx[0], idx[-1]
     dphi = np.empty(grid.n_points)
     dphi[:first] = unwrapped[0]
     dphi[last + 1 :] = unwrapped[-1]
     dphi[idx] = unwrapped
-    gaps = first + np.flatnonzero(~mask[first:last])
+    gaps = first + np.flatnonzero(~sb.valid[first:last])
     dphi[gaps] = np.interp(grid.omegas[gaps], omegas, unwrapped)
     # Unwrapping leaves a global 2*pi*k ambiguity in dphi, which the record
     # shares: shifting the pulse by 2*pi/shear in time changes nothing
@@ -305,13 +299,7 @@ def extract_phase_difference(
     # (-pi, pi], selecting the reconstruction nearest t = 0.
     center = dphi[grid.n_points // 2]
     dphi -= 2.0 * math.pi * np.round(center / (2.0 * math.pi))
-
-    ratio = np.abs(z)
-    ratio *= 2.0
-    ratio /= summed[idx]
-    vis = float(np.median(ratio, overwrite_input=True))
-    fringe = {"visibility": vis, "sideband_snr": float(sb.snr), "sideband_time_fs": sb.t_peak}
-    return dphi, mask, fringe
+    return dphi, sb
 
 
 def calibrate_delay(
@@ -329,16 +317,16 @@ def calibrate_delay(
     try:
         if tau is None:
             tau = coarse_delay_guess(interf)
-        _, _, idx, sb = _valid_sideband(interf, settings, tau)
+        sb = _sideband(interf, settings, tau)
     except ReconstructionError as exc:
         raise ReconstructionError(f"calibration record unusable: {exc}") from exc
-    z = sb.z[idx]
-    x = interf.grid.omegas[idx]
+    z = sb.z[sb.valid]
+    x = interf.grid.omegas[sb.valid]
     coef, err = _weighted_lstsq([x], np.unwrap(np.angle(z)), np.abs(z) ** 2)
     fitted = float(coef[1])
     if fitted <= 0:
         raise ReconstructionError(f"fitted delay {fitted:.1f} fs is not positive")
-    return DelayCalibration(tau_fs=fitted, stderr_fs=float(err[1]), sideband_snr=float(sb.snr))
+    return DelayCalibration(tau_fs=fitted, stderr_fs=float(err[1]), sideband_snr=sb.snr)
 
 
 def _weighted_lstsq(columns, y: np.ndarray, weights: np.ndarray):
@@ -519,16 +507,18 @@ def reconstruct(
     """
     grid = interf.grid
     spectrum = recover_spectrum(interf)
-    dphi, mask, fringe = extract_phase_difference(interf, settings, config.delay)
-    phase = integrate_phase(dphi, config.shear, grid, spectrum * mask)
-    fit = fit_phase_polynomial(phase, spectrum, grid, mask)
+    dphi, sb = extract_phase_difference(interf, settings, config.delay)
+    phase = integrate_phase(dphi, config.shear, grid, spectrum * sb.valid)
+    fit = fit_phase_polynomial(phase, spectrum, grid, sb.valid)
 
     # integrate_phase refused a zero shear, so there is a -W/2 bias to undo
     envelope = np.interp(grid.omegas - 0.5 * config.shear, grid.omegas, spectrum)
     amplitude = np.sqrt(envelope / (float(np.sum(envelope)) * grid.omega_step))
 
     diagnostics = {
-        **fringe,
+        "visibility": sb.visibility,
+        "sideband_snr": sb.snr,
+        "sideband_time_fs": sb.t_peak,
         "tau_fs_used": float(config.delay),
         "shear_rad_per_fs_used": float(config.shear),
         "envelope_bias_rad_per_fs": -0.5 * config.shear,
@@ -538,7 +528,7 @@ def reconstruct(
         grid=grid,
         amplitude_abs=amplitude,
         phase_rad=phase,
-        valid_mask=mask,
+        valid_mask=sb.valid,
         phase_difference=dphi,
         coefficients=fit,
         diagnostics=diagnostics,

@@ -99,8 +99,12 @@ def test_detect_counts_rejects_bad_input(quad_record):
     counts = ss.detect_counts(quad_record, 1000, 1)
     with pytest.raises(ValueError):
         ss.detect_counts(counts, 1000, 1)  # already a counts record
-    with pytest.raises(ValueError):
-        ss.detect_counts(quad_record, -5, 1)
+    # past MAX_COUNTS = 2**53 a count need not be an exact float, and the
+    # record would read as "ideal"
+    for total in (-5, 2**53 + 1, 2**62, math.nan):
+        with pytest.raises(ValueError, match="total_counts"):
+            ss.detect_counts(quad_record, total, 1)
+    assert ss.detect_counts(quad_record, 2**53, 1).kind == "counts"
     with pytest.raises(ValueError):
         ss.detect_counts(quad_record, 1000, -1)
     zero = ss.Interferogram(

@@ -59,7 +59,7 @@ def test_recover_spectrum_is_summed_outputs(quad_record, quad_mode):
 
 
 def test_extract_phase_difference_analytic(quad_record, settings, grid):
-    dphi, mask, fringe = ss.extract_phase_difference(quad_record, settings, TAU)
+    dphi, sb = ss.extract_phase_difference(quad_record, settings, TAU)
     x = grid.omegas - OMEGA0
     p2, p3 = 8.7e4, 5.0e5
     pred = -p2 * (SHEAR * x + SHEAR**2 / 2.0) - p3 * (
@@ -67,20 +67,20 @@ def test_extract_phase_difference_analytic(quad_record, settings, grid):
     ) / 6.0
     core = np.abs(x) < 2.0 * SIGMA
     assert np.max(np.abs(dphi[core] - pred[core])) < 1e-9
-    assert np.all(mask[core])
-    assert fringe["visibility"] == pytest.approx(0.98944, abs=1e-3)
-    assert fringe["sideband_time_fs"] == pytest.approx(TAU, abs=300.0)
-    assert fringe["sideband_snr"] > 1e6
+    assert np.all(sb.valid[core])
+    assert sb.visibility == pytest.approx(0.98944, abs=1e-3)
+    assert sb.t_peak == pytest.approx(TAU, abs=300.0)
+    assert sb.snr > 1e6
 
 
 def test_reconstruct_passes_fringe_numbers_through(quad_record, shear_cfg, settings):
     rec = ss.detect_counts(quad_record, 1_000_000, 3)
-    dphi, mask, fringe = ss.extract_phase_difference(rec, settings, TAU)
+    dphi, sb = ss.extract_phase_difference(rec, settings, TAU)
     out = ss.reconstruct(rec, shear_cfg, settings)
-    assert set(fringe) == {"visibility", "sideband_snr", "sideband_time_fs"}
+    fringe = {"visibility": sb.visibility, "sideband_snr": sb.snr, "sideband_time_fs": sb.t_peak}
     for key, value in fringe.items():
         assert out.diagnostics[key] == value
-    assert np.array_equal(out.valid_mask, mask) and not mask.all()
+    assert np.array_equal(out.valid_mask, sb.valid) and not sb.valid.all()
     assert np.array_equal(out.phase_difference, dphi)
 
 
@@ -260,7 +260,8 @@ def test_weighted_lstsq_matches_the_svd_solve(name, n):
     ideal = ss.ideal_interferogram(ss.synthesize(cfg.pulse, ss.build_grid(cfg)), sc)
     rec = ss.detect_counts(ideal, cfg.interferometer.total_counts, cfg.interferometer.seed)
     spectrum = rc.recover_spectrum(rec)
-    dphi, mask, _ = rc.extract_phase_difference(rec, ss.ftsi_settings(cfg), sc.delay)
+    dphi, sb = rc.extract_phase_difference(rec, ss.ftsi_settings(cfg), sc.delay)
+    mask = sb.valid
     phase = rc.integrate_phase(dphi, sc.shear, rec.grid, spectrum * mask)
     use = np.flatnonzero((spectrum > 0) & mask)
     x = rec.grid.omegas[use] - rec.grid.omega_center
@@ -282,8 +283,9 @@ def test_weighted_lstsq_fits_the_calibration_line_exactly(quad_mode, settings):
     zero_shear = ss.ShearConfig(shear=0.0, delay=TAU)
     rec = ss.detect_counts(ss.ideal_interferogram(quad_mode, zero_shear), 1_000_000,
                            ss.derive_seed(7, "counts", 0))
-    _, _, idx, sb = rc._valid_sideband(rec, settings, TAU)
-    x, y, w = rec.grid.omegas[idx], np.unwrap(np.angle(sb.z[idx])), np.abs(sb.z[idx]) ** 2
+    sb = rc._sideband(rec, settings, TAU)
+    z = sb.z[sb.valid]
+    x, y, w = rec.grid.omegas[sb.valid], np.unwrap(np.angle(z)), np.abs(z) ** 2
     coef, err = rc._weighted_lstsq([x], y, w)
     assert coef == pytest.approx(ref_wls_svd([x], y, w)[0], rel=1e-10, abs=0)
     slope, slope_err = exact_line_fit(x, y, w)
