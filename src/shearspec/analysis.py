@@ -25,7 +25,6 @@ class TemporalProfile:
     """Temporal intensity summary of a mode."""
 
     fwhm_fs: float
-    peak_count: int
     peak_times_fs: tuple
 
 
@@ -69,7 +68,7 @@ def temporal_profile(mode: SpectralMode) -> TemporalProfile:
     times = mode.grid.times
     fwhm = _half_max_width(times, intensity)
     peaks = _find_peaks(times, intensity, PEAK_THRESHOLD)
-    return TemporalProfile(fwhm, len(peaks), tuple(peaks))
+    return TemporalProfile(fwhm, tuple(peaks))
 
 
 def transform_limit_ratio(mode: SpectralMode, profile: TemporalProfile) -> float:
@@ -77,7 +76,7 @@ def transform_limit_ratio(mode: SpectralMode, profile: TemporalProfile) -> float
 
     profile is temporal_profile(mode), which the caller has already.
     """
-    flat = normalize(mode.grid, np.abs(mode.amplitude), anchor=False)
+    flat = normalize(mode.grid, np.abs(mode.amplitude))
     actual = profile.fwhm_fs
     limit = temporal_profile(flat).fwhm_fs
     if limit <= 0:

@@ -222,7 +222,7 @@ def _analysis_report(result, mode, truth=None) -> dict:
     prof = temporal_profile(mode)
     report = {
         "fwhm_fs": prof.fwhm_fs,
-        "peak_count": prof.peak_count,
+        "peak_count": len(prof.peak_times_fs),
         "peak_times_fs": [float(t) for t in prof.peak_times_fs],
         "transform_limit_ratio": transform_limit_ratio(mode, prof),
         "coefficients": fit_to_dict(result.coefficients),

@@ -198,22 +198,22 @@ def polar_mode(grid: SpectralGrid, magnitude: np.ndarray, phase: np.ndarray) -> 
     return SpectralMode(grid, amplitude)
 
 
-def normalize(grid: SpectralGrid, values: np.ndarray, anchor: bool = True) -> SpectralMode:
+def normalize(grid: SpectralGrid, values: np.ndarray) -> SpectralMode:
     """Build a unit-norm SpectralMode from raw complex samples.
 
-    With anchor=True the global phase is rotated so Arg psi~ = 0 at the
-    grid center (or at the amplitude maximum if the center bin is empty).
+    The global phase is rotated so Arg psi~ = 0 at the grid center (or at
+    the amplitude maximum if the center bin is empty); real non-negative
+    samples keep every bit.
     """
     vals = np.asarray(values, dtype=np.complex128).copy()
     nrm2 = float(np.sum(np.abs(vals) ** 2) * grid.omega_step)
     if nrm2 <= 0 or not np.isfinite(nrm2):
         raise ValueError("cannot normalize a zero or non-finite amplitude")
     vals /= math.sqrt(nrm2)
-    if anchor:
-        idx = grid.n_points // 2
-        if abs(vals[idx]) == 0.0:
-            idx = int(np.argmax(np.abs(vals)))
-        vals *= np.exp(-1j * np.angle(vals[idx]))
+    idx = grid.n_points // 2
+    if abs(vals[idx]) == 0.0:
+        idx = int(np.argmax(np.abs(vals)))
+    vals *= np.exp(-1j * np.angle(vals[idx]))
     return SpectralMode(grid, vals)
 
 
@@ -396,19 +396,18 @@ def column_text(column) -> list:
 def write_columns(path, header: str, *columns) -> None:
     """Write equal-length columns as comma-separated text rows under `header`.
 
-    Each column becomes cell text once (`column_text`), so a column that
-    is already text, such as `SpectralGrid.omega_text`, is not formatted
-    again.  The cells of a block of at most WRITE_BLOCK_ROWS rows are laid
-    into one list by a strided slice assignment per column, between
-    preset "," and "\n" separators, and written with one "".join: no
-    per-row format string, and memory bounded by the block rather than
-    the table.
+    The table goes out in blocks of at most WRITE_BLOCK_ROWS rows.  Each
+    column's slice for the block becomes cell text (`column_text`), so a
+    column that is already text, such as `SpectralGrid.omega_text`, is
+    not formatted again; the cells are laid into one list by a strided
+    slice assignment per column, between preset "," and "\n" separators,
+    and written with one "".join: no per-row format string, and memory
+    bounded by the block rather than the table.
     """
-    texts = [column_text(c) for c in columns]
-    n = len(texts[0])
-    if any(len(t) != n for t in texts):
-        raise ValueError(f"columns differ in length: {[len(t) for t in texts]}")
-    k = 2 * len(texts)  # list slots per row: each cell and the separator after it
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    k = 2 * len(columns)  # list slots per row: each cell and the separator after it
     row = [","] * k
     row[-1] = "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -416,8 +415,8 @@ def write_columns(path, header: str, *columns) -> None:
         for start in range(0, n, WRITE_BLOCK_ROWS):
             stop = min(start + WRITE_BLOCK_ROWS, n)
             cells = row * (stop - start)
-            for i, text in enumerate(texts):
-                cells[2 * i :: k] = text[start:stop]
+            for i, column in enumerate(columns):
+                cells[2 * i :: k] = column_text(column[start:stop])
             fh.write("".join(cells))
 
 

@@ -115,11 +115,6 @@ def _record_total(interf: Interferogram) -> float:
     return total
 
 
-def _fringe_transform(interf: Interferogram) -> np.ndarray:
-    """Time-domain transform of the difference record plus - minus."""
-    return spectral_to_temporal_array(interf.plus - interf.minus, interf.grid)
-
-
 def recover_spectrum(interf: Interferogram) -> np.ndarray:
     """Fringe-free spectral envelope: plus+minus, normalized to unit integral.
 
@@ -128,23 +123,6 @@ def recover_spectrum(interf: Interferogram) -> np.ndarray:
     """
     total = _record_total(interf)
     return (interf.plus + interf.minus) / (total * interf.grid.omega_step)
-
-
-def coarse_delay_guess(interf: Interferogram) -> float:
-    """Dominant positive-time sideband location, for seeding a filter centre.
-
-    Good to about one fringe period; calibrate_delay refines it.
-    """
-    _record_total(interf)
-    f = np.abs(_fringe_transform(interf))
-    t = interf.grid.times
-    sel = t > 4.0 * interf.grid.time_step
-    if not np.any(sel):
-        raise ReconstructionError("grid too small to locate a sideband")
-    i = int(np.flatnonzero(sel)[np.argmax(f[sel])])
-    if f[i] <= 0:
-        raise ReconstructionError("record shows no positive-time sideband")
-    return float(t[i])
 
 
 def check_delay(settings: FtsiSettings, grid: SpectralGrid, tau: float) -> None:
@@ -177,6 +155,7 @@ class _Sideband(NamedTuple):
 
     z: np.ndarray  # filtered sideband Z(omega) on the whole grid
     valid: np.ndarray  # bins whose summed output reaches amplitude_floor * max
+    tau: float  # the delay (fs) the search window is centred on: given, or located
     t_peak: float  # detected sideband time (fs), the window's centre
     snr: float  # peak |F| over the noise floor
     edge: float  # |F| at the bin nearest t_peak - width, the window's inner half maximum
@@ -197,15 +176,17 @@ def _run(t: np.ndarray, inside, lo: float, hi: float) -> slice:
     return slice(i + int(hits[0]), i + int(hits[-1]) + 1)
 
 
-def _sideband(interf: Interferogram, settings: FtsiSettings, tau: float) -> _Sideband:
+def _sideband(interf: Interferogram, settings: FtsiSettings, tau: float | None) -> _Sideband:
     """The sideband stage: filter the +tau sideband of the difference record.
 
     The record must carry intensity, and at least 8 bins of its summed
     output plus + minus must reach amplitude_floor * max: the valid bins,
-    on which the sideband is read.  check_delay puts the search window at
-    t > 0 and a bin inside it.  The record is real, so |f| is even in t and
-    the noise floor is the median of |f| over the bins t >= 0 that lie
-    2*width or more from both t = 0 and the peak.
+    on which the sideband is read.  f is the transform of plus - minus; if
+    tau is None, the search is centred on the first maximum of |f| over
+    t > 4 time steps, the record's own strongest sideband.  check_delay puts
+    the search window at t > 0 and a bin inside it.  The record is real, so
+    |f| is even in t and the noise floor is the median of |f| over the bins
+    t >= 0 that lie 2*width or more from both t = 0 and the peak.
     """
     _record_total(interf)
     summed = interf.plus + interf.minus
@@ -213,13 +194,21 @@ def _sideband(interf: Interferogram, settings: FtsiSettings, tau: float) -> _Sid
     if np.count_nonzero(valid) < 8:
         raise ReconstructionError("fewer than 8 bins above the amplitude floor")
     grid = interf.grid
-    check_delay(settings, grid, tau)
-    w = settings.width(tau)
-    f = _fringe_transform(interf)
+    f = spectral_to_temporal_array(interf.plus - interf.minus, grid)
     t = grid.times
     half = grid.n_points // 2  # t[half] = 0
     mag = np.abs(f[half:])
     pos = t[half:]
+    if tau is None:
+        start = int(np.searchsorted(pos, 4.0 * grid.time_step, side="right"))
+        if start == pos.size:
+            raise ReconstructionError("grid too small to locate a sideband")
+        i = start + int(np.argmax(mag[start:]))
+        if mag[i] <= 0:
+            raise ReconstructionError("record shows no positive-time sideband")
+        tau = float(pos[i])
+    check_delay(settings, grid, tau)
+    w = settings.width(tau)
     search = _run(pos, lambda x: np.abs(x - tau) <= w, tau - w, tau + w)
     i_pk = search.start + int(np.argmax(mag[search]))
     t_pk = float(pos[i_pk])
@@ -263,7 +252,7 @@ def _sideband(interf: Interferogram, settings: FtsiSettings, tau: float) -> _Sid
     ratio *= 2.0
     ratio /= summed[valid]
     visibility = float(np.median(ratio, overwrite_input=True))
-    return _Sideband(z, valid, t_pk, snr, edge, visibility)
+    return _Sideband(z, valid, tau, t_pk, snr, edge, visibility)
 
 
 def extract_phase_difference(
@@ -311,12 +300,11 @@ def calibrate_delay(
     so a weighted straight-line fit over valid bins returns tau and its
     standard error.  The sideband is searched for around the expected
     delay tau, or, if tau is None, around the record's own strongest
-    sideband (coarse_delay_guess).  Every failure of the record says that
-    the calibration record is unusable.
+    sideband.  Every failure of the record, a fitted delay outside the
+    search window [tau - width, tau + width] included, says that the
+    calibration record is unusable.
     """
     try:
-        if tau is None:
-            tau = coarse_delay_guess(interf)
         sb = _sideband(interf, settings, tau)
     except ReconstructionError as exc:
         raise ReconstructionError(f"calibration record unusable: {exc}") from exc
@@ -324,8 +312,13 @@ def calibrate_delay(
     x = interf.grid.omegas[sb.valid]
     coef, err = _weighted_lstsq([x], np.unwrap(np.angle(z)), np.abs(z) ** 2)
     fitted = float(coef[1])
-    if fitted <= 0:
-        raise ReconstructionError(f"fitted delay {fitted:.1f} fs is not positive")
+    w = settings.width(sb.tau)
+    # check_delay keeps the window above t = 0, so this also refuses a fit <= 0 or NaN
+    if not abs(fitted - sb.tau) <= w:
+        raise ReconstructionError(
+            f"calibration record unusable: fitted delay {fitted:.1f} fs lies outside the "
+            f"search window [{sb.tau - w:.1f}, {sb.tau + w:.1f}] fs"
+        )
     return DelayCalibration(tau_fs=fitted, stderr_fs=float(err[1]), sideband_snr=sb.snr)
 
 

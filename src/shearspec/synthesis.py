@@ -119,4 +119,4 @@ def synthesize(spec: PulseSpec, grid: SpectralGrid) -> SpectralMode:
     else:
         phase = np.interp(omegas, np.asarray(spec.table_omega), np.asarray(spec.table_phase))
 
-    return normalize(grid, amp * np.exp(1j * phase), anchor=True)
+    return normalize(grid, amp * np.exp(1j * phase))

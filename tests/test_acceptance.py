@@ -165,7 +165,7 @@ def test_criterion_5_record_matches_termwise_sum():
     for _ in range(100):
         n = 64
         g = ss.SpectralGrid(rng.uniform(1.0, 3.0), rng.uniform(1e-2, 3e-2), n)
-        mode = ss.normalize(g, rng.normal(size=n) + 1j * rng.normal(size=n), anchor=False)
+        mode = ss.normalize(g, rng.normal(size=n) + 1j * rng.normal(size=n))
         shear = rng.uniform(-1.0, 1.0) * g.span / 5.0
         tau = rng.uniform(0.2, 0.8) * math.pi / g.omega_step
         rec = ss.ideal_interferogram(mode, ss.ShearConfig(shear=shear, delay=tau))
@@ -189,7 +189,7 @@ def test_criterion_6_transform_invariants():
         n = int(rng.choice([8, 16, 32, 64, 128, 256]))
         g = ss.SpectralGrid(rng.uniform(0.5, 5.0), rng.uniform(1e-3, 5e-2), n)
         vals = rng.normal(size=n) + 1j * rng.normal(size=n)
-        mode = ss.normalize(g, vals, anchor=False)
+        mode = ss.normalize(g, vals)
         tm = spectral_to_temporal_array(mode.amplitude, mode.grid)
         back = temporal_to_spectral_array(tm, g)
         worst_rt = max(worst_rt, float(np.max(np.abs(back - mode.amplitude))))

@@ -168,23 +168,29 @@ def test_mode_overlap_limits(grid, quad_mode):
     b = np.zeros(grid.n_points, dtype=complex)
     a[: half - 64] = 1.0
     b[half + 64 :] = 1.0
-    ma = ss.normalize(grid, a, anchor=False)
-    mb = ss.normalize(grid, b, anchor=False)
+    ma = ss.normalize(grid, a)
+    mb = ss.normalize(grid, b)
     assert ss.mode_overlap(ma, mb) == pytest.approx(0.0, abs=1e-15)
     assert 0.0 <= ss.mode_overlap(ma, mb) <= 1.0
     other = ss.make_grid(grid.omega_center, 2.0 * grid.span, grid.n_points)
     with pytest.raises(ValueError, match="different grids"):
-        ss.mode_overlap(ma, ss.normalize(other, a, anchor=False))
+        ss.mode_overlap(ma, ss.normalize(other, a))
 
 
 def test_normalize_unit_norm_and_anchor(grid):
     rng = np.random.default_rng(2)
     v = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
-    m = ss.normalize(grid, v, anchor=True)
+    m = ss.normalize(grid, v)
     assert np.sum(np.abs(m.amplitude) ** 2) * grid.omega_step == pytest.approx(1.0, rel=1e-12)
     center = m.amplitude[grid.n_points // 2]
     assert center.imag == pytest.approx(0.0, abs=1e-12)
     assert center.real > 0
+    # real non-negative samples, with the centre bin empty or not, come out
+    # as the plain scaled samples, bit for bit: the anchor rotates by exp(-i*0)
+    for r in (np.abs(v), np.where(np.arange(grid.n_points) == grid.n_points // 2, 0.0, np.abs(v))):
+        plain = r.astype(complex)
+        plain /= math.sqrt(float(np.sum(np.abs(plain) ** 2) * grid.omega_step))
+        assert ss.normalize(grid, r).amplitude.tobytes() == plain.tobytes()
     with pytest.raises(ValueError):
         ss.normalize(grid, np.zeros(grid.n_points, dtype=complex))
 
@@ -197,7 +203,7 @@ def smooth_random_mode(rng, n=256):
     x = (om - c) / g.span
     amp = np.exp(-((om - c) ** 2) / (4.0 * sig**2)) * (1.0 + 0.3 * np.polyval(rng.normal(size=3), x))
     ph = np.polyval(rng.normal(size=4) * 3.0, x)
-    return ss.normalize(g, amp * np.exp(1j * ph), anchor=False)
+    return ss.normalize(g, amp * np.exp(1j * ph))
 
 
 def ref_wigner_quadrature(mode, t_axis, omega_axis):
@@ -296,7 +302,7 @@ def test_wigner_rows_off_the_support_match_every_row_sum(grid, quad_mode, quad_r
                                settings).mode()
     cut = quad_mode.amplitude.copy()
     cut[: n // 3] = cut[n // 2 + 40 :] = 0.0
-    clipped = ss.normalize(grid, cut, anchor=False)
+    clipped = ss.normalize(grid, cut)
     half = 0.5 * grid.time_step
     t_cli, om_cli = grid.times[n // 4 : 3 * n // 4 : 16], grid.omegas[::16]
     odd_t = np.array([-n // 4, -64, 0, 37, 512]) * half  # fold length n

@@ -13,13 +13,13 @@ from conftest import SHEAR, TAU
 def test_interfere_formula():
     g = ss.SpectralGrid(1.0, 0.01, 8)
     rng = np.random.default_rng(0)
-    a = ss.normalize(g, rng.normal(size=8) + 1j * rng.normal(size=8), anchor=False)
-    b = ss.normalize(g, rng.normal(size=8) + 1j * rng.normal(size=8), anchor=False)
+    a = ss.normalize(g, rng.normal(size=8) + 1j * rng.normal(size=8))
+    b = ss.normalize(g, rng.normal(size=8) + 1j * rng.normal(size=8))
     plus, minus = ss.interfere(a, b)
     assert np.allclose(plus, 0.25 * np.abs(a.amplitude + b.amplitude) ** 2, atol=1e-14)
     assert np.allclose(minus, 0.25 * np.abs(a.amplitude - b.amplitude) ** 2, atol=1e-14)
     assert np.all(plus >= 0) and np.all(minus >= 0)
-    other = ss.normalize(ss.SpectralGrid(2.0, 0.01, 8), a.amplitude, anchor=False)
+    other = ss.normalize(ss.SpectralGrid(2.0, 0.01, 8), a.amplitude)
     with pytest.raises(ValueError):
         ss.interfere(a, other)
 
@@ -32,7 +32,7 @@ def test_ideal_record_termwise():
     for _ in range(20):
         n = 64
         g = ss.SpectralGrid(rng.uniform(1.0, 3.0), rng.uniform(1e-2, 3e-2), n)
-        mode = ss.normalize(g, rng.normal(size=n) + 1j * rng.normal(size=n), anchor=False)
+        mode = ss.normalize(g, rng.normal(size=n) + 1j * rng.normal(size=n))
         shear = rng.uniform(-1.0, 1.0) * g.span / 5.0
         tau = rng.uniform(0.2, 0.8) * math.pi / g.omega_step
         rec = ss.ideal_interferogram(mode, ss.ShearConfig(shear=shear, delay=tau))

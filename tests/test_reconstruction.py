@@ -11,11 +11,28 @@ import shearspec as ss
 from shearspec.errors import ConfigError, DataFormatError, ReconstructionError
 from shearspec import reconstruction as rc
 from shearspec.cli import _run_single
-from shearspec.reconstruction import coarse_delay_guess
+from shearspec.core import spectral_to_temporal_array
 
 from conftest import OMEGA0, FWHM_W, SHEAR, TAU, gaussian_weights
 
 SIGMA = FWHM_W / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+
+def ref_coarse_delay_guess(interf):
+    """The package's earlier, separate sideband search for a calibration
+    without a delay: its own transform of plus - minus over the whole time
+    axis, and the first maximum of |F| over t > 4 time steps."""
+    if not float(np.sum(interf.plus) + np.sum(interf.minus)) > 0:
+        raise ReconstructionError("record carries no intensity")
+    f = np.abs(spectral_to_temporal_array(interf.plus - interf.minus, interf.grid))
+    t = interf.grid.times
+    sel = t > 4.0 * interf.grid.time_step
+    if not np.any(sel):
+        raise ReconstructionError("grid too small to locate a sideband")
+    i = int(np.flatnonzero(sel)[np.argmax(f[sel])])
+    if f[i] <= 0:
+        raise ReconstructionError("record shows no positive-time sideband")
+    return float(t[i])
 
 
 # ---- settings ----------------------------------------------------------------
@@ -447,7 +464,7 @@ def test_calibrate_without_a_delay_searches_the_record(quad_mode, settings):
     # record's own sideband, and a record without counts is named as the
     # calibration record
     ideal = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=TAU))
-    guess = coarse_delay_guess(ideal)
+    guess = ref_coarse_delay_guess(ideal)
     assert ss.calibrate_delay(ideal, settings, None) == ss.calibrate_delay(ideal, settings, guess)
     n = quad_mode.grid.n_points
     zero = ss.Interferogram(quad_mode.grid, np.zeros(n), np.zeros(n))
@@ -467,23 +484,58 @@ def test_calibrate_needs_eight_valid_bins(quad_mode, settings):
     spiked = ss.Interferogram(rec.grid, rec.plus + spike, rec.minus + spike)
     assert int(np.sum(spiked.plus + spiked.minus >= settings.amplitude_floor
                       * np.max(spiked.plus + spiked.minus))) == 5
+    for tau in (TAU, None):
+        with pytest.raises(ReconstructionError,
+                           match="calibration record unusable: fewer than 8 bins"):
+            ss.calibrate_delay(spiked, settings, tau)
+    # the bin check comes first: the five bins alone, in both outputs, carry
+    # no sideband either
     with pytest.raises(ReconstructionError,
                        match="calibration record unusable: fewer than 8 bins"):
-        ss.calibrate_delay(spiked, settings, TAU)
+        ss.calibrate_delay(ss.Interferogram(rec.grid, spike, spike), settings, None)
 
-def test_coarse_delay_guess(quad_mode, quad_record):
+
+def test_coarse_delay_guess(quad_mode, quad_record, settings):
+    # without a delay the sideband stage centres its search where the earlier
+    # separate search did, on its own transform of the record
     ideal = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=TAU))
-    assert coarse_delay_guess(ideal) == pytest.approx(TAU, rel=0.05)
-    assert coarse_delay_guess(quad_record) == pytest.approx(TAU, rel=0.05)
+    records = [ideal, quad_record] + [ss.detect_counts(ideal, counts, seed)
+                                      for counts in (300, 1_000_000) for seed in range(3)]
+    for rec in records:
+        guess = ref_coarse_delay_guess(rec)
+        assert guess == pytest.approx(TAU, rel=0.05)
+        assert rc._sideband(rec, settings, None).tau == guess
     grid = quad_mode.grid
-    with pytest.raises(ReconstructionError, match="record carries no intensity"):
-        coarse_delay_guess(
-            ss.Interferogram(grid, np.zeros(grid.n_points), np.zeros(grid.n_points))
-        )
+    zero = ss.Interferogram(grid, np.zeros(grid.n_points), np.zeros(grid.n_points))
     flat = ss.Interferogram(grid, quad_record.plus + quad_record.minus,
                             quad_record.plus + quad_record.minus)
-    with pytest.raises(ReconstructionError, match="no positive-time sideband"):
-        coarse_delay_guess(flat)
+    # eight bins reach t = 3 time steps at most
+    tiny = ss.Interferogram(ss.SpectralGrid(2.0, 0.01, 8), np.ones(8), np.full(8, 0.5))
+    for rec, message in ((zero, "record carries no intensity"),
+                         (flat, "record shows no positive-time sideband"),
+                         (tiny, "grid too small to locate a sideband")):
+        with pytest.raises(ReconstructionError, match=message):
+            ref_coarse_delay_guess(rec)
+        with pytest.raises(ReconstructionError, match="calibration record unusable: " + message):
+            ss.calibrate_delay(rec, settings, None)
+
+
+def test_calibration_refuses_a_fit_outside_its_window(quad_mode, settings):
+    # at 100 counts the fitted slope lands thousands of fs off the sideband it
+    # was read from, for 19 of these 20 seeds (the 20th fails the edge check);
+    # at 1e6 counts every fit lies within a femtosecond of the delay
+    ideal = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=TAU))
+    for tau in (TAU, None):
+        for seed in range(20):
+            with pytest.raises(ReconstructionError, match="calibration record unusable"):
+                ss.calibrate_delay(ss.detect_counts(ideal, 100, seed), settings, tau)
+            est = ss.calibrate_delay(ss.detect_counts(ideal, 1_000_000, seed), settings, tau)
+            assert abs(est.tau_fs - TAU) < 1.0
+    w = settings.width(TAU)
+    window = rf"\[{TAU - w:.1f}, {TAU + w:.1f}\] fs"
+    with pytest.raises(ReconstructionError, match="calibration record unusable: fitted delay "
+                       r"3015\.9 fs lies outside the search window " + window):
+        ss.calibrate_delay(ss.detect_counts(ideal, 100, 19), settings, TAU)
 
 
 # ---- serialization -------------------------------------------------------------

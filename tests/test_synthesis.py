@@ -118,7 +118,7 @@ def test_apply_shear_matches_trig_interpolant():
     rng = np.random.default_rng(7)
     g = ss.SpectralGrid(2.0, 4e-3, 128)
     v = rng.normal(size=128) + 1j * rng.normal(size=128)
-    mode = ss.normalize(g, v, anchor=False)
+    mode = ss.normalize(g, v)
     shear = 0.37 * g.omega_step  # deliberately off-grid
     out = ss.apply_shear(mode, -shear)
     direct = (g.time_step / math.sqrt(2.0 * math.pi)) * np.exp(
