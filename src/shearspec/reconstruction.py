@@ -183,7 +183,8 @@ def _sideband(interf: Interferogram, settings: FtsiSettings, tau: float | None) 
     output plus + minus must reach amplitude_floor * max: the valid bins,
     on which the sideband is read.  f is the transform of plus - minus; if
     tau is None, the search is centred on the first maximum of |f| over
-    t > 4 time steps, the record's own strongest sideband.  check_delay puts
+    4 time steps < t <= pi / (2 * omega_step), the record's own strongest
+    sideband among the delays check_delay accepts.  check_delay puts
     the search window at t > 0 and a bin inside it.  The record is real, so
     |f| is even in t and the noise floor is the median of |f| over the bins
     t >= 0 that lie 2*width or more from both t = 0 and the peak.
@@ -201,9 +202,10 @@ def _sideband(interf: Interferogram, settings: FtsiSettings, tau: float | None) 
     pos = t[half:]
     if tau is None:
         start = int(np.searchsorted(pos, 4.0 * grid.time_step, side="right"))
-        if start == pos.size:
+        stop = start + int(np.count_nonzero(2.0 * math.pi / pos[start:] >= 4.0 * grid.omega_step))
+        if stop == start:
             raise ReconstructionError("grid too small to locate a sideband")
-        i = start + int(np.argmax(mag[start:]))
+        i = start + int(np.argmax(mag[start:stop]))
         if mag[i] <= 0:
             raise ReconstructionError("record shows no positive-time sideband")
         tau = float(pos[i])
@@ -256,14 +258,16 @@ def _sideband(interf: Interferogram, settings: FtsiSettings, tau: float | None) 
 
 
 def extract_phase_difference(
-    interf: Interferogram, settings: FtsiSettings, tau: float
+    interf: Interferogram, settings: FtsiSettings, tau: float | None
 ) -> tuple[np.ndarray, _Sideband]:
     """Measure dphi(omega) = phi(omega) - phi(omega+W) from the fringe record.
 
-    tau is the calibrated delay, used for the sideband search and carrier
-    removal; the filter itself locks onto the detected peak.  Returns dphi
-    on the full grid (bridged outside the valid bins) and the sideband
-    stage's record, whose `valid` mask dphi was read on.
+    tau is the calibrated delay the sideband is searched for around, or
+    None to search around the record's own strongest sideband; the filter
+    itself locks onto the detected peak, and the carrier exp(i*omega*sb.tau)
+    comes off.  Returns dphi on the full grid (bridged outside the valid
+    bins) and the sideband stage's record sb, whose `valid` mask dphi was
+    read on.
     """
     grid = interf.grid
     sb = _sideband(interf, settings, tau)
@@ -274,7 +278,7 @@ def extract_phase_difference(
     # wings extended flat.  np.interp over the whole grid would return each
     # valid bin's own value and the end values in the wings, so only the gaps
     # inside the first..last valid bin are interpolated.
-    unwrapped = np.unwrap(np.angle(sb.z[idx]) - omegas * tau)
+    unwrapped = np.unwrap(np.angle(sb.z[idx]) - omegas * sb.tau)
     first, last = idx[0], idx[-1]
     dphi = np.empty(grid.n_points)
     dphi[:first] = unwrapped[0]
@@ -296,66 +300,27 @@ def calibrate_delay(
 ) -> DelayCalibration:
     """Fit the delay from a zero-shear record's sideband phase slope.
 
-    The sideband phase of a zero-shear interferogram is omega*tau exactly,
-    so a weighted straight-line fit over valid bins returns tau and its
-    standard error.  The sideband is searched for around the expected
-    delay tau, or, if tau is None, around the record's own strongest
-    sideband.  Every failure of the record, a fitted delay outside the
-    search window [tau - width, tau + width] included, says that the
-    calibration record is unusable.
+    A zero-shear record's sideband phase is omega*tau, so the carrier-free
+    dphi of extract_phase_difference is omega * (tau - sb.tau) and a
+    |Z|^2-weighted line fit over the valid bins gives tau and its standard
+    error.  tau None searches around the record's strongest sideband.  |F|
+    peaks at tau, within half a time step of the peak bin t_peak, so a fit
+    more than a time step from t_peak (or NaN) is refused; every failure
+    says that the calibration record is unusable.
     """
     try:
-        sb = _sideband(interf, settings, tau)
+        dphi, sb = extract_phase_difference(interf, settings, tau)
     except ReconstructionError as exc:
         raise ReconstructionError(f"calibration record unusable: {exc}") from exc
-    z = sb.z[sb.valid]
-    x = interf.grid.omegas[sb.valid]
-    coef, err = _weighted_lstsq([x], np.unwrap(np.angle(z)), np.abs(z) ** 2)
-    fitted = float(coef[1])
-    w = settings.width(sb.tau)
-    # check_delay keeps the window above t = 0, so this also refuses a fit <= 0 or NaN
-    if not abs(fitted - sb.tau) <= w:
+    grid = interf.grid
+    coef, err = masked_fit(dphi, np.abs(sb.z) ** 2, grid, sb.valid, lambda x: [x], 3, "the delay")
+    fitted = sb.tau + float(coef[1])
+    if not abs(fitted - sb.t_peak) <= grid.time_step:
         raise ReconstructionError(
-            f"calibration record unusable: fitted delay {fitted:.1f} fs lies outside the "
-            f"search window [{sb.tau - w:.1f}, {sb.tau + w:.1f}] fs"
+            f"calibration record unusable: fitted delay {fitted:.1f} fs lies more than a time "
+            f"step ({grid.time_step:.1f} fs) from the sideband peak at {sb.t_peak:.1f} fs"
         )
     return DelayCalibration(tau_fs=fitted, stderr_fs=float(err[1]), sideband_snr=sb.snr)
-
-
-def _weighted_lstsq(columns, y: np.ndarray, weights: np.ndarray):
-    """WLS fit of y to a constant plus the k given columns.
-
-    Returns (coefficients, standard errors), the constant's first.  y needs
-    at least k + 2 points, which leaves a residual degree of freedom;
-    masked_fit and calibrate_delay demand that many or more.  The columns
-    are centred on their weighted means, which takes the constant out of
-    their normal equations: one k x k solve of their weighted Gram matrix
-    G, scaled to a unit diagonal, gives their coefficients, and sigma^2
-    G^-1 their covariance, with sigma^2 the weighted residual variance, so
-    the errors scale with the fit's actual scatter.  The constant's
-    coefficient and error follow from the means.  Centring keeps the solve
-    as accurate as an SVD of the design: an uncentred Gram solve of
-    calibrate_delay's (omega, 1) design, omega near 2.27 rad/fs across 0.06
-    rad/fs, missed a noiseless record's delay by 8e-10 relative.
-    """
-    wsum = float(np.sum(weights))
-    k = len(columns)
-    rows = np.array([*columns, y], dtype=float)  # centred in place
-    means = rows @ weights / wsum
-    rows -= means[:, None]
-    design, yc = rows[:k], rows[k]
-    weighted = design * weights
-    gram = weighted @ design.T
-    diag = np.diag(gram)
-    scale = np.where(diag > 0, np.sqrt(diag), 1.0)
-    inverse = np.linalg.pinv(gram / np.outer(scale, scale), hermitian=True)
-    inverse /= np.outer(scale, scale)
-    slopes = inverse @ (weighted @ yc)
-    coef = np.concatenate([[means[k] - means[:k] @ slopes], slopes])
-    resid = yc - slopes @ design
-    sigma2 = float((resid * weights) @ resid) / (len(y) - k - 1)
-    var = np.concatenate([[1.0 / wsum + means[:k] @ inverse @ means[:k]], np.diag(inverse)])
-    return coef, np.sqrt(sigma2 * np.clip(var, 0.0, None))
 
 
 def masked_fit(values, weights, grid: SpectralGrid, mask, basis, min_bins: int, what: str):
@@ -363,8 +328,16 @@ def masked_fit(values, weights, grid: SpectralGrid, mask, basis, min_bins: int, 
 
     values and weights are per-bin arrays on the grid, weights non-negative.
     Fits the bins with weight > 0 that the mask keeps, at least min_bins of
-    them; basis(x) gives the design columns at x = omega - omega0 but for
-    the constant, which _weighted_lstsq implies and returns first.
+    them; basis(x) gives the k design columns at x = omega - omega0 but for
+    the constant, which is implied and whose coefficient and error come
+    first.  min_bins >= k + 2 leaves a residual degree of freedom.  The
+    columns are centred on their weighted means, which takes the constant
+    out of their normal equations: one k x k solve of their weighted Gram
+    matrix G, scaled to a unit diagonal, gives their coefficients, and
+    sigma^2 G^-1 their covariance, with sigma^2 the weighted residual
+    variance, so the errors scale with the fit's actual scatter.  The
+    constant's coefficient and error follow from the means.  Centring keeps
+    the solve as accurate as an SVD of the design.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -375,8 +348,26 @@ def masked_fit(values, weights, grid: SpectralGrid, mask, basis, min_bins: int, 
     use = np.flatnonzero((weights > 0) & np.asarray(mask, dtype=bool))
     if use.size < min_bins:
         raise ValueError(f"not enough weighted bins to fit {what}")
-    x = grid.omegas[use] - grid.omega_center
-    return _weighted_lstsq(basis(x), values[use], weights[use])
+    columns = basis(grid.omegas[use] - grid.omega_center)
+    k = len(columns)
+    rows = np.array([*columns, values[use]], dtype=float)  # centred in place
+    w = weights[use]
+    wsum = float(np.sum(w))
+    means = rows @ w / wsum
+    rows -= means[:, None]
+    design, yc = rows[:k], rows[k]
+    weighted = design * w
+    gram = weighted @ design.T
+    diag = np.diag(gram)
+    scale = np.where(diag > 0, np.sqrt(diag), 1.0)
+    inverse = np.linalg.pinv(gram / np.outer(scale, scale), hermitian=True)
+    inverse /= np.outer(scale, scale)
+    slopes = inverse @ (weighted @ yc)
+    coef = np.concatenate([[means[k] - means[:k] @ slopes], slopes])
+    resid = yc - slopes @ design
+    sigma2 = float((resid * w) @ resid) / (use.size - k - 1)
+    var = np.concatenate([[1.0 / wsum + means[:k] @ inverse @ means[:k]], np.diag(inverse)])
+    return coef, np.sqrt(sigma2 * np.clip(var, 0.0, None))
 
 
 def integrate_phase(

@@ -282,34 +282,35 @@ def test_weighted_lstsq_matches_the_svd_solve(name, n):
     phase = rc.integrate_phase(dphi, sc.shear, rec.grid, spectrum * mask)
     use = np.flatnonzero((spectrum > 0) & mask)
     x = rec.grid.omegas[use] - rec.grid.omega_center
-    for columns in (rc._taylor_basis(x), [np.abs(x), x]):
-        coef, err = rc._weighted_lstsq(columns, phase[use], spectrum[use])
-        want_coef, want_err = ref_wls_svd(columns, phase[use], spectrum[use])
+    for basis in (rc._taylor_basis, lambda x: [np.abs(x), x]):
+        coef, err = rc.masked_fit(phase, spectrum, rec.grid, mask, basis, 5, "the design")
+        want_coef, want_err = ref_wls_svd(basis(x), phase[use], spectrum[use])
         assert coef == pytest.approx(want_coef, rel=1e-10, abs=0)
         assert err == pytest.approx(want_err, rel=1e-12, abs=0)
     fit = ss.fit_phase_polynomial(phase, spectrum, rec.grid, mask)
-    coef, err = rc._weighted_lstsq(rc._taylor_basis(x), phase[use], spectrum[use])
+    coef, err = rc.masked_fit(phase, spectrum, rec.grid, mask, rc._taylor_basis, 5, "the design")
     assert fit == rc.PhaseFit(tuple(coef[1:]), tuple(err[1:]))
 
 
 def test_weighted_lstsq_fits_the_calibration_line_exactly(quad_mode, settings):
-    # calibrate_delay's (omega, 1) design: omega ~ 2.27 rad/fs spans only
-    # 0.06 rad/fs, and sigma^2 pinv(A^T A) of that uncentred design misses
-    # the exact errors by up to 2.5e-10 relative over seeds 0-9, so the
-    # errors are held to the exact fit; the coefficients to both
+    # calibrate_delay's line: masked_fit of the carrier-free dphi against
+    # omega - omega0 over the valid bins, weighted by |Z|^2.  The slope is
+    # the delay's small offset from the carrier, so it is held to the exact
+    # fit along with its error, and the coefficients to an SVD solve
     zero_shear = ss.ShearConfig(shear=0.0, delay=TAU)
     rec = ss.detect_counts(ss.ideal_interferogram(quad_mode, zero_shear), 1_000_000,
                            ss.derive_seed(7, "counts", 0))
-    sb = rc._sideband(rec, settings, TAU)
-    z = sb.z[sb.valid]
-    x, y, w = rec.grid.omegas[sb.valid], np.unwrap(np.angle(z)), np.abs(z) ** 2
-    coef, err = rc._weighted_lstsq([x], y, w)
+    dphi, sb = rc.extract_phase_difference(rec, settings, TAU)
+    weights = np.abs(sb.z) ** 2
+    coef, err = rc.masked_fit(dphi, weights, rec.grid, sb.valid, lambda x: [x], 3, "the delay")
+    use = sb.valid & (weights > 0)
+    x, y, w = rec.grid.omegas[use] - rec.grid.omega_center, dphi[use], weights[use]
     assert coef == pytest.approx(ref_wls_svd([x], y, w)[0], rel=1e-10, abs=0)
     slope, slope_err = exact_line_fit(x, y, w)
     assert coef[1] == pytest.approx(slope, rel=1e-12, abs=0)
     assert err[1] == pytest.approx(slope_err, rel=1e-12, abs=0)
     est = ss.calibrate_delay(rec, settings, TAU)
-    assert (est.tau_fs, est.stderr_fs) == (coef[1], err[1])
+    assert (est.tau_fs, est.stderr_fs) == (sb.tau + coef[1], err[1])
 
 
 # ---- full reconstruction -------------------------------------------------------
@@ -521,21 +522,62 @@ def test_coarse_delay_guess(quad_mode, quad_record, settings):
 
 
 def test_calibration_refuses_a_fit_outside_its_window(quad_mode, settings):
-    # at 100 counts the fitted slope lands thousands of fs off the sideband it
-    # was read from, for 19 of these 20 seeds (the 20th fails the edge check);
-    # at 1e6 counts every fit lies within a femtosecond of the delay
+    # |F| of a zero-shear record peaks within half a time step of the delay,
+    # so a fitted delay more than a step from the peak bin is refused: at 100
+    # counts each of these 20 seeds is refused or lands within two steps of
+    # the delay; at 1e6 counts every fit lies within a femtosecond of it
     ideal = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=TAU))
+    step = ideal.grid.time_step
     for tau in (TAU, None):
+        off_peak = 0
         for seed in range(20):
-            with pytest.raises(ReconstructionError, match="calibration record unusable"):
-                ss.calibrate_delay(ss.detect_counts(ideal, 100, seed), settings, tau)
+            try:
+                est = ss.calibrate_delay(ss.detect_counts(ideal, 100, seed), settings, tau)
+            except ReconstructionError as exc:
+                assert str(exc).startswith("calibration record unusable: ")
+                off_peak += "from the sideband peak" in str(exc)
+            else:
+                assert abs(est.tau_fs - TAU) <= 2.0 * step
             est = ss.calibrate_delay(ss.detect_counts(ideal, 1_000_000, seed), settings, tau)
             assert abs(est.tau_fs - TAU) < 1.0
-    w = settings.width(TAU)
-    window = rf"\[{TAU - w:.1f}, {TAU + w:.1f}\] fs"
-    with pytest.raises(ReconstructionError, match="calibration record unusable: fitted delay "
-                       r"3015\.9 fs lies outside the search window " + window):
-        ss.calibrate_delay(ss.detect_counts(ideal, 100, 19), settings, TAU)
+        assert off_peak == 13
+    with pytest.raises(ReconstructionError, match=r"calibration record unusable: fitted delay "
+                       r"9461\.6 fs lies more than a time step \(28\.7 fs\) from the sideband "
+                       r"peak at 10024\.7 fs"):
+        ss.calibrate_delay(ss.detect_counts(ideal, 100, 17), settings, TAU)
+
+
+def test_calibration_lands_within_two_time_steps(quad_mode, settings):
+    # 40 zero-shear seeds at 300 and 1e3 counts: every delay accepted lies
+    # within two time steps of the truth, and most seeds are accepted
+    ideal = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=TAU))
+    for counts, least in ((300, 20), (1000, 35)):
+        accepted = 0
+        for seed in range(40):
+            rec = ss.detect_counts(ideal, counts, ss.derive_seed(seed, "counts", 0))
+            try:
+                est = ss.calibrate_delay(rec, settings, None)
+            except ReconstructionError as exc:
+                assert str(exc).startswith("calibration record unusable: ")
+                continue
+            assert abs(est.tau_fs - TAU) <= 2.0 * rec.grid.time_step
+            accepted += 1
+        assert accepted >= least
+
+
+def test_calibration_of_a_fringe_free_record(quad_mode, settings):
+    # plus = minus: the strongest |F| bin past 4 time steps can lie beyond
+    # pi / (2 * omega_step), where the fringes are unresolvable, so the search
+    # stops there; each record then returns or is refused as a calibration
+    # record, never as a config error
+    ideal = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=TAU))
+    half = 0.5 * (ideal.plus + ideal.minus)
+    flat = ss.Interferogram(ideal.grid, half, half.copy())
+    for seed in range(40):
+        try:
+            ss.calibrate_delay(ss.detect_counts(flat, 1_000_000, seed), settings, None)
+        except ReconstructionError as exc:
+            assert str(exc).startswith("calibration record unusable: ")
 
 
 # ---- serialization -------------------------------------------------------------
