@@ -37,7 +37,6 @@ from .reconstruction import (
     integrate_phase,
     load_result,
     reconstruct,
-    recover_spectrum,
     save_result,
 )
 from .analysis import (

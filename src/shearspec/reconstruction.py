@@ -107,24 +107,6 @@ class PhaseFit:
         return self.stderrs[order - 1]
 
 
-def _record_total(interf: Interferogram) -> float:
-    """Summed intensity over both outputs; ReconstructionError if there is none."""
-    total = float(np.sum(interf.plus) + np.sum(interf.minus))
-    if total <= 0:
-        raise ReconstructionError("record carries no intensity")
-    return total
-
-
-def recover_spectrum(interf: Interferogram) -> np.ndarray:
-    """Fringe-free spectral envelope: plus+minus, normalized to unit integral.
-
-    Estimates [S(omega) + S(omega+W)]/2, so the centroid carries a -W/2
-    bias relative to S(omega); reconstruct() corrects it.
-    """
-    total = _record_total(interf)
-    return (interf.plus + interf.minus) / (total * interf.grid.omega_step)
-
-
 def check_delay(settings: FtsiSettings, grid: SpectralGrid, tau: float) -> None:
     """ConfigError unless a record on `grid` can be analysed at delay tau.
 
@@ -141,9 +123,7 @@ def check_delay(settings: FtsiSettings, grid: SpectralGrid, tau: float) -> None:
     width = settings.width(tau)
     if not width < tau:
         raise ConfigError(f"filter_width {width:g} fs must be below the delay {tau:g} fs")
-    t = grid.times
-    k = int(np.searchsorted(t, tau))
-    if not np.any(np.abs(t[max(k - 1, 0) : k + 1] - tau) <= width):
+    if not np.any(np.abs(grid.times - tau) <= width):
         raise ConfigError(
             f"filter_width {width:g} fs leaves no time bin in the search window around "
             f"tau = {tau:g} fs (time step {grid.time_step:g} fs)"
@@ -155,6 +135,7 @@ class _Sideband(NamedTuple):
 
     z: np.ndarray  # filtered sideband Z(omega) on the whole grid
     valid: np.ndarray  # bins whose summed output reaches amplitude_floor * max
+    spectrum: np.ndarray  # summed output plus + minus, normalized to unit integral
     tau: float  # the delay (fs) the search window is centred on: given, or located
     t_peak: float  # detected sideband time (fs), the window's centre
     snr: float  # peak |F| over the noise floor
@@ -162,39 +143,31 @@ class _Sideband(NamedTuple):
     visibility: float  # median of 2|Z| / (plus + minus) over the valid bins
 
 
-def _run(t: np.ndarray, inside, lo: float, hi: float) -> slice:
-    """The bins k of the ascending axis t where inside(t[k]) holds, as a slice.
-
-    inside is a vectorised predicate that holds on one non-empty contiguous
-    run of bins, whose ends lie within a bin of lo and hi.  Evaluated on the
-    searchsorted range widened by one bin each way, it selects exactly the
-    run a boolean mask over t would, at a cost of the run's length.
-    """
-    i = max(int(np.searchsorted(t, lo)) - 1, 0)
-    j = int(np.searchsorted(t, hi, side="right")) + 1
-    hits = np.flatnonzero(inside(t[i:j]))
-    return slice(i + int(hits[0]), i + int(hits[-1]) + 1)
-
-
 def _sideband(interf: Interferogram, settings: FtsiSettings, tau: float | None) -> _Sideband:
-    """The sideband stage: filter the +tau sideband of the difference record.
+    """The sideband stage, the one reader of the record: filter its +tau sideband.
 
     The record must carry intensity, and at least 8 bins of its summed
     output plus + minus must reach amplitude_floor * max: the valid bins,
-    on which the sideband is read.  f is the transform of plus - minus; if
+    on which the sideband is read.  spectrum is plus + minus at unit
+    integral; it estimates [S(omega) + S(omega+W)]/2, a -W/2 centroid bias
+    that reconstruct() corrects.  f is the transform of plus - minus; if
     tau is None, the search is centred on the first maximum of |f| over
     4 time steps < t <= pi / (2 * omega_step), the record's own strongest
-    sideband among the delays check_delay accepts.  check_delay puts
-    the search window at t > 0 and a bin inside it.  The record is real, so
-    |f| is even in t and the noise floor is the median of |f| over the bins
-    t >= 0 that lie 2*width or more from both t = 0 and the peak.
+    sideband among the delays check_delay accepts.  check_delay puts the
+    search window |t - tau| <= width at t > 0 and a bin inside it.  The
+    record is real, so |f| is even in t and the noise floor is the median of
+    |f| over the bins t >= 0 that lie 2*width or more from both t = 0 and
+    the peak: at least one bin, and a positive median.
     """
-    _record_total(interf)
+    total = float(np.sum(interf.plus) + np.sum(interf.minus))
+    if total <= 0:
+        raise ReconstructionError("record carries no intensity")
     summed = interf.plus + interf.minus
     valid = summed >= settings.amplitude_floor * float(np.max(summed))
     if np.count_nonzero(valid) < 8:
         raise ReconstructionError("fewer than 8 bins above the amplitude floor")
     grid = interf.grid
+    spectrum = summed / (total * grid.omega_step)
     f = spectral_to_temporal_array(interf.plus - interf.minus, grid)
     t = grid.times
     half = grid.n_points // 2  # t[half] = 0
@@ -211,18 +184,22 @@ def _sideband(interf: Interferogram, settings: FtsiSettings, tau: float | None) 
         tau = float(pos[i])
     check_delay(settings, grid, tau)
     w = settings.width(tau)
-    search = _run(pos, lambda x: np.abs(x - tau) <= w, tau - w, tau + w)
-    i_pk = search.start + int(np.argmax(mag[search]))
+    search = np.abs(pos - tau) <= w
+    i_pk = int(np.flatnonzero(search)[np.argmax(mag[search])])
     t_pk = float(pos[i_pk])
     peak = float(mag[i_pk])
 
     if peak <= 0.0:
         raise ReconstructionError("record shows no sideband energy in the filter window")
-    near = _run(pos, lambda x: np.abs(x - t_pk) < 2.0 * w, t_pk - 2.0 * w, t_pk + 2.0 * w)
-    first = int(np.searchsorted(pos, 2.0 * w))
-    off = np.concatenate([mag[first : max(first, near.start)], mag[max(first, near.stop) :]])
-    floor = float(np.median(off, overwrite_input=True)) if off.size else 0.0
-    snr = peak / floor if floor > 0 else math.inf
+    off = (pos >= 2.0 * w) & (np.abs(pos - t_pk) >= 2.0 * w)
+    floor = float(np.median(mag[off], overwrite_input=True)) if off.any() else 0.0
+    if not floor > 0.0:
+        raise ReconstructionError(
+            f"no noise floor: |F| has no positive median over the bins 2*width = {2.0 * w:.0f} fs "
+            f"or more from t = 0 and from the sideband peak at {t_pk:.0f} fs; use a shorter "
+            "delay or more n_points"
+        )
+    snr = peak / floor
     if snr < MIN_SIDEBAND_SNR:
         raise ReconstructionError(
             f"sideband SNR {snr:.2f} below {MIN_SIDEBAND_SNR}: fringes not usable"
@@ -234,27 +211,21 @@ def _sideband(interf: Interferogram, settings: FtsiSettings, tau: float | None) 
             f"filter support [{t_pk - support:.0f}, {t_pk + support:.0f}] fs reaches "
             "into the DC / mirror-sideband region"
         )
-    # t_pk - w > 0, so the bin nearest it is the last one below it or the next
-    lo = max(int(np.searchsorted(pos, t_pk - w)) - 1, 0)
-    edge = float(mag[lo + int(np.argmin(np.abs(pos[lo : lo + 2] - (t_pk - w))))])
+    edge = float(mag[np.argmin(np.abs(pos - (t_pk - w)))])
     if edge > 0.5 * peak:
         raise ReconstructionError(
             "sideband is not isolated: record magnitude at the filter edge exceeds "
             "half the sideband peak"
         )
 
-    reach = _WINDOW_REACH * w
-    window = _run(t, lambda x: np.abs((x - t_pk) / w) < _WINDOW_REACH, t_pk - reach, t_pk + reach)
     # f is filtered in place: zero off the window's support, windowed on it
-    f[: window.start] = 0.0
-    f[window.stop :] = 0.0
-    f[window] *= np.exp(-math.log(2.0) * ((t[window] - t_pk) / w) ** (2 * FILTER_ORDER))
+    x = (t - t_pk) / w
+    on = np.abs(x) < _WINDOW_REACH
+    f[~on] = 0.0
+    f[on] *= np.exp(-math.log(2.0) * x[on] ** (2 * FILTER_ORDER))
     z = temporal_to_spectral_array(f, grid)
-    ratio = np.abs(z[valid])
-    ratio *= 2.0
-    ratio /= summed[valid]
-    visibility = float(np.median(ratio, overwrite_input=True))
-    return _Sideband(z, valid, tau, t_pk, snr, edge, visibility)
+    visibility = float(np.median(2.0 * np.abs(z[valid]) / summed[valid], overwrite_input=True))
+    return _Sideband(z, valid, spectrum, tau, t_pk, snr, edge, visibility)
 
 
 def extract_phase_difference(
@@ -265,27 +236,18 @@ def extract_phase_difference(
     tau is the calibrated delay the sideband is searched for around, or
     None to search around the record's own strongest sideband; the filter
     itself locks onto the detected peak, and the carrier exp(i*omega*sb.tau)
-    comes off.  Returns dphi on the full grid (bridged outside the valid
-    bins) and the sideband stage's record sb, whose `valid` mask dphi was
-    read on.
+    comes off.  Returns dphi on the full grid and the sideband stage's
+    record sb, whose `valid` mask dphi was read on: dphi is interpolated
+    linearly across the masked gaps and held at its end values in the wings.
     """
     grid = interf.grid
     sb = _sideband(interf, settings, tau)
-    idx = np.flatnonzero(sb.valid)
-    omegas = grid.omegas[idx]
-    # the carrier exp(i*omega*tau) comes off as a phase; unwrapping over the valid
-    # bins takes up the 2*pi jumps, then masked gaps are bridged linearly and the
-    # wings extended flat.  np.interp over the whole grid would return each
-    # valid bin's own value and the end values in the wings, so only the gaps
-    # inside the first..last valid bin are interpolated.
-    unwrapped = np.unwrap(np.angle(sb.z[idx]) - omegas * sb.tau)
-    first, last = idx[0], idx[-1]
-    dphi = np.empty(grid.n_points)
-    dphi[:first] = unwrapped[0]
-    dphi[last + 1 :] = unwrapped[-1]
-    dphi[idx] = unwrapped
-    gaps = first + np.flatnonzero(~sb.valid[first:last])
-    dphi[gaps] = np.interp(grid.omegas[gaps], omegas, unwrapped)
+    omegas = grid.omegas[sb.valid]
+    # the carrier exp(i*omega*tau) comes off as a phase, and unwrapping over the
+    # valid bins takes up the 2*pi jumps.  np.interp returns each valid bin's own
+    # value, bridges the gaps linearly and extends the end values over the wings
+    unwrapped = np.unwrap(np.angle(sb.z[sb.valid]) - omegas * sb.tau)
+    dphi = np.interp(grid.omegas, omegas, unwrapped)
     # Unwrapping leaves a global 2*pi*k ambiguity in dphi, which the record
     # shares: shifting the pulse by 2*pi/shear in time changes nothing
     # measurable.  Pin the branch so dphi at the grid centre lies in
@@ -490,8 +452,8 @@ def reconstruct(
     corrected by resampling.
     """
     grid = interf.grid
-    spectrum = recover_spectrum(interf)
     dphi, sb = extract_phase_difference(interf, settings, config.delay)
+    spectrum = sb.spectrum
     phase = integrate_phase(dphi, config.shear, grid, spectrum * sb.valid)
     fit = fit_phase_polynomial(phase, spectrum, grid, sb.valid)
 

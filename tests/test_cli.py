@@ -590,6 +590,18 @@ def test_exit_3_starved_record(tmp_path, capsys):
     assert "reconstruction error" in capsys.readouterr().err
 
 
+def test_exit_3_without_a_noise_floor(tmp_path, capsys):
+    # at 29 ps, near the 29.4 ps longest delay of N = 4096, no bin of |F| lies
+    # 2*width from both t = 0 and the peak: there is no floor to read an SNR
+    # against, so nothing is written in place of an infinite sideband_snr
+    cfg = write_config(tmp_path, **{"interferometer.delay_fs": 29000.0})
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "no noise floor" in err and "shorter delay or more n_points" in err
+    assert not (out / "result.json").exists() and not (out / "summary.json").exists()
+
+
 def test_exit_4_data_problems(tmp_path, capsys):
     broken = tmp_path / "broken.csv"
     broken.write_text("omega_rad_per_fs,plus,minus\n2.2,1.0\n", encoding="utf-8")

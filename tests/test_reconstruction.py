@@ -65,14 +65,27 @@ def test_settings_validation():
 
 # ---- spectrum + phase difference ----------------------------------------------
 
-def test_recover_spectrum_is_summed_outputs(quad_record, quad_mode):
-    spec = ss.recover_spectrum(quad_record)
+def test_recover_spectrum_is_summed_outputs(quad_record, quad_mode, settings):
+    spec = rc._sideband(quad_record, settings, TAU).spectrum
     assert np.all(spec >= 0)
     assert np.sum(spec) * quad_record.grid.omega_step == pytest.approx(1.0, rel=1e-9)
     # fringes cancel: the sum tracks the mean single-arm spectrum
     direct = np.abs(quad_mode.amplitude) ** 2
     sheared = np.abs(ss.apply_shear(quad_mode, -SHEAR).amplitude) ** 2
     assert np.max(np.abs(spec - 0.5 * (direct + sheared))) < 1e-9
+
+
+def test_sideband_snr_needs_a_noise_floor(quad_mode, quad_record, settings):
+    # a noiseless record's floor is its rounding noise, so its SNR is finite,
+    # the zero-shear calibration record searched without a delay included
+    assert math.isfinite(rc._sideband(quad_record, settings, TAU).snr)
+    zero_shear = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=0.0, delay=TAU))
+    assert math.isfinite(rc._sideband(zero_shear, settings, None).snr)
+    # at 29 ps, near the 29.4 ps longest delay, no bin of |F| lies 2*width
+    # from both t = 0 and the peak: no floor, so no SNR
+    far = ss.ideal_interferogram(quad_mode, ss.ShearConfig(shear=SHEAR, delay=29000.0))
+    with pytest.raises(ReconstructionError, match="no noise floor.*shorter delay or more n_points"):
+        rc._sideband(far, settings, 29000.0)
 
 
 def test_extract_phase_difference_analytic(quad_record, settings, grid):
@@ -276,7 +289,9 @@ def test_weighted_lstsq_matches_the_svd_solve(name, n):
     sc = ss.shear_config(cfg)
     ideal = ss.ideal_interferogram(ss.synthesize(cfg.pulse, ss.build_grid(cfg)), sc)
     rec = ss.detect_counts(ideal, cfg.interferometer.total_counts, cfg.interferometer.seed)
-    spectrum = rc.recover_spectrum(rec)
+    spectrum = (rec.plus + rec.minus) / (
+        float(np.sum(rec.plus) + np.sum(rec.minus)) * rec.grid.omega_step
+    )
     dphi, sb = rc.extract_phase_difference(rec, ss.ftsi_settings(cfg), sc.delay)
     mask = sb.valid
     phase = rc.integrate_phase(dphi, sc.shear, rec.grid, spectrum * mask)
@@ -369,18 +384,18 @@ def test_noiseless_quadratic_at_65536_points(quad_pulse, shear_cfg, settings):
 
 @pytest.mark.parametrize("n", [4096, 65536])
 def test_window_support_limited_matches_dense(n):
-    # the sideband stage evaluates the window only on the bins _run selects:
-    # the dense window is exactly 0.0 off them and the same on them
+    # the sideband stage evaluates the window only on its support mask:
+    # the dense window is exactly 0.0 off it and the same on it
     t = ss.make_grid(OMEGA0, 10.0 * FWHM_W, n).times
     w = ss.FtsiSettings().width(TAU)
-    reach = rc._WINDOW_REACH * w
     for c in (t[0] + 0.3 * TAU, t[-1] - 0.3 * TAU, TAU):
         dense = np.exp(-math.log(2.0) * ((t - c) / w) ** 12)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            on = rc._run(t, lambda x: np.abs((x - c) / w) < rc._WINDOW_REACH, c - reach, c + reach)
-            got = np.exp(-math.log(2.0) * ((t[on] - c) / w) ** (2 * rc.FILTER_ORDER))
-        assert not np.any(dense[: on.start]) and not np.any(dense[on.stop :]), c
+            x = (t - c) / w
+            on = np.abs(x) < rc._WINDOW_REACH
+            got = np.exp(-math.log(2.0) * x[on] ** (2 * rc.FILTER_ORDER))
+        assert not np.any(dense[~on]), c
         assert got.tobytes() == dense[on].tobytes(), c
 
 
@@ -408,7 +423,8 @@ def test_envelope_bias_correction(quad_record, quad_mode, shear_cfg, grid):
     truth = centroid(np.abs(quad_mode.amplitude))
     on = ss.reconstruct(quad_record, shear_cfg, ss.FtsiSettings())
     # the summed outputs, uncorrected, carry the -W/2 bias that reconstruct removes
-    off = np.sqrt(ss.recover_spectrum(quad_record))
+    total = float(np.sum(quad_record.plus) + np.sum(quad_record.minus))
+    off = np.sqrt((quad_record.plus + quad_record.minus) / (total * grid.omega_step))
     assert centroid(on.amplitude_abs) - truth == pytest.approx(0.0, abs=1e-9)
     assert centroid(off) - truth == pytest.approx(-SHEAR / 2.0, rel=1e-5)
 
