@@ -18,11 +18,9 @@ from .synthesis import PulseSpec, synthesize
 from .interferometer import (
     Interferogram,
     ShearConfig,
-    apply_delay,
     apply_shear,
     detect_counts,
     ideal_interferogram,
-    interfere,
     load_interferogram_csv,
     save_interferogram_csv,
 )

@@ -233,8 +233,6 @@ def _analysis_report(result, mode, truth=None) -> dict:
     report["v_slope_fs"] = slope
     report["v_slope_fs_stderr"] = slope_err
     if truth is not None:
-        if truth.grid != result.grid:
-            raise DataFormatError("truth mode grid differs from the result grid")
         rep = orthogonality_report(mode, truth)
         report["overlap_with_truth"] = rep.overlap
         report["spectral_l1_vs_truth"] = rep.spectral_intensity_distance

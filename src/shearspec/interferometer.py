@@ -1,13 +1,15 @@
-"""Shear/delay optics and the two-output interferogram model.
+"""The two-output interferogram model, its photon counting and its CSV.
 
 The two outputs of the interferometer follow
 
     S+-(omega) = 1/4 { S(omega) + S(omega+W)
                        +- 2 Re[ psi~(omega) psi~*(omega+W) e^{i omega tau} ] }
 
-with W the spectral shear and tau the interferometric delay.  Summing the
-outputs cancels the fringes and recovers the spectral envelope; the
-difference record carries the fringe term the reconstruction works on.
+with W the spectral shear and tau the interferometric delay.
+ideal_interferogram evaluates it in one place; apply_shear is the one
+optics step it borrows.  Summing the outputs cancels the fringes and
+recovers the spectral envelope; the difference record carries the fringe
+term the reconstruction works on.
 """
 
 from __future__ import annotations
@@ -95,41 +97,21 @@ def apply_shear(mode: SpectralMode, shear: float) -> SpectralMode:
     return SpectralMode(mode.grid, temporal_to_spectral_array(temporal, mode.grid))
 
 
-def apply_delay(mode: SpectralMode, delay: float) -> SpectralMode:
-    """Multiply by exp(i*omega*delay); moves the pulse to later times by delay."""
-    if delay == 0.0:
-        return mode
-    return SpectralMode(
-        mode.grid, mode.amplitude * np.exp(1j * mode.grid.omegas * delay)
-    )
-
-
-def interfere(arm_a: SpectralMode, arm_b: SpectralMode) -> tuple[np.ndarray, np.ndarray]:
-    """Two-output interference of a 50:50 split-and-recombine of two arm fields.
-
-    Each arm carries half the input amplitude, so plus + minus integrates
-    to the mean single-arm spectrum pair: plus+- = 1/4 |a +- b|^2 per bin.
-    """
-    if arm_a.grid != arm_b.grid:
-        raise ValueError("arm modes live on different grids")
-    cross = 2.0 * np.real(arm_a.amplitude * np.conj(arm_b.amplitude))
-    base = np.abs(arm_a.amplitude) ** 2 + np.abs(arm_b.amplitude) ** 2
-    plus = 0.25 * (base + cross)
-    minus = 0.25 * (base - cross)
-    # roundoff can leave values at -1e-18 where the outputs null perfectly
-    return np.maximum(plus, 0.0), np.maximum(minus, 0.0)
-
-
 def ideal_interferogram(mode: SpectralMode, config: ShearConfig) -> Interferogram:
     """Noise-free two-output record of `mode` for the given shear and delay.
 
-    The delayed arm is psi~(omega) e^{i omega tau}; the sheared arm samples
-    psi~(omega + W) on the grid (apply_shear by -W), reproducing the
-    two-output formula in the module docstring term by term.
+    The delayed arm a = psi~(omega) e^{i omega tau} and the sheared arm
+    b = psi~(omega + W) (apply_shear by -W) each carry half the input
+    amplitude, so plus+- = 1/4 |a +- b|^2 per bin, the module formula term
+    by term.
     """
-    delayed = apply_delay(mode, config.delay)
-    sheared = apply_shear(mode, -config.shear)
-    plus, minus = interfere(delayed, sheared)
+    a = mode.amplitude * np.exp(1j * mode.grid.omegas * config.delay)
+    b = apply_shear(mode, -config.shear).amplitude
+    cross = 2.0 * np.real(a * np.conj(b))
+    base = np.abs(a) ** 2 + np.abs(b) ** 2
+    # roundoff can leave values at -1e-18 where the outputs null perfectly
+    plus = np.maximum(0.25 * (base + cross), 0.0)
+    minus = np.maximum(0.25 * (base - cross), 0.0)
     return Interferogram(mode.grid, plus, minus)
 
 

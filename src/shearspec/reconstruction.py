@@ -25,6 +25,7 @@ from .core import (
     freeze_field,
     grid_arrays_from_dict,
     grid_to_dict,
+    is_number,
     polar_mode,
     read_json,
     spectral_to_temporal_array,
@@ -505,17 +506,25 @@ def save_result(result: ReconstructionResult, path) -> None:
 
 
 def load_result(path) -> ReconstructionResult:
-    """Inverse of save_result; DataFormatError naming the file if malformed."""
+    """Inverse of save_result; DataFormatError naming the file if malformed.
+
+    Coefficients must be finite numbers, diagnostics booleans or finite numbers.
+    """
     what = f"reconstruction result {path}"
     data = read_json(path)
     grid, arrays = grid_arrays_from_dict(data, what, _RESULT_ARRAYS)
     try:
-        coefficients = data["coefficients"]
+        coefficients, diagnostics = data["coefficients"], data["diagnostics"]
+        if not isinstance(diagnostics, dict):
+            raise TypeError("'diagnostics' must be an object")
+        for key in (*_FIT_KEYS, *(key + "_stderr" for key in _FIT_KEYS)):
+            if not is_number(coefficients[key]):
+                raise TypeError(f"coefficients.{key} is not a finite number: {coefficients[key]!r}")
+        for key, value in diagnostics.items():
+            if not (isinstance(value, bool) or is_number(value)):
+                raise TypeError(f"diagnostics.{key} is not a boolean or a finite number: {value!r}")
         fit = PhaseFit(tuple(float(coefficients[key]) for key in _FIT_KEYS),
                        tuple(float(coefficients[key + "_stderr"]) for key in _FIT_KEYS))
-        if not isinstance(data["diagnostics"], dict):
-            raise TypeError("'diagnostics' must be an object")
-        diagnostics = dict(data["diagnostics"])
-        return ReconstructionResult(grid, **arrays, coefficients=fit, diagnostics=diagnostics)
+        return ReconstructionResult(grid, **arrays, coefficients=fit, diagnostics=dict(diagnostics))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"malformed {what}: {exc}") from exc

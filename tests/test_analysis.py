@@ -91,7 +91,8 @@ def test_orthogonality_v_lambda(grid):
 
 def test_orthogonality_displaced(grid):
     a = ss.synthesize(ss.PulseSpec(830.0, 8.0), grid)
-    b = ss.apply_delay(a, 1500.0)  # far beyond the ~127 fs duration
+    # delayed far beyond the ~127 fs duration
+    b = ss.SpectralMode(grid, a.amplitude * np.exp(1j * grid.omegas * 1500.0))
     rep = ss.orthogonality_report(a, b)
     assert rep.overlap < 1e-12
     assert rep.spectral_intensity_distance < 1e-12
@@ -116,7 +117,7 @@ def test_v_phase_slope_exact(grid):
 def test_v_phase_slope_ignores_linear_part(grid):
     # the |x| coefficient separates from plain group delay
     v = ss.synthesize(ss.PulseSpec(830.0, 8.0, "v_lambda", v_slope=700.0), grid)
-    moved = ss.apply_delay(v, 400.0)
+    moved = ss.SpectralMode(grid, v.amplitude * np.exp(1j * grid.omegas * 400.0))
     slope, _ = ss.v_phase_slope(
         np.unwrap(np.angle(moved.amplitude)), np.abs(moved.amplitude) ** 2, grid,
         np.ones(grid.n_points, dtype=bool),

@@ -627,7 +627,8 @@ def test_exit_4_data_problems(tmp_path, capsys):
         ["analyze", str(rec / "result.json"), "--truth", str(tmp_path / "other_truth.json"),
          "--out", str(tmp_path / "ana")]
     ) == 4
-    assert "grid" in capsys.readouterr().err
+    # mode_overlap's refusal, prefixed with the result file
+    assert f"{rec / 'result.json'}: modes live on different grids" in capsys.readouterr().err
 
     # a directory where the result should be: the OSError exits 4
     assert main(["analyze", str(rec), "--out", str(tmp_path / "ana")]) == 4
@@ -679,9 +680,13 @@ def test_analyze_string_mask_exits_4(tmp_path, capsys):
       "'diagnostics' must be an object"),
      ("phase_difference", None, "'phase_difference'"),
      ("phase_rad", lambda phase: phase[:-1], "phase_rad needs 4096 finite values"),
-     ("amplitude_abs", lambda amp: [-1e-7] + amp[1:], "must be non-negative")],
+     ("amplitude_abs", lambda amp: [-1e-7] + amp[1:], "must be non-negative"),
+     ("coefficients", lambda coef: {**coef, "phi2_fs2": "87000"}, "coefficients.phi2_fs2"),
+     ("coefficients", lambda coef: {**coef, "phi3_fs3": True}, "coefficients.phi3_fs3"),
+     ("diagnostics", lambda diag: {**diag, "visibility": float("nan")}, "diagnostics.visibility")],
     ids=["mask without valid bins", "diagnostics as pairs", "no phase_difference",
-         "short phase_rad", "negative amplitude_abs"],
+         "short phase_rad", "negative amplitude_abs", "string coefficient",
+         "boolean coefficient", "NaN diagnostic"],
 )
 def test_analyze_malformed_result_exits_4_naming_the_file(tmp_path, capsys, key, edit, message):
     run = tmp_path / "run"

@@ -4,24 +4,10 @@ import numpy as np
 import pytest
 
 import shearspec as ss
-from shearspec.core import spectral_to_temporal_array
+from shearspec.core import spectral_to_temporal_array, write_columns
 from shearspec.errors import DataFormatError
 
 from conftest import SHEAR, TAU
-
-
-def test_interfere_formula():
-    g = ss.SpectralGrid(1.0, 0.01, 8)
-    rng = np.random.default_rng(0)
-    a = ss.normalize(g, rng.normal(size=8) + 1j * rng.normal(size=8))
-    b = ss.normalize(g, rng.normal(size=8) + 1j * rng.normal(size=8))
-    plus, minus = ss.interfere(a, b)
-    assert np.allclose(plus, 0.25 * np.abs(a.amplitude + b.amplitude) ** 2, atol=1e-14)
-    assert np.allclose(minus, 0.25 * np.abs(a.amplitude - b.amplitude) ** 2, atol=1e-14)
-    assert np.all(plus >= 0) and np.all(minus >= 0)
-    other = ss.normalize(ss.SpectralGrid(2.0, 0.01, 8), a.amplitude)
-    with pytest.raises(ValueError):
-        ss.interfere(a, other)
 
 
 def test_ideal_record_termwise():
@@ -45,6 +31,11 @@ def test_ideal_record_termwise():
         base = np.abs(psi) ** 2 + np.abs(psi_w) ** 2
         worst = max(worst, float(np.max(np.abs(rec.plus - 0.25 * (base + cross)))))
         worst = max(worst, float(np.max(np.abs(rec.minus - 0.25 * (base - cross)))))
+        # the same record as a 50:50 recombination of the delayed and sheared arms
+        a = psi * np.exp(1j * g.omegas * tau)
+        b = ss.apply_shear(mode, -shear).amplitude
+        worst = max(worst, float(np.max(np.abs(rec.plus - 0.25 * np.abs(a + b) ** 2))))
+        worst = max(worst, float(np.max(np.abs(rec.minus - 0.25 * np.abs(a - b) ** 2))))
     assert worst < 1e-12
 
 
@@ -365,3 +356,27 @@ def test_csv_rejects_bad_geometry(tmp_path, quad_record, monkeypatch):
         with pytest.raises(DataFormatError, match="not finite") as exc:
             ss.load_interferogram_csv(bad)
         assert str(bad) in str(exc.value)
+
+    # a negative or non-finite count cell is refused by Interferogram, naming the file
+    for cell in ("-1", "nan", "inf"):
+        cells = lines[3].rsplit(",", 1)
+        bad.write_text("".join(lines[:3] + [f"{cells[0]},{cell}\n"] + lines[4:]),
+                       encoding="utf-8")
+        with pytest.raises(DataFormatError, match="minus must be non-negative and finite") as exc:
+            ss.load_interferogram_csv(bad)
+        assert str(bad) in str(exc.value)
+
+
+def test_csv_omega_column_from_another_writer(tmp_path, quad_record):
+    # 15 significant digits: no ulp candidate rebuilds the column, so the
+    # reader keeps the whole-span step estimate
+    g = quad_record.grid
+    text = [f"{w:.15g}" for w in g.omegas]
+    column = np.array([float(t) for t in text])
+    path = tmp_path / "other.csv"
+    write_columns(path, "omega_rad_per_fs,plus,minus", text, quad_record.plus, quad_record.minus)
+    back = ss.load_interferogram_csv(path).grid
+    assert back.omega_step == (column[-1] - column[0]) / (g.n_points - 1)
+    assert not np.array_equal(back.omegas, column)  # no step rebuilds it bit for bit
+    assert back == g
+    assert np.max(np.abs(back.omegas - column)) < 1e-14

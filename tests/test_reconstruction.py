@@ -14,6 +14,7 @@ from shearspec.cli import _run_single
 from shearspec.core import spectral_to_temporal_array
 
 from conftest import OMEGA0, FWHM_W, SHEAR, TAU, gaussian_weights
+from stats import fisher_bound
 
 SIGMA = FWHM_W / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -450,6 +451,17 @@ def test_amplitude_floor_masks_wings(quad_record, shear_cfg):
 
 
 # ---- delay calibration ---------------------------------------------------------
+
+def test_fisher_bound_of_the_quadratic_record(quad_record, quad_mode):
+    # the quadratic preset's record: N = 4096, 0.58 nm shear, tau = 10 ps
+    bound = fisher_bound(quad_record, 1e6, SHEAR, quad_mode)
+    assert bound[0] == pytest.approx(0.796, abs=5e-4)
+    assert bound[1] == pytest.approx(72.74, abs=0.1)
+    assert bound[2] == pytest.approx(1.126e4, abs=5)
+    # the bound scales as 1/sqrt(counts)
+    low = fisher_bound(quad_record, 1e4, SHEAR, quad_mode)
+    assert low == pytest.approx(np.sqrt(100.0) * bound, rel=1e-12)
+
 
 def test_calibrate_noiseless_exact(quad_mode, settings):
     zero_shear = ss.ShearConfig(shear=0.0, delay=TAU)
