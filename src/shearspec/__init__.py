@@ -59,7 +59,6 @@ from .config import (
     ftsi_settings,
     load_config,
     preset,
-    resolved_shear,
     shear_config,
 )
 from . import errors

@@ -31,10 +31,7 @@ class TemporalProfile:
 def _half_max_width(x: np.ndarray, y: np.ndarray) -> float:
     """Outermost half-maximum crossing distance, linearly interpolated."""
     half = 0.5 * float(np.max(y))
-    above = y >= half
-    idx = np.flatnonzero(above)
-    if idx.size == 0:
-        return 0.0
+    idx = np.flatnonzero(y >= half)  # never empty: the maximum reaches half of itself
     i0, i1 = int(idx[0]), int(idx[-1])
     left = x[i0]
     if i0 > 0:
@@ -77,11 +74,7 @@ def transform_limit_ratio(mode: SpectralMode, profile: TemporalProfile) -> float
     profile is temporal_profile(mode), which the caller has already.
     """
     flat = normalize(mode.grid, np.abs(mode.amplitude))
-    actual = profile.fwhm_fs
-    limit = temporal_profile(flat).fwhm_fs
-    if limit <= 0:
-        raise ValueError("transform-limited profile has no measurable width")
-    return float(actual / limit)
+    return float(profile.fwhm_fs / temporal_profile(flat).fwhm_fs)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .config import (
     grid_center_nm,
     load_config,
     preset,
-    resolved_shear,
     shear_config,
     validate_config,
 )
@@ -173,7 +172,10 @@ def _reconstruct_shear(args, base) -> float:
     center = grid_center_nm(base) if args.center_nm is None and base is not None else args.center_nm
     if center is None:
         raise ConfigError("--shear-nm needs --center-nm (or --config) for conversion")
-    return shear_nm_to_omega(nm, center)
+    try:
+        return shear_nm_to_omega(nm, center)
+    except ValueError as exc:
+        raise ConfigError(f"shear: {exc}") from None
 
 
 def cmd_reconstruct(args) -> int:
@@ -317,8 +319,8 @@ def _run_pipeline(cfg: RunConfig, trials: int):
     """Run the trials; only trial 0 writes its records, every trial adds to per-trial lists.
 
     `simulate --config config_echo.json --trials N` rebuilds any trial's
-    record, except compensated stage-2 records of trials >= 1, which depend
-    on that trial's stage-1 fit.
+    record, except compensated stage-2 records, which depend on their
+    trial's stage-1 fit.
     """
     outdir, mode, ideal = _start_run(cfg)
     sc = shear_config(cfg)
@@ -343,7 +345,7 @@ def _run_pipeline(cfg: RunConfig, trials: int):
     det = cfg.interferometer
     first_mode = first.mode()
     summary = dict(_analysis_report(first, first_mode, truth), pulse=config_to_dict(cfg)["pulse"],
-                   shear_rad_per_fs=resolved_shear(cfg), delay_fs=det.delay_fs,
+                   shear_rad_per_fs=sc.shear, delay_fs=det.delay_fs,
                    noiseless=det.noiseless, seed=det.seed, total_counts=det.total_counts)
     if "stage1_phi2_fs2" in per_trial:
         summary["stage1_phi2_fs2"] = per_trial["stage1_phi2_fs2"][0]

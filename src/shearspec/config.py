@@ -170,7 +170,7 @@ def validate_config(cfg: RunConfig, where: str = "config") -> None:
     try:
         grid = build_grid(cfg)
         check_coverage(cfg.pulse, grid)
-        check_shear(resolved_shear(cfg), grid)
+        check_shear(shear_config(cfg).shear, grid)
         check_delay(cfg.reconstruction, grid, det.delay_fs)
     except (ValueError, TypeError, ConfigError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -195,14 +195,6 @@ def load_config(path) -> RunConfig:
 
 # ---- resolution helpers ------------------------------------------------------
 
-def resolved_shear(cfg: RunConfig) -> float:
-    """Shear in rad/fs regardless of which unit the config used."""
-    det = cfg.interferometer
-    if det.shear_rad_per_fs is not None:
-        return float(det.shear_rad_per_fs)
-    return shear_nm_to_omega(det.shear_nm, grid_center_nm(cfg))
-
-
 def grid_center_nm(cfg: RunConfig) -> float:
     """Grid centre [nm]: the grid block's, else the pulse carrier.
 
@@ -217,7 +209,12 @@ def build_grid(cfg: RunConfig) -> SpectralGrid:
 
 
 def shear_config(cfg: RunConfig) -> ShearConfig:
-    return ShearConfig(shear=resolved_shear(cfg), delay=cfg.interferometer.delay_fs)
+    """The run's shear in rad/fs (as given, else converted from nm) and its delay."""
+    det = cfg.interferometer
+    shear = det.shear_rad_per_fs
+    if shear is None:
+        shear = shear_nm_to_omega(det.shear_nm, grid_center_nm(cfg))
+    return ShearConfig(shear=float(shear), delay=det.delay_fs)
 
 
 def ftsi_settings(cfg: RunConfig) -> FtsiSettings:

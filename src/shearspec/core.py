@@ -42,7 +42,14 @@ def shear_nm_to_omega(shear_nm: float, center_nm: float) -> float:
     """
     if not center_nm > 0:
         raise ValueError(f"center wavelength must be positive, got {center_nm}")
-    return 2.0 * math.pi * C_NM_PER_FS * shear_nm / center_nm**2
+    try:
+        omega = 2.0 * math.pi * C_NM_PER_FS * shear_nm / center_nm**2
+    except (ZeroDivisionError, OverflowError):  # the square under- or overflows
+        omega = math.nan
+    if not math.isfinite(omega):
+        raise ValueError(f"{shear_nm:g} nm at a {center_nm:g} nm centre does not convert "
+                         "to a finite rad/fs value")
+    return omega
 
 
 def is_number(value) -> bool:

@@ -33,7 +33,7 @@ from .core import (
     write_json,
 )
 from .errors import ConfigError, DataFormatError, ReconstructionError
-from .interferometer import Interferogram, ShearConfig
+from .interferometer import Interferogram, ShearConfig, check_shear
 
 LADDERS = 4  # interleaved concatenation ladders in integrate_phase
 
@@ -356,6 +356,10 @@ def integrate_phase(
         raise ConfigError(
             f"shear {shear:g} rad/fs is below a quarter bin: too small to integrate the phase"
         )
+    try:  # the record's grid holds both sheared arms only below a quarter span
+        check_shear(shear, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     used = np.flatnonzero(weights > 0)
     if used.size == 0:
         raise ValueError("integration needs at least one bin with weight > 0")

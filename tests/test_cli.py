@@ -165,7 +165,7 @@ def test_reconstruct_shear_nm_uses_grid_center(tmp_path):
          "--out", str(rec), "--quiet"]
     ) == 0
     used = ss.load_result(rec / "result.json").diagnostics["shear_rad_per_fs_used"]
-    assert used == ss.resolved_shear(ss.load_config(cfg))
+    assert used == ss.shear_config(ss.load_config(cfg)).shear
     assert used != ss.shear_nm_to_omega(0.58, 830.0)
 
 
@@ -194,7 +194,7 @@ def test_reconstruct_center_nm_converts_the_config_shear_nm(tmp_path):
     ) == 0
     used = ss.load_result(rec / "result.json").diagnostics["shear_rad_per_fs_used"]
     assert used == ss.shear_nm_to_omega(0.58, 800.0)
-    assert used != ss.resolved_shear(ss.load_config(cfg))
+    assert used != ss.shear_config(ss.load_config(cfg)).shear
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -505,6 +505,16 @@ def test_exit_2_config_problems(tmp_path, capsys):
         ["reconstruct", str(sim / "interferogram.csv"), "--tau-fs", "10000",
          "--out", str(tmp_path / "u")]
     ) == 2
+    # and stay below a quarter of the record's span, 20.0 nm at 830 nm
+    capsys.readouterr()
+    for shear_nm in ("30", "1e300"):
+        rec = tmp_path / f"wide{shear_nm}"
+        assert main(
+            ["reconstruct", str(sim / "interferogram.csv"), "--shear-nm", shear_nm,
+             "--center-nm", "830", "--tau-fs", "10000", "--out", str(rec)]
+        ) == 2
+        assert "exceeds the grid headroom" in capsys.readouterr().err
+        assert not rec.exists()
 
 
 @pytest.mark.parametrize(
@@ -548,10 +558,13 @@ def test_trials_is_a_run_flag(tmp_path):
      (["reconstruct", "none.csv", "--shear-nm", "nan", "--center-nm", "830", "--tau-fs", "10000"],
       "--shear-nm must be finite"),
      *[(["reconstruct", "none.csv", "--shear-nm", "0.58", "--center-nm", centre, "--tau-fs",
-         "10000"], "--center-nm must be positive and finite") for centre in ("nan", "-5", "0")]],
+         "10000"], "--center-nm must be positive and finite") for centre in ("nan", "-5", "0")],
+     *[(["reconstruct", "none.csv", "--shear-nm", shear, "--center-nm", centre, "--tau-fs",
+         "10000"], "does not convert to a finite rad/fs value")
+       for shear, centre in (("0.58", "1e-300"), ("1e300", "1e-5"))]],
     ids=["no delay", "shear-nm without a centre", "both shear units", "pipeline without a run",
          "tau-fs inf", "tau-fs nan", "shear-rad-per-fs inf", "shear-nm nan", "center-nm nan",
-         "center-nm -5", "center-nm 0"],
+         "center-nm -5", "center-nm 0", "centre 1e-300 nm", "shear 1e300 nm at 1e-5 nm"],
 )
 def test_missing_or_conflicting_inputs_exit_2(tmp_path, capsys, argv, message):
     # checked before the record is read: reading none.csv would exit 4

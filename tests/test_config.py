@@ -224,9 +224,10 @@ def test_2048_points_resolve_the_fringes_at_10_ps():
      ({"interferometer.shear_nm": 30}, "grid headroom"),
      ({"interferometer.total_counts": 1e22}, "at most 2**53"),
      ({"grid.center_nm": 0.0}, "center_nm must be positive"),
-     ({"reconstruction.filter_width": 1.0}, "filter_width 1 fs leaves no time bin")],
+     ({"reconstruction.filter_width": 1.0}, "filter_width 1 fs leaves no time bin"),
+     ({"pulse.center_wavelength": 1e-300}, "does not convert to a finite rad/fs value")],
     ids=["coarse grid", "negative table", "zero table", "table off the grid", "shear 30 nm",
-         "counts 1e22", "grid centre 0 nm", "window without a bin"],
+         "counts 1e22", "grid centre 0 nm", "window without a bin", "carrier 1e-300 nm"],
 )
 def test_rejected_before_any_file_is_written(tmp_path, capsys, command, tweaks, message):
     path = tmp_path / "run.json"

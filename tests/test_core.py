@@ -31,6 +31,9 @@ def test_shear_conversion_literal():
     assert ss.shear_nm_to_omega(0.58, 830.0) == pytest.approx(1.585888e-3, rel=1e-6)
     with pytest.raises(ValueError):
         ss.shear_nm_to_omega(0.58, 0.0)
+    for centre in (1e-300, 1e200):  # the square under- and overflows
+        with pytest.raises(ValueError, match="does not convert"):
+            ss.shear_nm_to_omega(0.58, centre)
 
 
 def test_grid_construction():

@@ -214,7 +214,8 @@ def test_integrate_continues_at_the_edge_slope(grid, shear):
 
 def test_integrate_validation(grid):
     weights = gaussian_weights(grid)
-    for shear in (0.0, 0.2 * grid.omega_step, math.nan):  # the lattice stays O(n_points)
+    # the lattice stays O(n_points), and the shear within the grid's headroom
+    for shear in (0.0, 0.2 * grid.omega_step, math.nan, 0.25 * grid.span, -math.inf):
         with pytest.raises(ConfigError):
             ss.integrate_phase(np.zeros(grid.n_points), shear, grid, weights)
     with pytest.raises(ValueError):
