@@ -4,7 +4,6 @@ from .core import (
     C_NM_PER_FS,
     SpectralGrid,
     SpectralMode,
-    WignerMap,
     load_mode,
     make_grid,
     mode_overlap,
@@ -38,8 +37,6 @@ from .reconstruction import (
     save_result,
 )
 from .analysis import (
-    OrthogonalityReport,
-    TemporalProfile,
     orthogonality_report,
     save_wigner_csv,
     temporal_profile,

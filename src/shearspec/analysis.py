@@ -2,30 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
     SpectralMode,
-    WignerMap,
     column_text,
     mode_overlap,
     normalize,
     spectral_to_temporal_array,
+    wigner,
     write_columns,
 )
 from .reconstruction import masked_fit
 
 PEAK_THRESHOLD = 0.1  # a temporal peak reaches this fraction of the maximum
-
-
-@dataclass(frozen=True)
-class TemporalProfile:
-    """Temporal intensity summary of a mode."""
-
-    fwhm_fs: float
-    peak_times_fs: tuple
 
 
 def _half_max_width(x: np.ndarray, y: np.ndarray) -> float:
@@ -58,36 +48,26 @@ def _find_peaks(x: np.ndarray, y: np.ndarray, threshold: float) -> list:
     return (x[i] + shift * (x[i] - x[i - 1])).tolist()
 
 
-def temporal_profile(mode: SpectralMode) -> TemporalProfile:
-    """FWHM of the temporal intensity (outermost half-max crossings), and its
-    peaks above PEAK_THRESHOLD of the maximum."""
+def temporal_profile(mode: SpectralMode) -> tuple[float, list]:
+    """(fwhm_fs, peak_times_fs): the FWHM of the temporal intensity (outermost
+    half-max crossings), and its peaks above PEAK_THRESHOLD of the maximum."""
     intensity = np.abs(spectral_to_temporal_array(mode.amplitude, mode.grid)) ** 2
     times = mode.grid.times
-    fwhm = _half_max_width(times, intensity)
-    peaks = _find_peaks(times, intensity, PEAK_THRESHOLD)
-    return TemporalProfile(fwhm, tuple(peaks))
+    return _half_max_width(times, intensity), _find_peaks(times, intensity, PEAK_THRESHOLD)
 
 
-def transform_limit_ratio(mode: SpectralMode, profile: TemporalProfile) -> float:
+def transform_limit_ratio(mode: SpectralMode, fwhm_fs: float) -> float:
     """Temporal FWHM relative to the zero-phase (transform-limited) version.
 
-    profile is temporal_profile(mode), which the caller has already.
+    fwhm_fs is temporal_profile(mode)[0], which the caller has already.
     """
     flat = normalize(mode.grid, np.abs(mode.amplitude))
-    return float(profile.fwhm_fs / temporal_profile(flat).fwhm_fs)
+    return float(fwhm_fs / temporal_profile(flat)[0])
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    """Pairwise mode comparison: overlap and intensity distances."""
-
-    overlap: float
-    spectral_intensity_distance: float
-    temporal_intensity_distance: float
-
-
-def orthogonality_report(a: SpectralMode, b: SpectralMode) -> OrthogonalityReport:
-    """|<a|b>|^2 plus L1 distances of the normalized intensity profiles.
+def orthogonality_report(a: SpectralMode, b: SpectralMode) -> tuple[float, float, float]:
+    """(overlap, spectral_l1, temporal_l1): |<a|b>|^2 plus the L1 distances of
+    the normalized spectral and temporal intensity profiles.
 
     Distances lie in [0, 2]; 0 for identical profiles, 2 for disjoint.
     """
@@ -97,7 +77,7 @@ def orthogonality_report(a: SpectralMode, b: SpectralMode) -> OrthogonalityRepor
     ta = np.abs(spectral_to_temporal_array(a.amplitude, a.grid)) ** 2
     tb = np.abs(spectral_to_temporal_array(b.amplitude, b.grid)) ** 2
     l1_temp = float(np.sum(np.abs(ta - tb)) * a.grid.time_step)
-    return OrthogonalityReport(ov, l1_spec, l1_temp)
+    return ov, l1_spec, l1_temp
 
 
 def v_phase_slope(
@@ -113,15 +93,23 @@ def v_phase_slope(
     return float(coef[1]), float(err[1])
 
 
-def save_wigner_csv(wmap: WignerMap, path) -> None:
-    """Long-format CSV: t_fs,omega_rad_per_fs,w_value (one row per cell, t slowest).
+def save_wigner_csv(mode: SpectralMode, path) -> None:
+    """Write the mode's Wigner map, wigner(mode, t, omega), as long-format CSV:
+    t_fs,omega_rad_per_fs,w_value (one row per cell, t slowest).
 
-    Each axis value is formatted once; the t column repeats each t cell and
-    the omega column tiles the omega cells, both by reference.
+    t is every (N/256)-th grid time of the central half: grid times lie on
+    wigner()'s half-step lattice, and |t| <= pi/(2*domega) keeps the map
+    alias-free.  omega is every (N/256)-th grid frequency.  So the map is
+    128 x 256 for N >= 256.  Each axis value is formatted once; the t column
+    repeats each t cell and the omega column tiles the omega cells, both by
+    reference.
     """
-    t_text = column_text(wmap.t_axis)
-    omega_text = column_text(wmap.omega_axis)
+    grid = mode.grid
+    n, stride = grid.n_points, max(1, grid.n_points // 256)
+    t, omega = grid.times[n // 4 : 3 * n // 4 : stride], grid.omegas[::stride]
+    values = wigner(mode, t, omega)
+    t_text, omega_text = column_text(t), column_text(omega)
     per_t = len(omega_text)
     write_columns(path, "t_fs,omega_rad_per_fs,w_value",
-                  [t for t in t_text for _ in range(per_t)],
-                  omega_text * len(t_text), wmap.values.ravel())
+                  [c for c in t_text for _ in range(per_t)],
+                  omega_text * len(t_text), values.ravel())

@@ -39,7 +39,6 @@ from .core import (
     save_mode,
     shear_nm_to_omega,
     spectral_to_temporal_array,
-    wigner,
     write_columns,
     write_json,
 )
@@ -221,12 +220,12 @@ def cmd_reconstruct(args) -> int:
 # ---- analyze -----------------------------------------------------------------
 
 def _analysis_report(result, mode, truth=None) -> dict:
-    prof = temporal_profile(mode)
+    fwhm, peaks = temporal_profile(mode)
     report = {
-        "fwhm_fs": prof.fwhm_fs,
-        "peak_count": len(prof.peak_times_fs),
-        "peak_times_fs": [float(t) for t in prof.peak_times_fs],
-        "transform_limit_ratio": transform_limit_ratio(mode, prof),
+        "fwhm_fs": fwhm,
+        "peak_count": len(peaks),
+        "peak_times_fs": peaks,
+        "transform_limit_ratio": transform_limit_ratio(mode, fwhm),
         "coefficients": fit_to_dict(result.coefficients),
         "diagnostics": dict(result.diagnostics),
     }
@@ -235,10 +234,8 @@ def _analysis_report(result, mode, truth=None) -> dict:
     report["v_slope_fs"] = slope
     report["v_slope_fs_stderr"] = slope_err
     if truth is not None:
-        rep = orthogonality_report(mode, truth)
-        report["overlap_with_truth"] = rep.overlap
-        report["spectral_l1_vs_truth"] = rep.spectral_intensity_distance
-        report["temporal_l1_vs_truth"] = rep.temporal_intensity_distance
+        (report["overlap_with_truth"], report["spectral_l1_vs_truth"],
+         report["temporal_l1_vs_truth"]) = orthogonality_report(mode, truth)
     return report
 
 
@@ -253,13 +250,7 @@ def cmd_analyze(args) -> int:
 
     outdir = _ensure_dir(args.out or "out")
     if args.wigner:
-        # grid times lie on wigner()'s half-step lattice; the central half keeps
-        # |t| <= pi/(2*domega), where the map is alias-free
-        grid = mode.grid
-        n = grid.n_points
-        t = grid.times[n // 4 : 3 * n // 4 : max(1, n // 256)]
-        om = grid.omegas[:: max(1, n // 256)]
-        save_wigner_csv(wigner(mode, t, om), os.path.join(outdir, "wigner.csv"))
+        save_wigner_csv(mode, os.path.join(outdir, "wigner.csv"))
     write_json(report, os.path.join(outdir, "report.json"))
     overlap = report.get("overlap_with_truth")
     tail = f", overlap {overlap:.4f}" if overlap is not None else ""

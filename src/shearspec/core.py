@@ -276,8 +276,9 @@ def _lattice_index(values, origin: float, step: float, lo: int, hi: int, name: s
     return k.astype(np.intp)
 
 
-def wigner(mode: SpectralMode, t_axis: np.ndarray, omega_axis: np.ndarray) -> "WignerMap":
-    """Chronocyclic Wigner distribution on lattice axes.
+def wigner(mode: SpectralMode, t_axis: np.ndarray, omega_axis: np.ndarray) -> np.ndarray:
+    """Chronocyclic Wigner distribution on lattice axes: the real values,
+    shape (len(t_axis), len(omega_axis)).
 
     W(t, omega) = (1/2pi) Int psi~*(omega + x/2) psi~(omega - x/2) e^{i x t} dx
     at the native resolution x = 2*m*domega.  Each omega_axis value must be a
@@ -335,21 +336,7 @@ def wigner(mode: SpectralMode, t_axis: np.ndarray, omega_axis: np.ndarray) -> "W
         resid = np.max(np.abs(w.imag)) / peak
         if resid > 1e-9:
             raise AssertionError(f"Wigner imaginary residue {resid:.2e} exceeds 1e-9")
-    return WignerMap(t_axis, omega_axis, np.ascontiguousarray(w.real.T))
-
-
-@dataclass(frozen=True)
-class WignerMap:
-    """Real Wigner values, shape (len(t_axis), len(omega_axis))."""
-
-    t_axis: np.ndarray
-    omega_axis: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        t, om, vals = (freeze_field(self, n, float) for n in ("t_axis", "omega_axis", "values"))
-        if vals.shape != (len(t), len(om)):
-            raise ValueError("Wigner value shape does not match the axes")
+    return np.ascontiguousarray(w.real.T)
 
 
 # ---- writers -------------------------------------------------------------------

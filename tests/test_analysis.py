@@ -12,30 +12,30 @@ from conftest import OMEGA0, FWHM_W
 def test_transform_limited_profile():
     fine = ss.make_grid(OMEGA0, 20.0 * FWHM_W, 8192)
     mode = ss.synthesize(ss.PulseSpec(830.0, 8.0), fine)
-    prof = ss.temporal_profile(mode)
+    fwhm, peaks = ss.temporal_profile(mode)
     # gaussian: intensity FWHM in time is 4 ln2 / FWHM_omega
-    assert prof.fwhm_fs == pytest.approx(4.0 * math.log(2.0) / FWHM_W, rel=5e-3)
-    assert len(prof.peak_times_fs) == 1
-    assert prof.peak_times_fs[0] == pytest.approx(0.0, abs=1.0)
-    assert ss.transform_limit_ratio(mode, prof) == pytest.approx(1.0, abs=1e-9)
+    assert fwhm == pytest.approx(4.0 * math.log(2.0) / FWHM_W, rel=5e-3)
+    assert len(peaks) == 1
+    assert peaks[0] == pytest.approx(0.0, abs=1.0)
+    assert ss.transform_limit_ratio(mode, fwhm) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_chirped_profile(grid):
     mode = ss.synthesize(ss.PulseSpec(830.0, 8.0, "polynomial", (0.0, 8.7e4, 0.0)), grid)
-    prof = ss.temporal_profile(mode)
+    fwhm, peaks = ss.temporal_profile(mode)
     dt0 = 4.0 * math.log(2.0) / FWHM_W
     stretched = dt0 * math.sqrt(1.0 + (4.0 * math.log(2.0) * 8.7e4 / dt0**2) ** 2)
-    assert prof.fwhm_fs == pytest.approx(stretched, rel=1e-3)
-    assert len(prof.peak_times_fs) == 1
-    assert ss.transform_limit_ratio(mode, prof) == pytest.approx(stretched / dt0, rel=2e-2)
+    assert fwhm == pytest.approx(stretched, rel=1e-3)
+    assert len(peaks) == 1
+    assert ss.transform_limit_ratio(mode, fwhm) == pytest.approx(stretched / dt0, rel=2e-2)
 
 
 def test_v_profile_two_peaks(grid):
     mode = ss.synthesize(ss.PulseSpec(830.0, 8.0, "v_lambda", v_slope=1050.0), grid)
-    prof = ss.temporal_profile(mode)
-    assert len(prof.peak_times_fs) == 2
-    assert sorted(prof.peak_times_fs)[0] == pytest.approx(-1050.0, abs=15.0)
-    assert sorted(prof.peak_times_fs)[1] == pytest.approx(1050.0, abs=15.0)
+    _, peaks = ss.temporal_profile(mode)
+    assert len(peaks) == 2
+    assert sorted(peaks)[0] == pytest.approx(-1050.0, abs=15.0)
+    assert sorted(peaks)[1] == pytest.approx(1050.0, abs=15.0)
 
 
 def ref_find_peaks(x, y, threshold):
@@ -73,30 +73,30 @@ def test_find_peaks_matches_loop(case, grid):
 
 
 def test_orthogonality_self(quad_mode):
-    rep = ss.orthogonality_report(quad_mode, quad_mode)
-    assert rep.overlap == pytest.approx(1.0, abs=1e-12)
-    assert rep.spectral_intensity_distance == pytest.approx(0.0, abs=1e-12)
-    assert rep.temporal_intensity_distance == pytest.approx(0.0, abs=1e-12)
+    overlap, spectral_l1, temporal_l1 = ss.orthogonality_report(quad_mode, quad_mode)
+    assert overlap == pytest.approx(1.0, abs=1e-12)
+    assert spectral_l1 == pytest.approx(0.0, abs=1e-12)
+    assert temporal_l1 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orthogonality_v_lambda(grid):
     v = ss.synthesize(ss.PulseSpec(830.0, 8.0, "v_lambda", v_slope=1050.0), grid)
     lam = ss.synthesize(ss.PulseSpec(830.0, 8.0, "v_lambda", v_slope=-1100.0), grid)
-    rep = ss.orthogonality_report(v, lam)
+    overlap, spectral_l1, temporal_l1 = ss.orthogonality_report(v, lam)
     # same spectrum, nearly disjoint temporal structure
-    assert rep.overlap == pytest.approx(0.00160, abs=2e-4)
-    assert rep.spectral_intensity_distance < 1e-12
-    assert rep.temporal_intensity_distance == pytest.approx(0.370, abs=5e-3)
+    assert overlap == pytest.approx(0.00160, abs=2e-4)
+    assert spectral_l1 < 1e-12
+    assert temporal_l1 == pytest.approx(0.370, abs=5e-3)
 
 
 def test_orthogonality_displaced(grid):
     a = ss.synthesize(ss.PulseSpec(830.0, 8.0), grid)
     # delayed far beyond the ~127 fs duration
     b = ss.SpectralMode(grid, a.amplitude * np.exp(1j * grid.omegas * 1500.0))
-    rep = ss.orthogonality_report(a, b)
-    assert rep.overlap < 1e-12
-    assert rep.spectral_intensity_distance < 1e-12
-    assert rep.temporal_intensity_distance == pytest.approx(2.0, abs=1e-6)
+    overlap, spectral_l1, temporal_l1 = ss.orthogonality_report(a, b)
+    assert overlap < 1e-12
+    assert spectral_l1 < 1e-12
+    assert temporal_l1 == pytest.approx(2.0, abs=1e-6)
 
 
 def test_v_phase_slope_exact(grid):
@@ -150,14 +150,17 @@ def test_v_phase_slope_checks_its_inputs(grid):
         ss.v_phase_slope(phase, negative, grid, every)
 
 def test_wigner_csv_format(tmp_path, quad_mode, grid):
+    # the export axes: 128 central times by 256 frequencies, every 16th bin at N=4096
     n = grid.n_points
-    t_axis = grid.times[n // 4 : 3 * n // 4 : 256]
-    om_axis = grid.omegas[::512]
-    wmap = ss.wigner(quad_mode, t_axis, om_axis)
+    t_axis = grid.times[n // 4 : 3 * n // 4 : 16]
+    om_axis = grid.omegas[::16]
     path = tmp_path / "wigner.csv"
-    ss.save_wigner_csv(wmap, path)
+    ss.save_wigner_csv(quad_mode, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t_fs,omega_rad_per_fs,w_value"
-    assert len(lines) == 1 + len(t_axis) * len(om_axis)
+    assert len(lines) == 1 + 128 * 256 == 1 + len(t_axis) * len(om_axis)
     t0, w0, v0 = (float(tok) for tok in lines[1].split(","))
-    assert t0 == t_axis[0] and w0 == om_axis[0] and v0 == wmap.values[0, 0]
+    assert t0 == t_axis[0] and w0 == om_axis[0]
+    assert v0 == ss.wigner(quad_mode, t_axis, om_axis)[0, 0]
+    t1, w1, _ = (float(tok) for tok in lines[-1].split(","))
+    assert t1 == t_axis[-1] and w1 == om_axis[-1]

@@ -390,11 +390,11 @@ def test_compare_presets(tmp_path):
     report = json.loads((ana / "report.json").read_text(encoding="utf-8"))
     assert 0.001 < report["overlap_with_truth"] < 0.02
     assert report["spectral_l1_vs_truth"] < 0.05
-    rep = ss.orthogonality_report(ss.load_result(v / "result.json").mode(),
-                                  ss.load_result(lam / "result.json").mode())
-    assert report["overlap_with_truth"] == rep.overlap
-    assert report["spectral_l1_vs_truth"] == rep.spectral_intensity_distance
-    assert report["temporal_l1_vs_truth"] == rep.temporal_intensity_distance
+    overlap, spectral_l1, temporal_l1 = ss.orthogonality_report(
+        ss.load_result(v / "result.json").mode(), ss.load_result(lam / "result.json").mode())
+    assert report["overlap_with_truth"] == overlap
+    assert report["spectral_l1_vs_truth"] == spectral_l1
+    assert report["temporal_l1_vs_truth"] == temporal_l1
 
 
 def test_phase_csv_truth_is_unwrapped_like_the_recovery(tmp_path):
@@ -661,8 +661,13 @@ def test_analyze_non_integral_grid_exits_4(tmp_path, capsys):
     assert "n_points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", [2.0, 0.0], ids=["doubled", "zero"])
-def test_analyze_amplitude_that_is_not_unit_norm_exits_4(tmp_path, capsys, scale):
+@pytest.mark.parametrize(
+    "scale, message",
+    [(2.0, "mode norm"), (0.0, "mode norm"),
+     (1e200, "amplitude has non-finite values or an overflowing norm")],
+    ids=["doubled", "zero", "overflowing norm"],
+)
+def test_analyze_amplitude_that_is_not_unit_norm_exits_4(tmp_path, capsys, scale, message):
     run = tmp_path / "run"
     assert main(["pipeline", "--preset", "quadratic", "--noiseless", "--out", str(run),
                  "--quiet"]) == 0
@@ -671,7 +676,7 @@ def test_analyze_amplitude_that_is_not_unit_norm_exits_4(tmp_path, capsys, scale
     bad = tmp_path / "result.json"
     bad.write_text(json.dumps(result), encoding="utf-8")
     assert main(["analyze", str(bad), "--out", str(tmp_path / "ana"), "--quiet"]) == 4
-    assert f"{bad}: mode norm" in capsys.readouterr().err
+    assert f"{bad}: {message}" in capsys.readouterr().err
 
 
 def test_analyze_string_mask_exits_4(tmp_path, capsys):
@@ -723,8 +728,11 @@ def test_analyze_malformed_result_exits_4_naming_the_file(tmp_path, capsys, key,
      (lambda mode: mode.pop("phase_rad"), "'phase_rad'"),
      (lambda mode: mode.update(amplitude_abs=[2.0 * a for a in mode["amplitude_abs"]]),
       "mode norm"),
-     (lambda mode: mode["amplitude_abs"].__setitem__(0, -1e-7), "must be non-negative")],
-    ids=["non-integral n_points", "no phase_rad", "not unit-norm", "negative amplitude_abs"],
+     (lambda mode: mode["amplitude_abs"].__setitem__(0, -1e-7), "must be non-negative"),
+     (lambda mode: mode.update(amplitude_abs=[1e200 * a for a in mode["amplitude_abs"]]),
+      "amplitude has non-finite values or an overflowing norm")],
+    ids=["non-integral n_points", "no phase_rad", "not unit-norm", "negative amplitude_abs",
+         "overflowing norm"],
 )
 def test_analyze_malformed_truth_exits_4_naming_the_file(tmp_path, capsys, edit, message):
     run = tmp_path / "run"
@@ -826,7 +834,7 @@ def test_analysis_report_takes_two_temporal_profiles(tmp_path, monkeypatch, comm
     assert len(profiled) == 2
     report = tmp_path / ("ana/report.json" if command == "analyze" else "run/summary.json")
     ratio = json.loads(report.read_text(encoding="utf-8"))["transform_limit_ratio"]
-    assert ratio == ss.transform_limit_ratio(profiled[0], ss.temporal_profile(profiled[0]))
+    assert ratio == ss.transform_limit_ratio(profiled[0], ss.temporal_profile(profiled[0])[0])
 
 
 def test_python_dash_m_entry_point_returns_the_exit_code(tmp_path):

@@ -391,3 +391,21 @@ def test_csv_omega_column_from_another_writer(tmp_path, quad_record):
     assert not np.array_equal(back.omegas, column)  # no step rebuilds it bit for bit
     assert back == g
     assert np.max(np.abs(back.omegas - column)) < 1e-14
+
+
+def test_csv_omega_column_past_the_ulp_search_keeps_the_estimate(tmp_path):
+    # 8 rows with a step of 1e-5 rad/fs: ulp(omega_max) / (7 ulp(step)) puts
+    # the search radius at 37451 ulps, past its 2**14 cap, so the reader takes
+    # the whole-span estimate without a search; here it rebuilds the column
+    g = ss.SpectralGrid(2.2697, 1e-5, 8)
+    omegas = g.omegas
+    estimate = (omegas[-1] - omegas[0]) / (g.n_points - 1)
+    radius = int(np.spacing(omegas[-1]) / ((g.n_points - 1) * np.spacing(estimate))) + 2
+    assert radius == 37451
+    path = tmp_path / "wide.csv"
+    ones = np.ones(g.n_points)
+    write_columns(path, "omega_rad_per_fs,plus,minus", list(map(repr, omegas.tolist())), ones, ones)
+    back = ss.load_interferogram_csv(path).grid
+    assert back.omega_step == estimate
+    assert back.omegas.tobytes() == omegas.tobytes()
+    assert back == g
