@@ -12,8 +12,10 @@ sum |psi~|^2 domega == sum |psi|^2 dt to machine precision.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -480,3 +482,24 @@ def load_mode(path) -> SpectralMode:
         return polar_mode(grid, arr["amplitude_abs"], arr["phase_rad"])
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _keep_freed_arrays() -> bool:
+    """On glibc, keep freed work arrays in the heap for the next op; return whether it did."""
+    env = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+           "MALLOC_MMAP_MAX_")  # glibc's own malloc variables take precedence
+    if any(k in os.environ for k in env) or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):  # no confstr, no glibc or no mallopt
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # By default glibc unmaps or trims away each freed array of 128 KiB or more and the next op
+    # faults it in again.  M_MMAP_THRESHOLD (-3) 32 MiB and M_TRIM_THRESHOLD (-1) 128 MiB are
+    # set together, since setting either alone pins the other's dynamic value at 128 KiB.
+    return bool(glibc and mallopt(-3, 32 << 20) and mallopt(-1, 128 << 20))
+
+
+_keep_freed_arrays()

@@ -1,7 +1,12 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,3 +507,102 @@ def test_records_store_a_read_only_copy(grid, quad_mode):
     assert not mode.amplitude.flags.writeable
     with pytest.raises(ValueError):
         mode.amplitude[0] = 1.0
+
+
+def _fake_libc(monkeypatch) -> list:
+    """Stand in for ctypes.CDLL(None) with a mallopt that records its calls
+    and applies none; return the list of calls."""
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+    monkeypatch.setattr(ss.core.ctypes, "CDLL", lambda name: libc)
+    return calls
+
+
+def _policy_applies(monkeypatch) -> bool:
+    """Whether the import-time allocator policy applies in this process,
+    asked without calling glibc again."""
+    with monkeypatch.context() as m:
+        _fake_libc(m)
+        return ss.core._keep_freed_arrays()
+
+
+# a fresh process: glibc raises its dynamic thresholds as large chunks are
+# freed, so after other tests the parent's loop can read few faults too
+_RECON_LOOP = """
+import dataclasses, resource
+import shearspec as ss
+cfg = ss.preset("quadratic")
+cfg = dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, n_points=65536))
+truth = ss.synthesize(cfg.pulse, ss.build_grid(cfg))
+shear, settings = ss.shear_config(cfg), ss.ftsi_settings(cfg)
+ideal = ss.ideal_interferogram(truth, shear)
+
+def op(seed):
+    rec = ss.detect_counts(ideal, cfg.interferometer.total_counts, seed)
+    return ss.mode_overlap(ss.reconstruct(rec, shear, settings).mode(), truth)
+
+for seed in range(3):
+    op(seed)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(3, 13):
+    op(seed)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+def test_recon_op_reuses_freed_work_arrays(monkeypatch):
+    # glibc returns freed arrays of 128 KiB or more to the kernel by default,
+    # and each N=65536 op faulted about 1100-1700 pages back in; with the
+    # policy set at import the steady loop reuses the heap
+    pytest.importorskip("resource")
+    if not _policy_applies(monkeypatch):
+        pytest.skip("not glibc, or glibc's own malloc controls are set")
+    src = str(Path(ss.__file__).resolve().parents[1])
+    pythonpath = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    # one BLAS thread, as the benchmark runs: the default pool can triple an op
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _RECON_LOOP], env=env, capture_output=True,
+                         text=True, check=True)
+    faults = float(run.stdout)
+    assert faults < 50, f"{faults:.0f} minor page faults per op"
+
+
+@pytest.fixture
+def no_malloc_controls(monkeypatch):
+    for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+                 "MALLOC_MMAP_MAX_", "GLIBC_TUNABLES"):
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+def test_allocator_policy_sets_both_thresholds(no_malloc_controls):
+    calls = _fake_libc(no_malloc_controls)
+    try:
+        os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, OSError, ValueError):
+        pytest.skip("no glibc")
+    assert ss.core._keep_freed_arrays() is True
+    # M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 128 MiB
+    assert calls == [(-3, 32 << 20), (-1, 128 << 20)]
+
+
+def _confstr_fails(name):
+    raise ValueError(f"unrecognized configuration name: {name}")
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        lambda m: m.setattr(ss.core.os, "confstr", _confstr_fails),
+        lambda m: m.setenv("MALLOC_TRIM_THRESHOLD_", "131072"),
+        lambda m: m.setenv("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+    ],
+    ids=["no-confstr", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"],
+)
+def test_allocator_policy_skips(setup, no_malloc_controls):
+    # off glibc, or where the user set glibc's own controls, nothing is set
+    calls = _fake_libc(no_malloc_controls)
+    setup(no_malloc_controls)
+    assert ss.core._keep_freed_arrays() is False
+    assert calls == []
