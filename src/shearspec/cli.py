@@ -144,62 +144,54 @@ def cmd_simulate(args) -> int:
 
 # ---- reconstruct -------------------------------------------------------------
 
-def _reconstruct_settings(args, base) -> FtsiSettings:
-    """The config's settings, else the defaults, with the settings flags applied."""
-    flags = {f.name: getattr(args, f.name) for f in fields(FtsiSettings)
-             if getattr(args, f.name) is not None}
-    try:
-        return replace(ftsi_settings(base) if base else FtsiSettings(), **flags)
-    except ValueError as exc:
-        raise ConfigError(f"reconstruction settings: {exc}") from None
+def _reconstruct_inputs(args):
+    """The ShearConfig, FtsiSettings and DelayCalibration (or None) for the record.
 
-
-def _reconstruct_shear(args, base) -> float:
-    """Shear in rad/fs from the flags, else the config.  A shear in nm converts at
-    --center-nm, else at the config's grid centre; one in rad/fs refuses --center-nm."""
-    nm, rad = args.shear_nm, args.shear_rad_per_fs
-    if nm is None and rad is None and base is not None:
-        nm, rad = base.interferometer.shear_nm, base.interferometer.shear_rad_per_fs
-    if nm is not None and rad is not None:
-        raise ConfigError("give one shear unit, not both")
-    if rad is not None and args.center_nm is not None:
-        raise ConfigError("--center-nm converts a shear in nm, and this shear is in rad/fs")
-    if rad is not None:
-        return rad
-    if nm is None:
-        raise ConfigError("shear must come from --shear-nm, --shear-rad-per-fs, or --config")
-    center = grid_center_nm(base) if args.center_nm is None and base is not None else args.center_nm
-    if center is None:
-        raise ConfigError("--shear-nm needs --center-nm (or --config) for conversion")
-    try:
-        return shear_nm_to_omega(nm, center)
-    except ValueError as exc:
-        raise ConfigError(f"shear: {exc}") from None
-
-
-def cmd_reconstruct(args) -> int:
+    Each flag replaces the config's value; every rule raises ConfigError before
+    the record is read.  A shear in nm converts at --center-nm, else at the
+    config's grid centre; one in rad/fs refuses --center-nm.  --calibrate-from
+    fits the delay, searching around the given one, else its record's sideband."""
     for name in ("tau_fs", "shear_nm", "shear_rad_per_fs", "center_nm"):
         value, positive = getattr(args, name), name == "center_nm"
         if value is not None and not (np.isfinite(value) and (value > 0 or not positive)):
             rule = "positive and finite" if positive else "finite"
             raise ConfigError(f"--{name.replace('_', '-')} must be {rule}, got {value:g}")
     base = load_config(args.config) if args.config else None
-    shear = _reconstruct_shear(args, base)
-    settings = _reconstruct_settings(args, base)
-
-    tau = args.tau_fs
-    if tau is None and base is not None:
-        tau = base.interferometer.delay_fs
-
-    calibration = None
+    nm, rad, center, tau = args.shear_nm, args.shear_rad_per_fs, args.center_nm, args.tau_fs
+    if base is not None:
+        det = base.interferometer
+        if nm is None and rad is None:
+            nm, rad = det.shear_nm, det.shear_rad_per_fs
+        if center is None and rad is None:
+            center = grid_center_nm(base)
+        tau = det.delay_fs if tau is None else tau
+    if nm is not None and rad is not None:
+        raise ConfigError("give one shear unit, not both")
+    if rad is not None and center is not None:
+        raise ConfigError("--center-nm converts a shear in nm, and this shear is in rad/fs")
+    if nm is None and rad is None:
+        raise ConfigError("shear must come from --shear-nm, --shear-rad-per-fs, or --config")
+    if rad is None and center is None:
+        raise ConfigError("--shear-nm needs --center-nm (or --config) for conversion")
+    try:
+        shear = rad if rad is not None else shear_nm_to_omega(nm, center)
+    except ValueError as exc:
+        raise ConfigError(f"shear: {exc}") from None
+    flags = {f.name: v for f in fields(FtsiSettings) if (v := getattr(args, f.name)) is not None}
+    try:
+        settings = replace(ftsi_settings(base) if base else FtsiSettings(), **flags)
+    except ValueError as exc:
+        raise ConfigError(f"reconstruction settings: {exc}") from None
     if args.calibrate_from:
-        # without a delay, calibrate_delay searches around the record's own sideband
         calibration = calibrate_delay(load_interferogram_csv(args.calibrate_from), settings, tau)
-        tau = calibration.tau_fs
+        return ShearConfig(shear=shear, delay=calibration.tau_fs), settings, calibration
     if tau is None:
         raise ConfigError("delay must come from --tau-fs, --config, or --calibrate-from")
+    return ShearConfig(shear=shear, delay=tau), settings, None
 
-    sc = ShearConfig(shear=shear, delay=tau)
+
+def cmd_reconstruct(args) -> int:
+    sc, settings, calibration = _reconstruct_inputs(args)
     result = reconstruct(load_interferogram_csv(args.interferogram), sc, settings)
     if calibration is not None:
         result.diagnostics["tau_calibrated"] = True

@@ -34,6 +34,9 @@ class PulseSpec:
       positive slope is a V, negative a Lambda
     - tabulated: phase (and optionally amplitude) sampled on table_omega,
       linearly interpolated onto the grid
+
+    The other kinds' fields must carry nothing: all-zero poly_coeffs,
+    v_slope 0, empty tables.
     """
 
     center_wavelength: float
@@ -62,6 +65,15 @@ class PulseSpec:
             if self.table_amplitude and not (min(self.table_amplitude) >= 0
                                              and max(self.table_amplitude) > 0):
                 raise ValueError("table_amplitude must be non-negative and not all zero")
+        # synthesize reads only the active kind's fields
+        carried = {("polynomial", "poly_coeffs"): any(self.poly_coeffs),
+                   ("v_lambda", "v_slope"): self.v_slope != 0,
+                   **{("tabulated", name): len(getattr(self, name)) > 0
+                      for name in ("table_omega", "table_phase", "table_amplitude")}}
+        for (kind, name), nonempty in carried.items():
+            if nonempty and kind != self.phase_kind:
+                raise ValueError(f"{name} is ignored by phase_kind {self.phase_kind!r}: "
+                                 "leave it at its default")
 
     @property
     def omega_center(self) -> float:

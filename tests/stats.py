@@ -1,4 +1,5 @@
-"""Statistical references for tests: the Cramér–Rao bound of a shearing record."""
+"""Statistical references for tests: the Cramér–Rao bound of a shearing record,
+and the seed sweep that a scatter is measured over."""
 
 import math
 
@@ -32,3 +33,22 @@ def fisher_bound(ideal, counts, shear, mode):
     x = grid.omegas[use] - grid.omega_center
     design = np.array([(x**k - (x + shear) ** k) / math.factorial(k) for k in (1, 2, 3)])
     return np.sqrt(np.diag(np.linalg.inv((design * info) @ design.T)))
+
+
+def sweep(preset, counts, seeds, fn):
+    """fn(result, truth) for each seed's reconstruction of a preset's record.
+
+    Seed s draws the record `detect_counts(ideal, counts, derive_seed(s,
+    "counts", 0))` from the preset's ideal record, and the preset's shear,
+    delay and settings reconstruct it; truth is the preset's synthesized
+    mode.  Returns the values as an array, one row per seed.
+    """
+    cfg = ss.preset(preset)
+    sc, settings = ss.shear_config(cfg), ss.ftsi_settings(cfg)
+    truth = ss.synthesize(cfg.pulse, ss.build_grid(cfg))
+    ideal = ss.ideal_interferogram(truth, sc)
+    return np.array([
+        fn(ss.reconstruct(ss.detect_counts(ideal, counts, ss.derive_seed(s, "counts", 0)), sc,
+                          settings), truth)
+        for s in seeds
+    ])

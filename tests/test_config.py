@@ -39,8 +39,10 @@ def raw_config(**tweaks):
 
 
 def _tabulated(amplitude, omega=(2.2, 2.35)):
+    # BASE's poly_coeffs would be ignored by a tabulated pulse, so they go
     return {"pulse.phase_kind": "tabulated", "pulse.table_omega": list(omega),
-            "pulse.table_phase": [0.0, 0.0], "pulse.table_amplitude": amplitude}
+            "pulse.table_phase": [0.0, 0.0], "pulse.table_amplitude": amplitude,
+            "pulse.poly_coeffs": DROP}
 
 
 REJECTED = {
@@ -74,8 +76,12 @@ REJECTED = {
     "all-zero table_amplitude": _tabulated([0.0, 0.0]),
     "table off the grid": _tabulated([1.0, 1.0], omega=[1.0, 1.1]),
     "compensate_phi2 on a v_lambda pulse": {
-        "compensate_phi2": True, "pulse.phase_kind": "v_lambda", "pulse.v_slope": 1050.0
+        "compensate_phi2": True, "pulse.phase_kind": "v_lambda", "pulse.v_slope": 1050.0,
+        "pulse.poly_coeffs": DROP,
     },
+    "poly_coeffs on a v_lambda pulse": {"pulse.phase_kind": "v_lambda"},
+    "v_slope on a polynomial pulse": {"pulse.v_slope": 1050.0},
+    "table_amplitude on a polynomial pulse": {"pulse.table_amplitude": [1.0, 1.0]},
 }
 
 
@@ -225,9 +231,11 @@ def test_2048_points_resolve_the_fringes_at_10_ps():
      ({"interferometer.total_counts": 1e22}, "at most 2**53"),
      ({"grid.center_nm": 0.0}, "center_nm must be positive"),
      ({"reconstruction.filter_width": 1.0}, "filter_width 1 fs leaves no time bin"),
-     ({"pulse.center_wavelength": 1e-300}, "does not convert to a finite rad/fs value")],
+     ({"pulse.center_wavelength": 1e-300}, "does not convert to a finite rad/fs value"),
+     ({"pulse.phase_kind": "v_lambda"}, "poly_coeffs is ignored by phase_kind 'v_lambda'")],
     ids=["coarse grid", "negative table", "zero table", "table off the grid", "shear 30 nm",
-         "counts 1e22", "grid centre 0 nm", "window without a bin", "carrier 1e-300 nm"],
+         "counts 1e22", "grid centre 0 nm", "window without a bin", "carrier 1e-300 nm",
+         "v_lambda with poly_coeffs"],
 )
 def test_rejected_before_any_file_is_written(tmp_path, capsys, command, tweaks, message):
     path = tmp_path / "run.json"

@@ -14,7 +14,7 @@ from shearspec.cli import _run_single
 from shearspec.core import spectral_to_temporal_array
 
 from conftest import OMEGA0, FWHM_W, SHEAR, TAU, gaussian_weights
-from stats import fisher_bound
+from stats import fisher_bound, sweep
 
 SIGMA = FWHM_W / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -462,6 +462,17 @@ def test_fisher_bound_of_the_quadratic_record(quad_record, quad_mode):
     # the bound scales as 1/sqrt(counts)
     low = fisher_bound(quad_record, 1e4, SHEAR, quad_mode)
     assert low == pytest.approx(np.sqrt(100.0) * bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("counts, ceiling", [(1e6, 1.7), (1e4, 3.5)])
+def test_quadratic_phi2_scatter_against_the_bound(quad_record, quad_mode, counts, ceiling):
+    # 40 seeds: sd / bound reads 104.6 / 72.74 = 1.44 at 1e6 counts and
+    # 2158 / 727.4 = 2.97 at 1e4; a sharper window or error model only lowers it
+    phi2 = sweep("quadratic", counts, range(40), lambda r, truth: r.coefficients.coefficient(2))
+    sd, bound = phi2.std(ddof=1), fisher_bound(quad_record, counts, SHEAR, quad_mode)[1]
+    assert abs(phi2.mean() - 8.7e4) <= 3.0 * sd / np.sqrt(len(phi2))
+    # no unbiased estimator beats the Cramer-Rao bound; 0.9 allows the sd's own scatter
+    assert 0.9 * bound <= sd <= ceiling * bound
 
 
 def test_calibrate_noiseless_exact(quad_mode, settings):

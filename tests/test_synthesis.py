@@ -26,6 +26,34 @@ def test_pulse_spec_validation():
                          table_amplitude=amplitude)
 
 
+
+TABLE = {"table_omega": (2.2, 2.35), "table_phase": (0.0, 0.0)}
+
+
+@pytest.mark.parametrize(
+    "kind, fields, named",
+    [("v_lambda", {"poly_coeffs": (0.0, 8.7e4)}, "poly_coeffs"),
+     ("tabulated", {**TABLE, "poly_coeffs": (1.0,)}, "poly_coeffs"),
+     ("polynomial", {"v_slope": 1050.0}, "v_slope"),
+     ("tabulated", {**TABLE, "v_slope": -1100.0}, "v_slope"),
+     ("polynomial", {"table_amplitude": (1.0, 1.0)}, "table_amplitude"),
+     ("v_lambda", {"v_slope": 1050.0, "table_omega": (2.2, 2.35)}, "table_omega"),
+     ("polynomial", {"table_phase": (0.0,)}, "table_phase")],
+    ids=["poly under v_lambda", "poly under tabulated", "slope under polynomial",
+         "slope under tabulated", "amplitude under polynomial", "omega under v_lambda",
+         "phase under polynomial"],
+)
+def test_pulse_spec_refuses_a_field_its_kind_ignores(kind, fields, named):
+    # synthesize would drop the field's phase without a word
+    with pytest.raises(ValueError, match=f"{named} is ignored by phase_kind '{kind}'"):
+        ss.PulseSpec(830.0, 8.0, kind, **fields)
+
+
+def test_pulse_spec_takes_another_kinds_field_that_carries_nothing():
+    spec = ss.PulseSpec(830.0, 8.0, "v_lambda", poly_coeffs=(0.0, -0.0, 0.0), v_slope=1050.0)
+    assert spec.poly_coeffs == (0.0, 0.0, 0.0)
+    assert ss.PulseSpec(830.0, 8.0, "tabulated", poly_coeffs=(), **TABLE).v_slope == 0.0
+
 def test_pulse_spec_derived_quantities():
     spec = ss.PulseSpec(830.0, 8.0)
     assert spec.omega_center == pytest.approx(OMEGA0, rel=1e-14)
