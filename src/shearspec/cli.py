@@ -156,6 +156,8 @@ def _reconstruct_inputs(args):
         if value is not None and not (np.isfinite(value) and (value > 0 or not positive)):
             rule = "positive and finite" if positive else "finite"
             raise ConfigError(f"--{name.replace('_', '-')} must be {rule}, got {value:g}")
+    if args.tau_fs is not None and args.tau_fs <= 0:
+        raise ConfigError(f"--tau-fs must be positive, got {args.tau_fs:g}")
     base = load_config(args.config) if args.config else None
     nm, rad, center, tau = args.shear_nm, args.shear_rad_per_fs, args.center_nm, args.tau_fs
     if base is not None:
@@ -258,26 +260,6 @@ def _compensated_pulse(pulse: PulseSpec, fitted_phi2: float) -> PulseSpec:
     return replace(pulse, poly_coeffs=tuple(coeffs))
 
 
-def _run_single(cfg: RunConfig, mode, ideal, sc: ShearConfig, settings, trial: int):
-    """One detect+reconstruct pass on the shared ideal record of `mode`, taken at `sc`.
-
-    Returns the trial's mode, its (record, result) pair and, for compensated
-    runs, stage 1's pair or else None.  Compensated runs do the pass twice:
-    stage 2 re-synthesizes the pulse with this trial's fitted phi2 removed,
-    so only that stage is per trial.
-    """
-    stage1 = None
-    if cfg.compensate_phi2:
-        rec1 = _detect(cfg, ideal, "counts", trial)
-        stage1 = (rec1, reconstruct(rec1, sc, settings))
-        mode = synthesize(_compensated_pulse(cfg.pulse, stage1[1].coefficients.coefficient(2)),
-                          mode.grid)
-        ideal = ideal_interferogram(mode, sc)
-
-    rec = _detect(cfg, ideal, "counts-stage2" if cfg.compensate_phi2 else "counts", trial)
-    return mode, (rec, reconstruct(rec, sc, settings)), stage1
-
-
 def _export_artifacts(outdir: str, truth, result, rec_mode) -> list:
     """The three views of trial 0: `rec_mode` is result.mode(), built once per run."""
     grid = result.grid
@@ -298,30 +280,41 @@ def _export_artifacts(outdir: str, truth, result, rec_mode) -> list:
     return list(tables)
 
 
-def _run_pipeline(cfg: RunConfig, trials: int):
+def cmd_pipeline(args) -> int:
     """Run the trials; only trial 0 writes its records, every trial adds to per-trial lists.
 
-    `simulate --config config_echo.json --trials N` rebuilds any trial's
-    record, except compensated stage-2 records, which depend on their
-    trial's stage-1 fit.
+    A trial is its list of (prefix, record, result) stages.  Compensated runs
+    measure twice: stage 1 fits phi2, then the pulse is re-synthesized with
+    that phi2 removed and measured again, so only the last stage is per
+    trial.  `simulate --config config_echo.json --trials N` rebuilds any
+    trial's record, except compensated stage-2 records, which depend on
+    their trial's stage-1 fit.
     """
+    cfg = _resolve_run_config(args)
     outdir, mode, ideal = _start_run(cfg)
-    sc = shear_config(cfg)
-    settings = ftsi_settings(cfg)
-    files = ["config_echo.json", "truth_mode.json"]
+    sc, settings = shear_config(cfg), ftsi_settings(cfg)
+    files = ["config_echo.json", "truth_mode.json", "summary.json"]
     per_trial = {}
-    for trial in range(trials):
-        trial_mode, (rec, result), stage1 = _run_single(cfg, mode, ideal, sc, settings, trial)
+    for trial in range(args.trials):
+        trial_mode, trial_ideal, purpose, stages = mode, ideal, "counts", []
+        if cfg.compensate_phi2:
+            rec = _detect(cfg, ideal, purpose, trial)
+            stages.append(("stage1/", rec, reconstruct(rec, sc, settings)))
+            fitted = stages[0][2].coefficients.coefficient(2)
+            trial_mode = synthesize(_compensated_pulse(cfg.pulse, fitted), mode.grid)
+            trial_ideal, purpose = ideal_interferogram(trial_mode, sc), "counts-stage2"
+        rec = _detect(cfg, trial_ideal, purpose, trial)
+        stages.append((_trial_prefix(0, args.trials), rec, reconstruct(rec, sc, settings)))
+        result = stages[-1][2]
         if trial == 0:
             first, truth = result, trial_mode
             save_mode(truth, os.path.join(outdir, "truth_mode.json"))
-            if stage1 is not None:
-                files += _save_record(outdir, "stage1/", *stage1)
-            files += _save_record(outdir, _trial_prefix(0, trials), rec, result)
+            for stage in stages:
+                files += _save_record(outdir, *stage)
         stats = fit_to_dict(result.coefficients)
         stats.update((key, result.diagnostics[key]) for key in ("visibility", "sideband_snr"))
-        if stage1 is not None:
-            stats["stage1_phi2_fs2"] = stage1[1].coefficients.coefficient(2)
+        if cfg.compensate_phi2:
+            stats["stage1_phi2_fs2"] = stages[0][2].coefficients.coefficient(2)
         for key, value in stats.items():
             per_trial.setdefault(key, []).append(float(value))
 
@@ -330,28 +323,21 @@ def _run_pipeline(cfg: RunConfig, trials: int):
     summary = dict(_analysis_report(first, first_mode, truth), pulse=config_to_dict(cfg)["pulse"],
                    shear_rad_per_fs=sc.shear, delay_fs=det.delay_fs,
                    noiseless=det.noiseless, seed=det.seed, total_counts=det.total_counts)
-    if "stage1_phi2_fs2" in per_trial:
+    if cfg.compensate_phi2:
         summary["stage1_phi2_fs2"] = per_trial["stage1_phi2_fs2"][0]
-    if trials > 1:
+    if args.trials > 1:
         p2 = np.array(per_trial["phi2_fs2"])
         p3 = np.array(per_trial["phi3_fs3"])
         summary["trials"] = {
-            "n": trials,
+            "n": args.trials,
             "phi2_fs2_mean": float(p2.mean()),
             "phi2_fs2_sd": float(p2.std(ddof=1)),
             "phi3_fs3_mean": float(p3.mean()),
             "phi3_fs3_sd": float(p3.std(ddof=1)),
             **per_trial,
         }
-
     files += _export_artifacts(outdir, truth, first, first_mode)
-    return outdir, summary, files
-
-
-def cmd_pipeline(args) -> int:
-    cfg = _resolve_run_config(args)
-    outdir, summary, files = _run_pipeline(cfg, args.trials)
-    summary["files"] = sorted(files + ["summary.json"])
+    summary["files"] = sorted(files)
     write_json(summary, os.path.join(outdir, "summary.json"))
 
     co = summary["coefficients"]

@@ -1,5 +1,6 @@
 """Statistical references for tests: the Cramér–Rao bound of a shearing record,
-and the seed sweep that a scatter is measured over."""
+and the seed sweeps, at the preset delay or a calibrated one, that a scatter
+is measured over."""
 
 import math
 
@@ -35,20 +36,48 @@ def fisher_bound(ideal, counts, shear, mode):
     return np.sqrt(np.diag(np.linalg.inv((design * info) @ design.T)))
 
 
-def sweep(preset, counts, seeds, fn):
-    """fn(result, truth) for each seed's reconstruction of a preset's record.
-
-    Seed s draws the record `detect_counts(ideal, counts, derive_seed(s,
-    "counts", 0))` from the preset's ideal record, and the preset's shear,
-    delay and settings reconstruct it; truth is the preset's synthesized
-    mode.  Returns the values as an array, one row per seed.
-    """
+def preset_chain(preset):
+    """A preset's ShearConfig, FtsiSettings, synthesized mode and its ideal record."""
     cfg = ss.preset(preset)
     sc, settings = ss.shear_config(cfg), ss.ftsi_settings(cfg)
     truth = ss.synthesize(cfg.pulse, ss.build_grid(cfg))
-    ideal = ss.ideal_interferogram(truth, sc)
+    return sc, settings, truth, ss.ideal_interferogram(truth, sc)
+
+
+def counts_record(ideal, counts, seed):
+    """Seed s's record of `ideal`: detect_counts with derive_seed(s, "counts", 0)."""
+    return ss.detect_counts(ideal, counts, ss.derive_seed(seed, "counts", 0))
+
+
+def sweep(preset, counts, seeds, fn):
+    """fn(result, truth) for each seed's reconstruction of a preset's record.
+
+    Seed s draws `counts_record(ideal, counts, s)` from the preset's ideal
+    record, and the preset's shear, delay and settings reconstruct it; truth
+    is the preset's synthesized mode.  Returns the values as an array, one
+    row per seed.
+    """
+    sc, settings, truth, ideal = preset_chain(preset)
     return np.array([
-        fn(ss.reconstruct(ss.detect_counts(ideal, counts, ss.derive_seed(s, "counts", 0)), sc,
-                          settings), truth)
-        for s in seeds
+        fn(ss.reconstruct(counts_record(ideal, counts, s), sc, settings), truth) for s in seeds
     ])
+
+
+def calibrated_sweep(preset, counts, seeds, fn):
+    """fn(result, truth, calibration) for each seed, reconstructed at a calibrated delay.
+
+    Seed s draws a zero-shear record of the preset's truth with
+    `derive_seed(s, "cal", 0)` and fits its delay with `calibrate_delay`,
+    searching around the preset's delay; the record that `sweep` draws for s
+    is then reconstructed at `calibration.tau_fs`.  One row per seed.
+    """
+    sc, settings, truth, ideal = preset_chain(preset)
+    zero_shear = ss.ideal_interferogram(truth, ss.ShearConfig(0.0, sc.delay))
+    rows = []
+    for s in seeds:
+        cal_record = ss.detect_counts(zero_shear, counts, ss.derive_seed(s, "cal", 0))
+        calibration = ss.calibrate_delay(cal_record, settings, sc.delay)
+        at_tau = ss.ShearConfig(sc.shear, calibration.tau_fs)
+        rows.append(fn(ss.reconstruct(counts_record(ideal, counts, s), at_tau, settings), truth,
+                       calibration))
+    return np.array(rows)

@@ -553,6 +553,8 @@ def test_trials_is_a_run_flag(tmp_path):
       "--tau-fs must be finite"),
      (["reconstruct", "none.csv", "--shear-nm", "0.58", "--center-nm", "830", "--tau-fs", "nan"],
       "--tau-fs must be finite"),
+     *[(["reconstruct", "none.csv", "--shear-nm", "0.58", "--center-nm", "830", "--tau-fs", tau],
+        f"--tau-fs must be positive, got {tau}") for tau in ("-5", "0")],
      (["reconstruct", "none.csv", "--shear-rad-per-fs", "inf", "--tau-fs", "10000"],
       "--shear-rad-per-fs must be finite"),
      (["reconstruct", "none.csv", "--shear-nm", "nan", "--center-nm", "830", "--tau-fs", "10000"],
@@ -563,8 +565,9 @@ def test_trials_is_a_run_flag(tmp_path):
          "10000"], "does not convert to a finite rad/fs value")
        for shear, centre in (("0.58", "1e-300"), ("1e300", "1e-5"))]],
     ids=["no delay", "shear-nm without a centre", "both shear units", "pipeline without a run",
-         "tau-fs inf", "tau-fs nan", "shear-rad-per-fs inf", "shear-nm nan", "center-nm nan",
-         "center-nm -5", "center-nm 0", "centre 1e-300 nm", "shear 1e300 nm at 1e-5 nm"],
+         "tau-fs inf", "tau-fs nan", "tau-fs -5", "tau-fs 0", "shear-rad-per-fs inf",
+         "shear-nm nan", "center-nm nan", "center-nm -5", "center-nm 0", "centre 1e-300 nm",
+         "shear 1e300 nm at 1e-5 nm"],
 )
 def test_missing_or_conflicting_inputs_exit_2(tmp_path, capsys, argv, message):
     # checked before the record is read: reading none.csv would exit 4

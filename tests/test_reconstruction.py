@@ -10,11 +10,11 @@ import pytest
 import shearspec as ss
 from shearspec.errors import ConfigError, DataFormatError, ReconstructionError
 from shearspec import reconstruction as rc
-from shearspec.cli import _run_single
+from shearspec.cli import main
 from shearspec.core import spectral_to_temporal_array
 
 from conftest import OMEGA0, FWHM_W, SHEAR, TAU, gaussian_weights
-from stats import fisher_bound, sweep
+from stats import calibrated_sweep, fisher_bound, sweep
 
 SIGMA = FWHM_W / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -354,17 +354,15 @@ def test_preset_reconstruction_settings():
 
 
 @pytest.mark.parametrize("name", sorted(ss.PRESETS))
-def test_every_preset_reaches_fidelity_under_the_default_settings(name):
+def test_every_preset_reaches_fidelity_under_the_default_settings(tmp_path, name):
     # one integrator: the V/Lambda kinks need no preset setting (midpoint
-    # integration read 0.9978/0.9976 on them)
-    cfg = ss.preset(name)
-    cfg = replace(cfg, interferometer=replace(cfg.interferometer, noiseless=True))
-    mode = ss.synthesize(cfg.pulse, ss.build_grid(cfg))
-    sc = ss.shear_config(cfg)
-    truth, (_, result), _ = _run_single(
-        cfg, mode, ss.ideal_interferogram(mode, sc), sc, ss.FtsiSettings(), 0
-    )
-    assert ss.mode_overlap(result.mode(), truth) >= 0.9997
+    # integration read 0.9978/0.9976 on them).  The presets keep the default
+    # settings, and the overlap is trial 0's with its own truth: for
+    # `compensated`, the stage-2 pulse.
+    assert main(["pipeline", "--preset", name, "--noiseless", "--quiet", "--out",
+                 str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert summary["overlap_with_truth"] >= 0.9997
 
 
 def test_noiseless_quadratic_coefficients(quad_record, shear_cfg, settings):
@@ -473,6 +471,29 @@ def test_quadratic_phi2_scatter_against_the_bound(quad_record, quad_mode, counts
     assert abs(phi2.mean() - 8.7e4) <= 3.0 * sd / np.sqrt(len(phi2))
     # no unbiased estimator beats the Cramer-Rao bound; 0.9 allows the sd's own scatter
     assert 0.9 * bound <= sd <= ceiling * bound
+
+
+def test_calibrated_delay_error_moves_phi1_by_omega0_over_the_shear(quad_record, quad_mode):
+    # 40 seeds at 1e6 counts, each calibrated on its own zero-shear record:
+    # tau reads 10000.029 +- 0.151 fs (sd), while its mean reported stderr,
+    # 0.045 fs, is 3.4x below that scatter; phi2 sd 112.3 against the bound
+    # 72.74 (1.54x)
+    rows = calibrated_sweep("quadratic", 1e6, range(40), lambda r, truth, cal: (
+        cal.tau_fs, r.coefficients.coefficient(1), r.coefficients.coefficient(2)))
+    tau, phi1, phi2 = rows.T
+    assert abs(tau.mean() - TAU) <= 3.0 * tau.std(ddof=1) / np.sqrt(len(tau))
+    assert tau.std(ddof=1) <= 0.25
+    bound = fisher_bound(quad_record, 1e6, SHEAR, quad_mode)[1]
+    assert 0.9 * bound <= phi2.std(ddof=1) <= 2.0 * bound
+    # A delay error dtau reconstructs the carrier line omega0 * dtau as a
+    # linear dphi, so phi1 moves by omega0/W = 1431.0 fs per fs (fitted
+    # 1431.6, correlation 0.99999).  Once reconstruct carries the
+    # calibration's carrier line, phi1 no longer follows tau: this
+    # expectation then becomes a phi1 sd of at most 5 fs and a median overlap
+    # with the truth of at least 0.998 (today 216.7 fs and 0.124).
+    slope = np.polyfit(tau - TAU, phi1, 1)[0]
+    assert slope == pytest.approx(OMEGA0 / SHEAR, rel=0.01)
+    assert np.corrcoef(tau, phi1)[0, 1] >= 0.999
 
 
 def test_calibrate_noiseless_exact(quad_mode, settings):
