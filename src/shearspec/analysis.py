@@ -1,6 +1,9 @@
-"""Derived quantities: temporal profiles, mode comparisons, Wigner export."""
+"""Derived quantities: temporal profiles, mode comparisons, a run's report
+and views, Wigner export."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -13,7 +16,7 @@ from .core import (
     wigner,
     write_columns,
 )
-from .reconstruction import masked_fit
+from .reconstruction import fit_to_dict, masked_fit
 
 PEAK_THRESHOLD = 0.1  # a temporal peak reaches this fraction of the maximum
 
@@ -48,10 +51,14 @@ def _find_peaks(x: np.ndarray, y: np.ndarray, threshold: float) -> list:
     return (x[i] + shift * (x[i] - x[i - 1])).tolist()
 
 
+def _temporal_intensity(mode: SpectralMode) -> np.ndarray:
+    return np.abs(spectral_to_temporal_array(mode.amplitude, mode.grid)) ** 2
+
+
 def temporal_profile(mode: SpectralMode) -> tuple[float, list]:
     """(fwhm_fs, peak_times_fs): the FWHM of the temporal intensity (outermost
     half-max crossings), and its peaks above PEAK_THRESHOLD of the maximum."""
-    intensity = np.abs(spectral_to_temporal_array(mode.amplitude, mode.grid)) ** 2
+    intensity = _temporal_intensity(mode)
     times = mode.grid.times
     return _half_max_width(times, intensity), _find_peaks(times, intensity, PEAK_THRESHOLD)
 
@@ -74,8 +81,7 @@ def orthogonality_report(a: SpectralMode, b: SpectralMode) -> tuple[float, float
     ov = mode_overlap(a, b)  # ValueError if the grids differ
     dw = a.grid.omega_step
     l1_spec = float(np.sum(np.abs(a.intensity() - b.intensity())) * dw)
-    ta = np.abs(spectral_to_temporal_array(a.amplitude, a.grid)) ** 2
-    tb = np.abs(spectral_to_temporal_array(b.amplitude, b.grid)) ** 2
+    ta, tb = _temporal_intensity(a), _temporal_intensity(b)
     l1_temp = float(np.sum(np.abs(ta - tb)) * a.grid.time_step)
     return ov, l1_spec, l1_temp
 
@@ -91,6 +97,48 @@ def v_phase_slope(
         mode_phase, weights, grid, mask, lambda x: [np.abs(x), x], 5, "a V slope"
     )
     return float(coef[1]), float(err[1])
+
+
+def report(result, mode: SpectralMode, truth: SpectralMode | None = None) -> dict:
+    """The report of a result: its temporal profile, fit, diagnostics and V
+    slope, and with a truth mode its distances to it.  `mode` is result.mode()."""
+    fwhm, peaks = temporal_profile(mode)
+    out = {
+        "fwhm_fs": fwhm,
+        "peak_count": len(peaks),
+        "peak_times_fs": peaks,
+        "transform_limit_ratio": transform_limit_ratio(mode, fwhm),
+        "coefficients": fit_to_dict(result.coefficients),
+        "diagnostics": dict(result.diagnostics),
+    }
+    spectrum = result.amplitude_abs**2
+    slope, slope_err = v_phase_slope(result.phase_rad, spectrum, result.grid, result.valid_mask)
+    out["v_slope_fs"] = slope
+    out["v_slope_fs_stderr"] = slope_err
+    if truth is not None:
+        (out["overlap_with_truth"], out["spectral_l1_vs_truth"],
+         out["temporal_l1_vs_truth"]) = orthogonality_report(mode, truth)
+    return out
+
+
+def save_views(outdir: str, truth: SpectralMode, result, mode: SpectralMode) -> list:
+    """Write spectrum.csv, phase.csv and temporal.csv, truth against recovered,
+    under outdir; return their names.  `mode` is result.mode()."""
+    grid = result.grid
+    # unwrapped and anchored at the grid centre, like the recovered phase
+    truth_phase = np.unwrap(truth.phase())
+    truth_phase -= truth_phase[grid.n_points // 2]
+    tables = {  # file: header, columns
+        "spectrum.csv": ("omega_rad_per_fs,truth,recovered",
+                         grid.omega_text, truth.intensity(), mode.intensity()),
+        "phase.csv": ("omega_rad_per_fs,truth_rad,recovered_rad,valid",
+                      grid.omega_text, truth_phase, result.phase_rad, result.valid_mask),
+        "temporal.csv": ("t_fs,truth,recovered", grid.times,
+                         _temporal_intensity(truth), _temporal_intensity(mode)),
+    }
+    for name, table in tables.items():
+        write_columns(os.path.join(outdir, name), *table)
+    return list(tables)
 
 
 def save_wigner_csv(mode: SpectralMode, path) -> None:

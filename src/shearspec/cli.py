@@ -14,13 +14,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .analysis import (
-    orthogonality_report,
-    save_wigner_csv,
-    temporal_profile,
-    transform_limit_ratio,
-    v_phase_slope,
-)
+from .analysis import report, save_views, save_wigner_csv
 from .config import (
     PRESETS,
     RunConfig,
@@ -34,14 +28,7 @@ from .config import (
     shear_config,
     validate_config,
 )
-from .core import (
-    load_mode,
-    save_mode,
-    shear_nm_to_omega,
-    spectral_to_temporal_array,
-    write_columns,
-    write_json,
-)
+from .core import load_mode, polar_mode, save_mode, shear_nm_to_omega, write_json
 from .errors import ConfigError, DataFormatError, ReconstructionError
 from .interferometer import (
     ShearConfig,
@@ -213,42 +200,22 @@ def cmd_reconstruct(args) -> int:
 
 # ---- analyze -----------------------------------------------------------------
 
-def _analysis_report(result, mode, truth=None) -> dict:
-    fwhm, peaks = temporal_profile(mode)
-    report = {
-        "fwhm_fs": fwhm,
-        "peak_count": len(peaks),
-        "peak_times_fs": peaks,
-        "transform_limit_ratio": transform_limit_ratio(mode, fwhm),
-        "coefficients": fit_to_dict(result.coefficients),
-        "diagnostics": dict(result.diagnostics),
-    }
-    spectrum = result.amplitude_abs**2
-    slope, slope_err = v_phase_slope(result.phase_rad, spectrum, result.grid, result.valid_mask)
-    report["v_slope_fs"] = slope
-    report["v_slope_fs_stderr"] = slope_err
-    if truth is not None:
-        (report["overlap_with_truth"], report["spectral_l1_vs_truth"],
-         report["temporal_l1_vs_truth"]) = orthogonality_report(mode, truth)
-    return report
-
-
 def cmd_analyze(args) -> int:
     result = load_result(args.result)
     truth = load_mode(args.truth) if args.truth else None
     try:  # an amplitude that is not unit-norm, or too few valid bins for the V slope
         mode = result.mode()
-        report = _analysis_report(result, mode, truth)
+        out = report(result, mode, truth)
     except ValueError as exc:
         raise DataFormatError(f"{args.result}: {exc}") from None
 
     outdir = _ensure_dir(args.out or "out")
     if args.wigner:
         save_wigner_csv(mode, os.path.join(outdir, "wigner.csv"))
-    write_json(report, os.path.join(outdir, "report.json"))
-    overlap = report.get("overlap_with_truth")
+    write_json(out, os.path.join(outdir, "report.json"))
+    overlap = out.get("overlap_with_truth")
     tail = f", overlap {overlap:.4f}" if overlap is not None else ""
-    _say(args, f"fwhm {report['fwhm_fs']:.1f} fs, {report['peak_count']} peak(s){tail} -> {outdir}")
+    _say(args, f"fwhm {out['fwhm_fs']:.1f} fs, {out['peak_count']} peak(s){tail} -> {outdir}")
     return 0
 
 
@@ -258,26 +225,6 @@ def _compensated_pulse(pulse: PulseSpec, fitted_phi2: float) -> PulseSpec:
     coeffs = list(pulse.poly_coeffs) + [0.0] * (2 - len(pulse.poly_coeffs))
     coeffs[1] = coeffs[1] - fitted_phi2
     return replace(pulse, poly_coeffs=tuple(coeffs))
-
-
-def _export_artifacts(outdir: str, truth, result, rec_mode) -> list:
-    """The three views of trial 0: `rec_mode` is result.mode(), built once per run."""
-    grid = result.grid
-    # unwrapped and anchored at the grid centre, like the recovered phase
-    truth_phase = np.unwrap(truth.phase())
-    truth_phase -= truth_phase[grid.n_points // 2]
-    tables = {  # file: header, columns
-        "spectrum.csv": ("omega_rad_per_fs,truth,recovered",
-                         grid.omega_text, truth.intensity(), rec_mode.intensity()),
-        "phase.csv": ("omega_rad_per_fs,truth_rad,recovered_rad,valid",
-                      grid.omega_text, truth_phase, result.phase_rad, result.valid_mask),
-        "temporal.csv": ("t_fs,truth,recovered", grid.times,
-                         *(np.abs(spectral_to_temporal_array(m.amplitude, grid)) ** 2
-                           for m in (truth, rec_mode))),
-    }
-    for name, table in tables.items():
-        write_columns(os.path.join(outdir, name), *table)
-    return list(tables)
 
 
 def cmd_pipeline(args) -> int:
@@ -307,8 +254,12 @@ def cmd_pipeline(args) -> int:
         stages.append((_trial_prefix(0, args.trials), rec, reconstruct(rec, sc, settings)))
         result = stages[-1][2]
         if trial == 0:
-            first, truth = result, trial_mode
-            save_mode(truth, os.path.join(outdir, "truth_mode.json"))
+            first = result
+            save_mode(trial_mode, os.path.join(outdir, "truth_mode.json"))
+            # the truth as truth_mode.json holds it, (|a|, arg a), so that analyze
+            # --truth rebuilds the summary's distances and the views from the files
+            a = trial_mode.amplitude
+            truth = polar_mode(trial_mode.grid, np.abs(a), np.angle(a))
             for stage in stages:
                 files += _save_record(outdir, *stage)
         stats = fit_to_dict(result.coefficients)
@@ -320,7 +271,7 @@ def cmd_pipeline(args) -> int:
 
     det = cfg.interferometer
     first_mode = first.mode()
-    summary = dict(_analysis_report(first, first_mode, truth), pulse=config_to_dict(cfg)["pulse"],
+    summary = dict(report(first, first_mode, truth), pulse=config_to_dict(cfg)["pulse"],
                    shear_rad_per_fs=sc.shear, delay_fs=det.delay_fs,
                    noiseless=det.noiseless, seed=det.seed, total_counts=det.total_counts)
     if cfg.compensate_phi2:
@@ -336,7 +287,7 @@ def cmd_pipeline(args) -> int:
             "phi3_fs3_sd": float(p3.std(ddof=1)),
             **per_trial,
         }
-    files += _export_artifacts(outdir, truth, first, first_mode)
+    files += save_views(outdir, truth, first, first_mode)
     summary["files"] = sorted(files)
     write_json(summary, os.path.join(outdir, "summary.json"))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import shearspec as ss
-from shearspec import analysis, cli
+from shearspec import analysis
 from shearspec.cli import main
 from shearspec.reconstruction import fit_to_dict
 
@@ -395,6 +395,29 @@ def test_compare_presets(tmp_path):
     assert report["overlap_with_truth"] == overlap
     assert report["spectral_l1_vs_truth"] == spectral_l1
     assert report["temporal_l1_vs_truth"] == temporal_l1
+
+
+@pytest.mark.parametrize("noiseless", [False, True], ids=["1e6", "noiseless"])
+@pytest.mark.parametrize("name", sorted(ss.PRESETS))
+def test_views_and_truth_distances_rebuild_from_the_run_files(tmp_path, name, noiseless):
+    # the views and the summary's distances to the truth are functions of
+    # truth_mode.json and result.json: rebuilt from them alone, they are the
+    # run's bytes and values
+    run, views, ana = tmp_path / "run", tmp_path / "views", tmp_path / "ana"
+    argv = ["pipeline", "--preset", name, "--out", str(run), "--quiet"]
+    assert main(argv + ["--noiseless"] * noiseless) == 0
+    views.mkdir()
+    result = ss.load_result(run / "result.json")
+    truth = ss.load_mode(run / "truth_mode.json")
+    for view in analysis.save_views(str(views), truth, result, result.mode()):
+        assert (views / view).read_bytes() == (run / view).read_bytes(), view
+    assert main(["analyze", str(run / "result.json"), "--truth", str(run / "truth_mode.json"),
+                 "--out", str(ana), "--quiet"]) == 0
+    report = json.loads((ana / "report.json").read_text(encoding="utf-8"))
+    summary = json.loads((run / "summary.json").read_text(encoding="utf-8"))
+    shared = report.keys() & summary.keys()
+    assert {"overlap_with_truth", "spectral_l1_vs_truth", "temporal_l1_vs_truth"} <= shared
+    assert {key: report[key] for key in shared} == {key: summary[key] for key in shared}
 
 
 def test_phase_csv_truth_is_unwrapped_like_the_recovery(tmp_path):
@@ -830,7 +853,6 @@ def test_analysis_report_takes_two_temporal_profiles(tmp_path, monkeypatch, comm
         return ss.temporal_profile(mode, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "temporal_profile", counted)
-    monkeypatch.setattr(cli, "temporal_profile", counted)
     argv = {"pipeline": ["pipeline", "--preset", "quadratic", "--out", str(run)],
             "analyze": ["analyze", str(run / "result.json"), "--out", str(tmp_path / "ana")]}
     assert main(argv[command] + ["--quiet"]) == 0

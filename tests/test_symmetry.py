@@ -85,22 +85,42 @@ def test_swapped_outputs_shift_phi1_by_pi_over_the_shear(quad_mode, quad_record,
     assert np.all(np.abs(taylor - base[0] - [-np.pi / SHEAR, 0.0, 0.0]) <= [1e-7, 1e-5, 1e-3])
 
 
-@pytest.mark.parametrize("name", ["v-phase", "lambda-phase"])
-def test_kinked_phase_under_reversed_shear_keeps_slope_and_overlap(name, settings):
+@pytest.fixture(scope="module", params=["v-phase", "lambda-phase"])
+def kinked_runs(request, settings):
+    """(mode, [(overlap, result) at +W, the same at -W]) of a kinked preset."""
+    cfg = ss.preset(request.param)
+    mode = ss.synthesize(cfg.pulse, ss.build_grid(cfg))
+    runs = [_run(mode, ss.ShearConfig(shear=shear, delay=TAU), settings)[1:]
+            for shear in (SHEAR, -SHEAR)]
+    return mode, runs
+
+
+def test_kinked_phase_under_reversed_shear_keeps_slope_and_overlap(kinked_runs):
     # A kinked phase's phi3 follows the shear's sign (v-phase +9.27e5 fs^3 at
     # +W, -9.27e5 at -W), so only the V slope and the overlap are compared:
     # they move by 0.012 fs and 2.4e-7 (v-phase), 0.036 fs and 1.6e-5 (lambda)
-    cfg = ss.preset(name)
-    mode = ss.synthesize(cfg.pulse, ss.build_grid(cfg))
-    runs = []
-    for shear in (SHEAR, -SHEAR):
-        _, overlap, result = _run(mode, ss.ShearConfig(shear=shear, delay=TAU), settings)
+    slopes, overlaps = [], []
+    for overlap, result in kinked_runs[1]:
         slope, _ = ss.v_phase_slope(result.phase_rad, result.amplitude_abs**2, result.grid,
                                     result.valid_mask)
-        runs.append((slope, overlap))
-    (slope_p, overlap_p), (slope_n, overlap_n) = runs
-    assert slope_n == pytest.approx(slope_p, abs=10.0)
-    assert overlap_n == pytest.approx(overlap_p, abs=1e-3)
+        slopes.append(slope)
+        overlaps.append(overlap)
+    assert slopes[1] == pytest.approx(slopes[0], abs=10.0)
+    assert overlaps[1] == pytest.approx(overlaps[0], abs=1e-3)
+
+
+def test_kinked_phase_phi3_vanishes_on_the_common_mask(kinked_runs):
+    # The flip of phi3 with the shear's sign is the fit's, not the phase's.
+    # The fit weights each run by its sideband spectrum [S(w) + S(w+W)]/2,
+    # which moves with W; weighted by the truth's |psi|^2 instead, phi3
+    # reads +-1.48e5 (v-phase) and -+1.55e5 (lambda), as does the truth's own
+    # fit on each run's mask.  On the bins both runs keep, where the truth's
+    # phi3 is 0, it reads -153 / -361 (v-phase) and +748 / -97 fs^3 (lambda).
+    mode, runs = kinked_runs
+    common = runs[0][1].valid_mask & runs[1][1].valid_mask
+    for _, result in runs:
+        fit = ss.fit_phase_polynomial(result.phase_rad, mode.intensity(), result.grid, common)
+        assert abs(fit.coefficient(3)) <= 3e4
 
 
 # ---- random smooth modes -------------------------------------------------------

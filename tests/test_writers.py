@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import shearspec as ss
-from shearspec.cli import _export_artifacts, main
+from shearspec.analysis import save_views
+from shearspec.cli import main
 from shearspec.core import (
     WRITE_BLOCK_ROWS, mode_to_dict, spectral_to_temporal_array, write_columns
 )
@@ -151,7 +152,7 @@ def test_artifact_csvs_match_row_loop(tmp_path, quad_mode, counts_result):
     new, ref = tmp_path / "new", tmp_path / "ref"
     new.mkdir()
     ref.mkdir()
-    files = _export_artifacts(str(new), quad_mode, counts_result, counts_result.mode())
+    files = save_views(str(new), quad_mode, counts_result, counts_result.mode())
     ref_artifacts(ref, quad_mode, counts_result)
     assert files == ["spectrum.csv", "phase.csv", "temporal.csv"]
     assert not counts_result.valid_mask.all() and counts_result.valid_mask.any()
