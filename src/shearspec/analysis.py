@@ -99,9 +99,10 @@ def v_phase_slope(
     return float(coef[1]), float(err[1])
 
 
-def report(result, mode: SpectralMode, truth: SpectralMode | None = None) -> dict:
+def report(result, truth: SpectralMode | None = None) -> dict:
     """The report of a result: its temporal profile, fit, diagnostics and V
-    slope, and with a truth mode its distances to it.  `mode` is result.mode()."""
+    slope, and with a truth mode its distances to it."""
+    mode = result.mode()
     fwhm, peaks = temporal_profile(mode)
     out = {
         "fwhm_fs": fwhm,
@@ -121,10 +122,10 @@ def report(result, mode: SpectralMode, truth: SpectralMode | None = None) -> dic
     return out
 
 
-def save_views(outdir: str, truth: SpectralMode, result, mode: SpectralMode) -> list:
+def save_views(outdir: str, truth: SpectralMode, result) -> list:
     """Write spectrum.csv, phase.csv and temporal.csv, truth against recovered,
-    under outdir; return their names.  `mode` is result.mode()."""
-    grid = result.grid
+    under outdir; return their names."""
+    grid, mode = result.grid, result.mode()
     # unwrapped and anchored at the grid centre, like the recovered phase
     truth_phase = np.unwrap(truth.phase())
     truth_phase -= truth_phase[grid.n_points // 2]

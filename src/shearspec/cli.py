@@ -28,7 +28,7 @@ from .config import (
     shear_config,
     validate_config,
 )
-from .core import load_mode, polar_mode, save_mode, shear_nm_to_omega, write_json
+from .core import load_mode, save_mode, shear_nm_to_omega, write_json
 from .errors import ConfigError, DataFormatError, ReconstructionError
 from .interferometer import (
     ShearConfig,
@@ -139,12 +139,10 @@ def _reconstruct_inputs(args):
     config's grid centre; one in rad/fs refuses --center-nm.  --calibrate-from
     fits the delay, searching around the given one, else its record's sideband."""
     for name in ("tau_fs", "shear_nm", "shear_rad_per_fs", "center_nm"):
-        value, positive = getattr(args, name), name == "center_nm"
+        value, positive = getattr(args, name), name in ("tau_fs", "center_nm")
         if value is not None and not (np.isfinite(value) and (value > 0 or not positive)):
             rule = "positive and finite" if positive else "finite"
             raise ConfigError(f"--{name.replace('_', '-')} must be {rule}, got {value:g}")
-    if args.tau_fs is not None and args.tau_fs <= 0:
-        raise ConfigError(f"--tau-fs must be positive, got {args.tau_fs:g}")
     base = load_config(args.config) if args.config else None
     nm, rad, center, tau = args.shear_nm, args.shear_rad_per_fs, args.center_nm, args.tau_fs
     if base is not None:
@@ -204,14 +202,13 @@ def cmd_analyze(args) -> int:
     result = load_result(args.result)
     truth = load_mode(args.truth) if args.truth else None
     try:  # an amplitude that is not unit-norm, or too few valid bins for the V slope
-        mode = result.mode()
-        out = report(result, mode, truth)
+        out = report(result, truth)
     except ValueError as exc:
         raise DataFormatError(f"{args.result}: {exc}") from None
 
     outdir = _ensure_dir(args.out or "out")
     if args.wigner:
-        save_wigner_csv(mode, os.path.join(outdir, "wigner.csv"))
+        save_wigner_csv(result.mode(), os.path.join(outdir, "wigner.csv"))
     write_json(out, os.path.join(outdir, "report.json"))
     overlap = out.get("overlap_with_truth")
     tail = f", overlap {overlap:.4f}" if overlap is not None else ""
@@ -254,12 +251,9 @@ def cmd_pipeline(args) -> int:
         stages.append((_trial_prefix(0, args.trials), rec, reconstruct(rec, sc, settings)))
         result = stages[-1][2]
         if trial == 0:
-            first = result
-            save_mode(trial_mode, os.path.join(outdir, "truth_mode.json"))
-            # the truth as truth_mode.json holds it, (|a|, arg a), so that analyze
-            # --truth rebuilds the summary's distances and the views from the files
-            a = trial_mode.amplitude
-            truth = polar_mode(trial_mode.grid, np.abs(a), np.angle(a))
+            # the truth as truth_mode.json holds it, so that analyze --truth
+            # rebuilds the summary's distances and the views from the files
+            first, truth = result, save_mode(trial_mode, os.path.join(outdir, "truth_mode.json"))
             for stage in stages:
                 files += _save_record(outdir, *stage)
         stats = fit_to_dict(result.coefficients)
@@ -270,8 +264,7 @@ def cmd_pipeline(args) -> int:
             per_trial.setdefault(key, []).append(float(value))
 
     det = cfg.interferometer
-    first_mode = first.mode()
-    summary = dict(report(first, first_mode, truth), pulse=config_to_dict(cfg)["pulse"],
+    summary = dict(report(first, truth), pulse=config_to_dict(cfg)["pulse"],
                    shear_rad_per_fs=sc.shear, delay_fs=det.delay_fs,
                    noiseless=det.noiseless, seed=det.seed, total_counts=det.total_counts)
     if cfg.compensate_phi2:
@@ -287,7 +280,7 @@ def cmd_pipeline(args) -> int:
             "phi3_fs3_sd": float(p3.std(ddof=1)),
             **per_trial,
         }
-    files += save_views(outdir, truth, first, first_mode)
+    files += save_views(outdir, truth, first)
     summary["files"] = sorted(files)
     write_json(summary, os.path.join(outdir, "summary.json"))
 

@@ -457,16 +457,13 @@ def grid_arrays_from_dict(data: dict, what: str, dtypes: dict) -> tuple:
     return grid, arrays
 
 
-def mode_to_dict(mode: SpectralMode) -> dict:
-    return {
-        "grid": grid_to_dict(mode.grid),
-        "amplitude_abs": np.abs(mode.amplitude).tolist(),
-        "phase_rad": np.angle(mode.amplitude).tolist(),
-    }
-
-
-def save_mode(mode: SpectralMode, path) -> None:
-    write_json(mode_to_dict(mode), path)
+def save_mode(mode: SpectralMode, path) -> SpectralMode:
+    """Write the mode as (|a|, arg a) and return the mode the file holds: the
+    polar_mode of those arrays, bit for bit what load_mode(path) returns."""
+    magnitude, phase = np.abs(mode.amplitude), np.angle(mode.amplitude)
+    write_json({"grid": grid_to_dict(mode.grid), "amplitude_abs": magnitude.tolist(),
+                "phase_rad": phase.tolist()}, path)
+    return polar_mode(mode.grid, magnitude, phase)
 
 
 def load_mode(path) -> SpectralMode:

@@ -1,6 +1,6 @@
 """Statistical references for tests: the Cramér–Rao bound of a shearing record,
-and the seed sweeps, at the preset delay or a calibrated one, that a scatter
-is measured over."""
+the seed sweeps, at the preset delay or a calibrated one, that a scatter is
+measured over, and a mode overlap that forgives the arrival time."""
 
 import math
 
@@ -34,6 +34,23 @@ def fisher_bound(ideal, counts, shear, mode):
     x = grid.omegas[use] - grid.omega_center
     design = np.array([(x**k - (x + shear) ** k) / math.factorial(k) for k in (1, 2, 3)])
     return np.sqrt(np.diag(np.linalg.inv((design * info) @ design.T)))
+
+
+def overlap_up_to_arrival(a, b):
+    """max over t of |<a|b exp(-ixt)>|^2: mode_overlap up to an arrival-time shift.
+
+    The inner product at every t is one FFT of conj(a) * b * domega,
+    zero-padded 16x so t steps by 2 pi / (16 N domega); a parabola through
+    the largest |.|^2 sample and its two neighbours refines the peak.
+    """
+    inner = np.conj(a.amplitude) * b.amplitude * a.grid.omega_step
+    power = np.abs(np.fft.fft(inner, 16 * inner.size)) ** 2
+    i = int(np.argmax(power))
+    left, peak, right = power[i - 1], power[i], power[(i + 1) % power.size]
+    curvature = left - 2.0 * peak + right
+    if curvature < 0:
+        peak -= (left - right) ** 2 / (8.0 * curvature)
+    return float(peak)
 
 
 def preset_chain(preset):

@@ -475,9 +475,10 @@ def test_mode_load_rejects_malformed(tmp_path):
     [("n_points", 4096.9), ("n_points", "4096"), ("n_points", True), ("omega_start", "2.27")],
 )
 def test_mode_load_takes_the_number_rule_for_the_grid(tmp_path, quad_mode, key, value):
-    data = json.loads(json.dumps(ss.core.mode_to_dict(quad_mode)))
-    data["grid"][key] = value
     path = tmp_path / "mode.json"
+    ss.save_mode(quad_mode, path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["grid"][key] = value
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(DataFormatError, match="grid"):
         ss.load_mode(path)
@@ -488,9 +489,10 @@ def test_mode_load_takes_the_number_rule_for_the_grid(tmp_path, quad_mode, key, 
 )
 def test_mode_load_takes_the_number_rule_for_the_arrays(tmp_path, quad_mode, value):
     # the replaced bin is far in the wing, so a misread value still loads
-    data = json.loads(json.dumps(ss.core.mode_to_dict(quad_mode)))
-    data["amplitude_abs"][0] = value(data["amplitude_abs"][0])
     path = tmp_path / "mode.json"
+    ss.save_mode(quad_mode, path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["amplitude_abs"][0] = value(data["amplitude_abs"][0])
     path.write_text(json.dumps(data), encoding="utf-8")
     with pytest.raises(DataFormatError, match="amplitude_abs"):
         ss.load_mode(path)
